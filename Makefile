@@ -4,7 +4,7 @@ GO ?= go
 BENCH_DATE := $(shell date +%Y%m%d)
 VETTOOL := bin/coolpim-vet
 
-.PHONY: all build test vet lint lint-fixtures race bench bench-json bench-smoke figs-check accuracy-check sweep-smoke obs-smoke serve-smoke clean
+.PHONY: all build test vet lint lint-fixtures race bench bench-json bench-smoke figs-check figs-check-system accuracy-check sweep-smoke obs-smoke serve-smoke clean
 
 # Default: a tree that builds, passes the static-analysis suite, and
 # passes the tests — in that order, so lint failures surface fast.
@@ -87,6 +87,15 @@ bench-smoke:
 figs-check:
 	$(GO) run ./cmd/figures -exp fig14 -profile paper | diff -u results_fig14.txt - \
 		&& echo "results_fig14.txt up to date"
+
+# figs-check-system regenerates the committed paper-profile system
+# figures — the full Figs. 10-13 matrix (10 workloads x 5 policies, all
+# 50 cells) plus the Fig. 14 series — and fails on any byte difference
+# from results_system.txt. Manual: it runs the matrix serially (about
+# 9 minutes on a 2-core host), too slow for CI.
+figs-check-system:
+	$(GO) run ./cmd/figures -exp fig10,fig11,fig12,fig13,fig14 -profile paper | diff -u results_system.txt - \
+		&& echo "results_system.txt up to date"
 
 # accuracy-check re-runs the epsilon-bounded adaptive-vs-exact harness
 # (DESIGN.md §6c) at campaign scale: the full paper-profile matrix plus

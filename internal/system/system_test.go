@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"coolpim/internal/core"
+	"coolpim/internal/dram"
 	"coolpim/internal/graph"
+	"coolpim/internal/hmc"
 	"coolpim/internal/kernels"
 	"coolpim/internal/thermal"
 	"coolpim/internal/units"
@@ -98,15 +100,16 @@ func TestCoolingAffectsTemperature(t *testing.T) {
 	}
 }
 
-// TestThrottlingReactsToHeat: with an artificially weak heat sink, the
-// naive run overheats while CoolPIM receives warnings and reduces its
-// throttle state.
+// TestThrottlingReactsToHeat: with the inlet air at 80 °C the naive
+// run overheats past the 85 °C warning threshold, while CoolPIM(HW)
+// receives warnings, shrinks its PIM-enabled warp pool and offloads at
+// a lower rate than naive.
 func TestThrottlingReactsToHeat(t *testing.T) {
 	cfg := thrashCfg()
-	cfg.Cooling = thermal.Cooling{Name: "weak", SinkResistance: 3.0, FanPowerRel: 1}
+	cfg.Stack.Ambient = 80
 	naive := mustRun(t, "dc", core.NaiveOffloading, cfg)
-	if naive.PeakDRAM < 85 {
-		t.Skipf("naive run only reached %v; graph too small to overheat", naive.PeakDRAM)
+	if naive.PeakDRAM <= cfg.HMC.WarnTemp {
+		t.Fatalf("naive run only reached %v at 80 °C ambient; the test no longer heats", naive.PeakDRAM)
 	}
 	hw := mustRun(t, "dc", core.CoolPIMHW, cfg)
 	if hw.WarningsSeen == 0 {
@@ -123,28 +126,46 @@ func TestThrottlingReactsToHeat(t *testing.T) {
 	}
 }
 
+// TestShutdownOnExtremeHeat: with the inlet air at 104 °C the first
+// thermal ticks push DRAM past the 105 °C shutdown limit, on a single
+// cube and on a 2-cube chain alike, and the run ends there.
 func TestShutdownOnExtremeHeat(t *testing.T) {
-	cfg := thrashCfg()
-	// A hopeless heat sink: the cube must cross 105 °C and shut down.
-	cfg.Cooling = thermal.Cooling{Name: "none", SinkResistance: 12.0}
-	res, err := Run("dc", core.NaiveOffloading, cfg, testGraph)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Shutdown {
-		t.Skipf("no shutdown at peak %v; workload too light", res.PeakDRAM)
-	}
-	if res.PeakDRAM <= 100 {
-		t.Errorf("shutdown recorded at %v", res.PeakDRAM)
+	single := thrashCfg()
+	chain := mcConfig(hmc.TopoChain, 2, 0)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		g    *graph.Graph
+	}{{"single", single, testGraph}, {"chain2", chain, mcGraph}} {
+		tc.cfg.Stack.Ambient = 104
+		res, err := Run("dc", core.NaiveOffloading, tc.cfg, tc.g)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !res.Shutdown {
+			t.Errorf("%s: no shutdown at peak %v", tc.name, res.PeakDRAM)
+		}
+		if res.PeakDRAM <= dram.ShutdownLimit {
+			t.Errorf("%s: shutdown recorded at %v", tc.name, res.PeakDRAM)
+		}
+		if last := res.Series[len(res.Series)-1]; last.At != res.Runtime {
+			t.Errorf("%s: series ends at %v, shutdown at %v", tc.name, last.At, res.Runtime)
+		}
 	}
 }
 
+// TestIdealThermalNeverDerates: IdealThermal ignores the cube's thermal
+// state, so even heated past the shutdown limit it neither shuts down
+// nor raises warnings, and its result still verifies.
 func TestIdealThermalNeverDerates(t *testing.T) {
 	cfg := thrashCfg()
-	cfg.Cooling = thermal.Cooling{Name: "none", SinkResistance: 12.0}
+	cfg.Stack.Ambient = 104
 	res, err := Run("dc", core.IdealThermal, cfg, testGraph)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if res.PeakDRAM <= dram.ShutdownLimit {
+		t.Fatalf("ideal-thermal run only reached %v; the test no longer heats", res.PeakDRAM)
 	}
 	if res.Shutdown {
 		t.Error("ideal-thermal run shut down")
