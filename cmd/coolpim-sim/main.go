@@ -142,7 +142,7 @@ func main() {
 	g := graph.GenRMAT(prof.Scale, prof.EdgeFactor, graph.LDBCLikeParams(), prof.Seed)
 	fmt.Printf("graph: %d vertices, %d edges\n", g.NumV, g.NumE())
 
-	ws := make([]kernels.Workload, cfg.Net.Cubes)
+	ws := make([]kernels.Workload, cfg.Net.Nodes())
 	for i := range ws {
 		w, err := kernels.NewSized(workload, prof.Reps)
 		if err != nil {

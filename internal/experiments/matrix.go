@@ -206,18 +206,11 @@ func MultiCubeProfile(base Profile, net hmc.NetworkConfig) Profile {
 	return p
 }
 
-// runCell executes one campaign cell: a single-cube run, or — when the
-// profile configures a multi-cube network — one workload replica per
-// cube node on the sharded engine.
+// runCell executes one campaign cell: one workload replica per cube
+// node (a single node unless the profile configures a multi-cube
+// network).
 func runCell(p Profile, wl string, pol core.PolicyKind, sys system.Config, g *graph.Graph) (*system.Result, error) {
-	if !sys.Net.Enabled() {
-		w, err := newSized(wl, p.Reps)
-		if err != nil {
-			return nil, err
-		}
-		return system.RunWorkload(w, pol, sys, g)
-	}
-	ws := make([]kernels.Workload, sys.Net.Cubes)
+	ws := make([]kernels.Workload, sys.Net.Nodes())
 	for i := range ws {
 		w, err := newSized(wl, p.Reps)
 		if err != nil {

@@ -89,6 +89,10 @@ func DefaultNetworkConfig() NetworkConfig {
 // network.
 func (c NetworkConfig) Enabled() bool { return c.Cubes > 1 }
 
+// Nodes returns the number of cube nodes a run builds: Cubes, or one
+// when the network is disabled.
+func (c NetworkConfig) Nodes() int { return max(1, c.Cubes) }
+
 // FlagConfig builds a validated NetworkConfig from the CLI flag values
 // shared by the front ends (-cubes, -topology, -link-latency, -shards).
 // Zero linkLatency keeps the default; cubes=1 yields the disabled

@@ -78,7 +78,7 @@ func TestAdaptiveSkipsQuasiStaticTicks(t *testing.T) {
 	if st.Fast == 0 {
 		t.Error("no coalesced fast solves despite quasi-static power")
 	}
-	if rate := f.coupler.skipRate(); rate < 0.8 {
+	if rate := st.skipRate(); rate < 0.8 {
 		t.Errorf("skip rate %.2f, want > 0.8", rate)
 	}
 }

@@ -388,9 +388,9 @@ func (c *thermalCoupler) stats() couplerStats {
 }
 
 // skipRate is the fraction of coupling ticks folded without a solve.
-func (c *thermalCoupler) skipRate() float64 {
-	if c.ticks == 0 {
+func (s couplerStats) skipRate() float64 {
+	if s.Ticks == 0 {
 		return 0
 	}
-	return float64(c.skipped) / float64(c.ticks)
+	return float64(s.Skipped) / float64(s.Ticks)
 }

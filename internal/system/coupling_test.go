@@ -132,6 +132,6 @@ func BenchmarkApplyPowerTickAdaptive(b *testing.B) {
 		tick()
 	}
 	st := coupler.stats()
-	b.ReportMetric(coupler.skipRate(), "skipRate")
+	b.ReportMetric(st.skipRate(), "skipRate")
 	b.ReportMetric(float64(st.Fast), "fastSolves")
 }
