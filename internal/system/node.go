@@ -190,10 +190,14 @@ type nodeState struct {
 // throttling policy, GPU and workload.
 func (n *nodeState) build(kind core.PolicyKind, g *graph.Graph, cl *sim.Cluster, net *hmc.Network) error {
 	cfg := n.cfg
-	// Steady-state queue depth is bounded by resident warps (each with at
-	// most a couple of in-flight events) plus the HMC's in-flight
-	// completions; pre-size once so the hot loop never regrows the queue.
-	n.eng.Reserve(2 * cfg.GPU.NumSMs * cfg.GPU.MaxWarpsPerSM)
+	// Peak queue depths measured with 16 SMs x 64 resident warps: 4,125
+	// events on the test-profile sssp-twc cells and 8,053 on the
+	// paper-profile CoolPIM(HW) sssp-twc cell, so 8 per resident warp
+	// covers both without regrowing the queue's node arena. Deeper cells
+	// (test sssp-dtc 8,655; paper dc 33,686 and sssp-dtc 46,662, most of
+	// the latter past the ring's horizon in the heap) grow the arena and
+	// heap by amortized doubling.
+	n.eng.Reserve(8 * cfg.GPU.NumSMs * cfg.GPU.MaxWarpsPerSM)
 	space := kernels.SpaceFor(g)
 	n.cube = hmc.New(n.eng, space, cfg.HMC)
 	n.cube.DisableThermalEffects = kind.ThermalEffectsDisabled()
