@@ -10,7 +10,7 @@ import (
 )
 
 // The stencil kernel's contract is bit-identity with the interpretive
-// reference model in reference.go: same neighbors visited in the same
+// reference model in reference_test.go: same neighbors visited in the same
 // accumulation order means the same float rounding, so the differential
 // tests below compare math.Float64bits, not approximate values.
 

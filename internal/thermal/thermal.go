@@ -11,7 +11,7 @@
 // The network is evaluated through a stencil operator precomputed in
 // New: per-node CSR neighbor/conductance arrays in a fixed accumulation
 // order, so the solvers are allocation-free and bit-identical to the
-// interpretive reference implementation in reference.go (see
+// interpretive reference implementation in reference_test.go (see
 // DESIGN.md §6b and the differential tests).
 //
 // Geometry convention: layer 0 is the logic die at the bottom of the
