@@ -56,7 +56,7 @@ bench:
 # claims a speedup commits the next numbered snapshot; benchstat-style
 # comparison against the previous one is the review artifact.
 BENCH_NEXT := $(shell n=$$(ls BENCH_[0-9]*.json 2>/dev/null | wc -l); echo $$((n+1)))
-BENCH_SUBSTRATE := ^(BenchmarkEventEngine|BenchmarkCubeReadThroughput|BenchmarkCubePIMThroughput)$$
+BENCH_SUBSTRATE := ^(BenchmarkEventEngine|BenchmarkEventQueueMix|BenchmarkCubeReadThroughput|BenchmarkCubePIMThroughput)$$
 BENCH_THERMAL := ^(BenchmarkThermalStep|BenchmarkSolveSteady|BenchmarkFastSolve|BenchmarkStepFast)$$
 BENCH_COUPLER := ^BenchmarkApplyPowerTick(Adaptive)?$$
 BENCH_CLUSTER := ^(BenchmarkShardedEngine|BenchmarkMultiCubeSystem)$$

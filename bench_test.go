@@ -10,6 +10,7 @@ package coolpim
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"coolpim/internal/cache"
@@ -257,6 +258,77 @@ func BenchmarkEventEngine(b *testing.B) {
 		}
 	}
 	eng.Run()
+}
+
+// queueMixHistogram is the push-delta histogram of the paper profile's
+// CoolPIM(HW) sssp-twc cell (22.8 M pushes): parts per 10,000 of the
+// pushes whose delta lies in [lo, 2·lo) ps, or is 0 where lo is 0.
+var queueMixHistogram = []struct {
+	lo     units.Time
+	weight int
+}{
+	{0, 4}, {512, 194}, {1024, 300}, {2048, 4}, {8192, 839},
+	{16384, 1110}, {32768, 512}, {65536, 831}, {131072, 4022},
+	{262144, 1189}, {524288, 568}, {1048576, 411}, {2097152, 8},
+	{4194304, 2}, {8388608, 4},
+}
+
+// queueMixDeltas draws n push deltas from queueMixHistogram with a fixed
+// seed: a bin by weight, then a uniform delta inside it.
+func queueMixDeltas(n int) []units.Time {
+	total := 0
+	for _, bin := range queueMixHistogram {
+		total += bin.weight
+	}
+	rng := rand.New(rand.NewSource(1))
+	out := make([]units.Time, n)
+	for i := range out {
+		w := rng.Intn(total)
+		for _, bin := range queueMixHistogram {
+			if w -= bin.weight; w < 0 {
+				if bin.lo > 0 {
+					out[i] = bin.lo + units.Time(rng.Int63n(int64(bin.lo)))
+				}
+				break
+			}
+		}
+	}
+	return out
+}
+
+// BenchmarkEventQueueMix measures the event queue on the traffic real
+// runs produce, which BenchmarkEventEngine's 0-63 ps pushes into a
+// near-empty queue do not: it holds 800 and then 2,000 events pending
+// (the mean depths measured on the test- and paper-profile sssp-twc
+// cells) and draws every push's delta from queueMixHistogram. One op is
+// one event: its pop, its handler and the push that replaces it.
+func BenchmarkEventQueueMix(b *testing.B) {
+	deltas := queueMixDeltas(1 << 16)
+	for _, depth := range []int{800, 2000} {
+		b.Run(fmt.Sprintf("pending=%d", depth), func(b *testing.B) {
+			eng := sim.New()
+			left := b.N
+			next := 0
+			var ev sim.Event
+			ev = func(now units.Time) {
+				if left--; left < 0 {
+					if left == -1 {
+						b.StopTimer() // the drain below is not timed
+					}
+					return
+				}
+				next++
+				eng.At(now+deltas[next&(len(deltas)-1)], ev)
+			}
+			for next < depth {
+				next++
+				eng.At(deltas[next], ev)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			eng.Run()
+		})
+	}
 }
 
 func BenchmarkCubeReadThroughput(b *testing.B) {
