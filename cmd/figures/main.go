@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"time"
 
@@ -106,8 +107,10 @@ func main() {
 			}
 			defer ledger.Close()
 		}
+		// Rows reassemble in matrix order, so the output does not depend
+		// on the worker count.
 		opts := experiments.MatrixOpts{
-			Parallel: 1,
+			Parallel: runtime.GOMAXPROCS(0),
 			Ledger:   ledger,
 			Progress: progress,
 		}

@@ -2,10 +2,13 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"coolpim/internal/core"
@@ -188,9 +191,14 @@ type MatrixOpts struct {
 	OnRunDone  func(key string, err error, fromLedger bool)
 }
 
+// workloadCtor constructs one sized workload instance.
+type workloadCtor func(name string, reps int) (kernels.Workload, error)
+
 // newSized constructs workloads; indirected so tests can inject failing
-// or panicking constructors into the campaign path.
-var newSized = kernels.NewSized
+// or panicking constructors into the campaign path. A campaign reads it
+// once, before dispatch: an attempt the runner abandons may still be
+// running when a test restores it.
+var newSized workloadCtor = kernels.NewSized
 
 // MultiCubeProfile derives a multi-cube variant of a base profile: the
 // same graph and platform with `net` cubes joined by its link topology,
@@ -209,10 +217,10 @@ func MultiCubeProfile(base Profile, net hmc.NetworkConfig) Profile {
 // runCell executes one campaign cell: one workload replica per cube
 // node (a single node unless the profile configures a multi-cube
 // network).
-func runCell(p Profile, wl string, pol core.PolicyKind, sys system.Config, g *graph.Graph) (*system.Result, error) {
+func runCell(newW workloadCtor, p Profile, wl string, pol core.PolicyKind, sys system.Config, g *graph.Graph) (*system.Result, error) {
 	ws := make([]kernels.Workload, sys.Net.Nodes())
 	for i := range ws {
-		w, err := newSized(wl, p.Reps)
+		w, err := newW(wl, p.Reps)
 		if err != nil {
 			return nil, err
 		}
@@ -247,6 +255,13 @@ func RunMatrix(p Profile, workloads []string, policies []core.PolicyKind, parall
 // Campaign rows carry aggregates only — each run's time series is
 // dropped (it would dominate the resume ledger; use Fig14Series for
 // series work), so fresh and ledger-resumed rows are identical.
+//
+// Every workload's naive cell is dispatched first. Its CoolPIM(SW),
+// CoolPIM(HW) and IdealThermal cells wait for that naive outcome and,
+// when system.DeriveInert proves the policy inert on it, relabel it
+// instead of simulating (DESIGN.md §10a). Derived cells are still
+// runner jobs: hooks, ledger entries, retries, rows and the error's
+// matrix order are those of a fully simulated campaign.
 func RunMatrixOpts(ctx context.Context, p Profile, o MatrixOpts) ([]Row, error) {
 	workloads := o.Workloads
 	if len(workloads) == 0 {
@@ -261,26 +276,50 @@ func RunMatrixOpts(ctx context.Context, p Profile, o MatrixOpts) ([]Row, error) 
 	if err != nil {
 		return nil, err
 	}
+	newW := newSized
 
-	jobs := make([]runner.Job[*system.Result], 0, len(workloads)*len(policies))
+	// pos is each cell's matrix position; jobs run naive cells first.
+	pos := make(map[string]int, len(workloads)*len(policies))
+	var naiveJobs, otherJobs []runner.Job[*system.Result]
+	hasNaive := slices.Contains(policies, core.NaiveOffloading)
 	for _, wl := range workloads {
+		var naive *naiveOutcome
+		if hasNaive {
+			naive = &naiveOutcome{done: make(chan struct{})}
+		}
 		for _, pol := range policies {
 			wl, pol := wl, pol
+			key := matrixKey(wl, pol)
+			pos[key] = len(pos)
 			var flight *telemetry.FlightRecorder
 			if o.FlightDir != "" {
 				flight = telemetry.NewFlightRecorder(0)
 			}
-			jobs = append(jobs, runner.Job[*system.Result]{
-				Key:    matrixKey(wl, pol),
+			var derived atomic.Bool
+			job := runner.Job[*system.Result]{
+				Key:    key,
 				Flight: flight,
-				Run: func(context.Context) (*system.Result, error) {
+				Run: func(ctx context.Context) (*system.Result, error) {
+					if naive != nil && derivable(pol) {
+						select {
+						case <-naive.done:
+						case <-ctx.Done():
+						}
+						if err := ctx.Err(); err != nil {
+							return nil, err
+						}
+						if res, ok := deriveCell(newW, p, wl, pol, naive.res); ok {
+							derived.Store(true)
+							return res, nil
+						}
+					}
 					sys := p.Sys
 					if flight != nil && sys.Telemetry == nil {
 						tel := telemetry.New()
 						tel.Flight = flight
 						sys.Telemetry = tel
 					}
-					res, err := runCell(p, wl, pol, sys, g)
+					res, err := runCell(newW, p, wl, pol, sys, g)
 					if err != nil {
 						return nil, err
 					}
@@ -291,10 +330,19 @@ func RunMatrixOpts(ctx context.Context, p Profile, o MatrixOpts) ([]Row, error) 
 					return res, nil
 				},
 				Done: func(r runner.Result[*system.Result]) {
+					if naive != nil && pol == core.NaiveOffloading {
+						if r.Err == nil {
+							naive.res = r.Value
+						}
+						close(naive.done)
+					}
 					if o.Progress != nil && r.Err == nil {
 						src := ""
-						if r.FromLedger {
+						switch {
+						case r.FromLedger:
 							src = "  (ledger)"
+						case derived.Load():
+							src = "  (derived)"
 						}
 						o.Progress(fmt.Sprintf("%-10s %-18v rt=%v pim=%v peak=%v%s",
 							wl, pol, r.Value.Runtime, r.Value.AvgPIMRate, r.Value.PeakDRAM, src))
@@ -303,9 +351,15 @@ func RunMatrixOpts(ctx context.Context, p Profile, o MatrixOpts) ([]Row, error) 
 						o.OnRunDone(r.Key, r.Err, r.FromLedger)
 					}
 				},
-			})
+			}
+			if pol == core.NaiveOffloading {
+				naiveJobs = append(naiveJobs, job)
+			} else {
+				otherJobs = append(otherJobs, job)
+			}
 		}
 	}
+	jobs := append(naiveJobs, otherJobs...)
 
 	results, err := runner.Run(ctx, runner.Config{
 		Parallel:   o.Parallel,
@@ -320,20 +374,58 @@ func RunMatrixOpts(ctx context.Context, p Profile, o MatrixOpts) ([]Row, error) 
 		FlightDir:  o.FlightDir,
 	}, jobs)
 	if err != nil {
+		var ce *runner.CampaignError
+		if errors.As(err, &ce) {
+			sort.SliceStable(ce.Failures, func(a, b int) bool {
+				return pos[ce.Failures[a].Key] < pos[ce.Failures[b].Key]
+			})
+		}
 		return nil, err
 	}
 
+	values := make([]*system.Result, len(results))
+	for _, r := range results {
+		values[pos[r.Key]] = r.Value
+	}
 	rows := make([]Row, 0, len(workloads))
 	i := 0
 	for _, wl := range workloads {
 		row := Row{Workload: wl, Results: make(map[core.PolicyKind]*system.Result, len(policies))}
 		for _, pol := range policies {
-			row.Results[pol] = results[i].Value
+			row.Results[pol] = values[i]
 			i++
 		}
 		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// naiveOutcome is a workload's naive cell outcome, published by its
+// Done callback: done closes once the outcome is final, and res is its
+// result, nil if the cell failed.
+type naiveOutcome struct {
+	done chan struct{}
+	res  *system.Result
+}
+
+// derivable reports whether a policy's cell may derive from its
+// workload's naive cell.
+func derivable(pol core.PolicyKind) bool {
+	return pol == core.CoolPIMSW || pol == core.CoolPIMHW || pol == core.IdealThermal
+}
+
+// deriveCell relabels a successful naive cell result as pol's, if pol
+// is inert on it. Only the caller's Sys configuration counts: per-cell
+// flight recorders never stop a derivation.
+func deriveCell(newW workloadCtor, p Profile, wl string, pol core.PolicyKind, naive *system.Result) (*system.Result, bool) {
+	if naive == nil {
+		return nil, false
+	}
+	w, err := newW(wl, p.Reps)
+	if err != nil {
+		return nil, false
+	}
+	return system.DeriveInert(naive, pol, p.Sys, w.Profile())
 }
 
 // ConfigHash fingerprints everything about the profile that determines
@@ -377,13 +469,14 @@ func GeoMean(rows []Row, f func(Row) float64) float64 {
 func Fig14Series(p Profile, workload string) (map[core.PolicyKind][]system.Sample, error) {
 	pols := []core.PolicyKind{core.NaiveOffloading, core.CoolPIMSW, core.CoolPIMHW}
 	g := p.Graph()
+	newW := newSized
 	jobs := make([]runner.Job[[]system.Sample], 0, len(pols))
 	for _, pol := range pols {
 		pol := pol
 		jobs = append(jobs, runner.Job[[]system.Sample]{
 			Key: matrixKey(workload, pol),
 			Run: func(context.Context) ([]system.Sample, error) {
-				res, err := runCell(p, workload, pol, p.Sys, g)
+				res, err := runCell(newW, p, workload, pol, p.Sys, g)
 				if err != nil {
 					return nil, err
 				}

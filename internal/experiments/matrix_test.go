@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -372,5 +374,198 @@ func TestMultiCubeMatrix(t *testing.T) {
 	}
 	if len(res.Links) == 0 {
 		t.Error("no inter-cube links reported")
+	}
+}
+
+// runMatrixWithin runs RunMatrixOpts and fails the test if the campaign
+// has not returned within limit (a scheduling deadlock).
+func runMatrixWithin(t *testing.T, limit time.Duration, p Profile, o MatrixOpts) ([]Row, error) {
+	t.Helper()
+	type outcome struct {
+		rows []Row
+		err  error
+	}
+	ch := make(chan outcome, 1)
+	go func() {
+		rows, err := RunMatrixOpts(context.Background(), p, o)
+		ch <- outcome{rows, err}
+	}()
+	select {
+	case o := <-ch:
+		return o.rows, o.err
+	case <-time.After(limit):
+		t.Fatalf("campaign still running after %v: scheduling deadlock", limit)
+		return nil, nil
+	}
+}
+
+// TestMatrixDerivedBeforeNaiveListed: with one worker and CoolPIM(HW)
+// listed before naive, the naive cell still runs first, so the HW cell
+// never waits on an undispatched cell. It derives, and rows keep the
+// requested order.
+func TestMatrixDerivedBeforeNaiveListed(t *testing.T) {
+	stubConstructors(t, nil, nil, 0, nil)
+	var lines []string
+	rows, err := runMatrixWithin(t, 30*time.Second, TestProfile(), MatrixOpts{
+		Workloads: []string{"dc", "pagerank"},
+		Policies:  []core.PolicyKind{core.CoolPIMHW, core.NaiveOffloading},
+		Parallel:  1,
+		Progress:  func(s string) { lines = append(lines, s) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2 || rows[0].Workload != "dc" || rows[1].Workload != "pagerank" {
+		t.Fatalf("rows out of matrix order: %+v", rows)
+	}
+	for _, row := range rows {
+		hw, naive := row.Results[core.CoolPIMHW], row.Results[core.NaiveOffloading]
+		if hw == nil || naive == nil || hw.Policy != core.CoolPIMHW || hw.Runtime != naive.Runtime {
+			t.Fatalf("%s: HW %+v, naive %+v", row.Workload, hw, naive)
+		}
+	}
+	derived := 0
+	for _, l := range lines {
+		if strings.HasSuffix(l, "(derived)") {
+			derived++
+			if !strings.Contains(l, "CoolPIM(HW)") {
+				t.Errorf("non-HW cell marked derived: %q", l)
+			}
+		}
+	}
+	if derived != 2 {
+		t.Errorf("%d progress lines marked derived, want 2:\n%s", derived, strings.Join(lines, "\n"))
+	}
+}
+
+// TestMatrixFailFastNaiveStopsSiblings: under fail-fast, a poisoned
+// naive cell is the campaign's only failure; its SW, HW and
+// IdealThermal cells, waiting on it or not yet dispatched, are
+// reported as not run. OnRunDone lingers on the naive failure: a
+// sibling released before the campaign is canceled would use that
+// time to simulate, and fail too.
+func TestMatrixFailFastNaiveStopsSiblings(t *testing.T) {
+	stubConstructors(t, map[string]error{"dc": errors.New("poisoned")}, nil, 0, nil)
+	for run := 0; run < 20; run++ {
+		var mu sync.Mutex
+		var finished []string
+		_, err := runMatrixWithin(t, 30*time.Second, TestProfile(), MatrixOpts{
+			Workloads: []string{"dc"},
+			Policies:  []core.PolicyKind{core.NaiveOffloading, core.CoolPIMSW, core.CoolPIMHW, core.IdealThermal},
+			Parallel:  2,
+			FailFast:  true,
+			OnRunDone: func(key string, err error, _ bool) {
+				if key == "dc/Naive-Offloading" {
+					time.Sleep(10 * time.Millisecond)
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				if err == nil {
+					finished = append(finished, key)
+				}
+			},
+		})
+		var ce *runner.CampaignError
+		if !errors.As(err, &ce) {
+			t.Fatalf("error type %T: %v", err, err)
+		}
+		if len(ce.Failures) != 1 || ce.Failures[0].Key != "dc/Naive-Offloading" || ce.NotRun != 3 {
+			t.Fatalf("run %d: failures %+v, not run %d; want only the naive cell failed and 3 not run",
+				run, ce.Failures, ce.NotRun)
+		}
+		if len(finished) != 0 {
+			t.Fatalf("run %d: siblings of a failed naive cell completed: %v", run, finished)
+		}
+	}
+}
+
+// TestMatrixResumeDerivesFromLedgeredNaive: a campaign resumed with
+// naive cells in the ledger and their siblings pending derives the
+// siblings from the ledgered results, byte-identical to a fresh
+// campaign's rows.
+func TestMatrixResumeDerivesFromLedgeredNaive(t *testing.T) {
+	stubConstructors(t, nil, nil, 0, nil)
+	p := TestProfile()
+	wls := []string{"dc", "pagerank"}
+	pols := []core.PolicyKind{core.NaiveOffloading, core.CoolPIMSW, core.CoolPIMHW, core.IdealThermal}
+	fresh, err := RunMatrixOpts(context.Background(), p, MatrixOpts{Workloads: wls, Policies: pols, Parallel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(t.TempDir(), "matrix.jsonl")
+	l1, err := runner.OpenLedger(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunMatrixOpts(context.Background(), p, MatrixOpts{
+		Workloads: wls, Policies: pols[:1], Ledger: l1,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	l1.Close()
+
+	l2, err := runner.OpenLedger(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	var ledgered, derived int
+	resumed, err := RunMatrixOpts(context.Background(), p, MatrixOpts{
+		Workloads: wls, Policies: pols, Parallel: 2, Ledger: l2,
+		Progress: func(s string) {
+			if strings.HasSuffix(s, "(derived)") {
+				derived++
+			}
+		},
+		OnRunDone: func(_ string, _ error, fromLedger bool) {
+			if fromLedger {
+				ledgered++
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ledgered != 2 || derived != 6 {
+		t.Fatalf("resume: %d cells from the ledger, %d derived; want 2 and 6", ledgered, derived)
+	}
+	for i, row := range resumed {
+		for _, pol := range pols {
+			got, want := row.Results[pol], fresh[i].Results[pol]
+			if g, w := fmt.Sprintf("%+v", got), fmt.Sprintf("%+v", want); g != w {
+				t.Errorf("%s/%v: resumed %s, fresh %s", row.Workload, pol, g, w)
+			}
+			gj, _ := json.Marshal(got)
+			wj, _ := json.Marshal(want)
+			if string(gj) != string(wj) {
+				t.Errorf("%s/%v: resumed JSON %s, fresh %s", row.Workload, pol, gj, wj)
+			}
+		}
+	}
+}
+
+// TestMatrixFailuresInMatrixOrder: naive cells run first, but a failing
+// campaign still lists its failures in matrix order — here CoolPIM(HW)
+// before naive, as requested — identically on every run.
+func TestMatrixFailuresInMatrixOrder(t *testing.T) {
+	stubConstructors(t, map[string]error{
+		"dc":    errors.New("synthetic dc failure"),
+		"kcore": errors.New("synthetic kcore failure"),
+	}, nil, 0, nil)
+	want := "4 run(s) failed:" +
+		"\n  dc/CoolPIM(HW): synthetic dc failure" +
+		"\n  dc/Naive-Offloading: synthetic dc failure" +
+		"\n  kcore/CoolPIM(HW): synthetic kcore failure" +
+		"\n  kcore/Naive-Offloading: synthetic kcore failure"
+	for run := 0; run < 20; run++ {
+		_, err := runMatrixWithin(t, 30*time.Second, TestProfile(), MatrixOpts{
+			Workloads: []string{"dc", "pagerank", "kcore"},
+			Policies:  []core.PolicyKind{core.CoolPIMHW, core.NaiveOffloading},
+			Parallel:  2,
+		})
+		if err == nil || err.Error() != want {
+			t.Fatalf("run %d: error\n%v\nwant\n%s", run, err, want)
+		}
 	}
 }

@@ -56,7 +56,9 @@ type Job[R any] struct {
 	// Done, if non-nil, is invoked on the caller's goroutine as each
 	// final outcome is recorded — in completion order, not submission
 	// order (ledger-satisfied jobs are delivered first, in submission
-	// order, before any live run completes).
+	// order, before any live run completes). Under FailFast, a failed
+	// job's Done runs after the campaign context is canceled, so a job
+	// that waits on another's Done sees the cancellation first.
 	Done func(Result[R])
 	// Flight, if non-nil, is the job's flight recorder: when the job's
 	// final outcome is a *RunPanicError or *DeadlineError and
@@ -311,11 +313,11 @@ func Run[R any](ctx context.Context, cfg Config, jobs []Job[R]) ([]Result[R], er
 					ledgerErr = err
 				}
 			}
-			if jobs[i].Done != nil {
-				jobs[i].Done(r)
-			}
 			if r.Err != nil && cfg.FailFast {
 				cancel()
+			}
+			if jobs[i].Done != nil {
+				jobs[i].Done(r)
 			}
 		}
 		for _, i := range pending {
