@@ -90,9 +90,9 @@ figs-check:
 
 # figs-check-system regenerates the committed paper-profile system
 # figures — the full Figs. 10-13 matrix (10 workloads x 5 policies, all
-# 50 cells) plus the Fig. 14 series — and fails on any byte difference
-# from results_system.txt. Manual: it runs the matrix serially (about
-# 9 minutes on a 2-core host), too slow for CI.
+# 50 cells, the 16 inert ones derived from their naive cells) plus the
+# Fig. 14 series — and fails on any byte difference from
+# results_system.txt. The matrix runs on GOMAXPROCS workers.
 figs-check-system:
 	$(GO) run ./cmd/figures -exp fig10,fig11,fig12,fig13,fig14 -profile paper | diff -u results_system.txt - \
 		&& echo "results_system.txt up to date"
