@@ -141,5 +141,5 @@ serve-smoke:
 	scripts/serve_smoke.sh
 
 clean:
-	rm -f BENCH_full_*.json trace.jsonl metrics.prom series.csv
+	rm -f BENCH_full_*.json spans.jsonl metrics.prom series.csv
 	rm -rf bin

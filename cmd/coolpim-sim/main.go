@@ -3,24 +3,25 @@
 // statistics — the single-experiment front end to the full system model.
 //
 // With any of the telemetry flags set the run records the observability
-// layer's outputs: -trace-out writes the structured event stream (JSONL,
-// one typed event per line: thermal warnings, derating phase changes,
-// token-pool resizes, offload decisions, link backpressure), -series-out
-// writes the aligned time series as CSV, and -metrics-out dumps the
-// metrics registry in Prometheus text format. A human-readable telemetry
-// summary table is printed after the run statistics.
+// layer's outputs: -spans-out writes the run's one event stream as JSONL
+// (the hierarchical span tree plus, beside it, one typed zero-duration
+// instant per control-loop event: thermal warnings, derating phase
+// changes, token-pool resizes, offload decisions, link backpressure),
+// -trace-chrome renders the same stream as Chrome/Perfetto trace_event
+// JSON (open in https://ui.perfetto.dev), -series-out writes the aligned
+// time series as CSV, and -metrics-out dumps the metrics registry in
+// Prometheus text format. A human-readable telemetry summary table is
+// printed after the run statistics.
 //
-// The live observability plane adds: -spans-out (hierarchical span tree
-// as JSONL), -trace-chrome (Chrome/Perfetto trace_event JSON — open in
-// https://ui.perfetto.dev), -flight-out (flight-recorder ring dump; also
-// written on panic or SIGQUIT), and -diag-addr, which serves /metrics,
-// /healthz, /spans and /debug/pprof over HTTP while the run executes
-// (-diag-hold keeps the server up after the run finishes).
+// The live observability plane adds -flight-out (flight-recorder ring
+// dump; also written on panic or SIGQUIT) and -diag-addr, which serves
+// /metrics, /healthz, /spans and /debug/pprof over HTTP while the run
+// executes (-diag-hold keeps the server up after the run finishes).
 //
 // Example:
 //
 //	coolpim-sim -workload pagerank -policy coolpim-hw -scale 15 -cooling commodity \
-//	    -trace-out trace.jsonl -metrics-out metrics.prom \
+//	    -spans-out spans.jsonl -metrics-out metrics.prom \
 //	    -diag-addr 127.0.0.1:8787 -trace-chrome trace.json
 package main
 
@@ -55,11 +56,10 @@ func main() {
 	binder.Cooling(flag.CommandLine)
 	binder.Thermal(flag.CommandLine)
 	binder.Network(flag.CommandLine)
-	traceOut := flag.String("trace-out", "", "write the telemetry event trace as JSONL to this file")
 	metricsOut := flag.String("metrics-out", "", "write the metrics registry in Prometheus text format to this file")
 	seriesOut := flag.String("series-out", "", "write the telemetry time series as CSV to this file")
 	sampleEvery := flag.Duration("sample-every", 100*time.Microsecond, "telemetry time-series sampling period (simulated time)")
-	spansOut := flag.String("spans-out", "", "write the span tree as JSONL to this file")
+	spansOut := flag.String("spans-out", "", "write the event stream (spans and instants) as JSONL to this file")
 	traceChrome := flag.String("trace-chrome", "", "write a Chrome/Perfetto trace_event JSON file (open in ui.perfetto.dev)")
 	flightOut := flag.String("flight-out", "", "write the flight-recorder ring to this file (also dumped on panic or SIGQUIT)")
 	diagAddr := flag.String("diag-addr", "", "serve live diagnostics over HTTP on this address (e.g. 127.0.0.1:8787 or 127.0.0.1:0)")
@@ -87,8 +87,8 @@ func main() {
 	cool := cfg.Cooling
 
 	var tel *telemetry.Telemetry
-	if *traceOut != "" || *metricsOut != "" || *seriesOut != "" ||
-		*spansOut != "" || *traceChrome != "" || *flightOut != "" || *diagAddr != "" {
+	if *metricsOut != "" || *seriesOut != "" || *spansOut != "" ||
+		*traceChrome != "" || *flightOut != "" || *diagAddr != "" {
 		tel = telemetry.New()
 		cfg.Telemetry = tel
 		cfg.TelemetrySample = units.FromNanoseconds(float64(sampleEvery.Nanoseconds()))
@@ -166,12 +166,11 @@ func main() {
 	if tel.Enabled() {
 		fmt.Println("\ntelemetry summary:")
 		tel.WriteSummary(os.Stdout)
-		writeExport(*traceOut, "trace", tel.Tracer.WriteJSONL)
 		writeExport(*metricsOut, "metrics", tel.Registry.WritePrometheus)
 		writeExport(*seriesOut, "series", tel.Series.WriteCSV)
 		writeExport(*spansOut, "spans", tel.Spans.WriteJSONL)
 		writeExport(*traceChrome, "chrome trace", func(w io.Writer) error {
-			return telemetry.WriteChromeTrace(w, tel.Spans.Export(), tel.Tracer.Events())
+			return telemetry.WriteChromeTrace(w, tel.Spans.Export())
 		})
 		if *flightOut != "" {
 			writeExport(*flightOut, "flight ring", tel.Flight.WriteJSONL)

@@ -4,10 +4,10 @@
 //
 // Modes (exactly one):
 //
-//	coolpim-trace -events trace.jsonl [-spans spans.jsonl] -out trace.json
-//	    Convert an event trace and/or span tree (as written by
-//	    coolpim-sim -trace-out / -spans-out) into trace_event JSON.
-//	    Open the result in https://ui.perfetto.dev or chrome://tracing.
+//	coolpim-trace -spans spans.jsonl -out trace.json
+//	    Convert an event stream (spans and instants, as written by
+//	    coolpim-sim -spans-out) into trace_event JSON. Open the result
+//	    in https://ui.perfetto.dev or chrome://tracing.
 //
 //	coolpim-trace -check trace.json
 //	    Validate that a file parses as a trace_event array: every entry
@@ -38,8 +38,7 @@ import (
 )
 
 func main() {
-	eventsPath := flag.String("events", "", "event trace JSONL (from coolpim-sim -trace-out)")
-	spansPath := flag.String("spans", "", "span tree JSONL (from coolpim-sim -spans-out)")
+	spansPath := flag.String("spans", "", "event stream JSONL (from coolpim-sim -spans-out)")
 	outPath := flag.String("out", "", "output trace_event JSON path (default stdout)")
 	checkPath := flag.String("check", "", "validate a trace_event JSON file instead of converting")
 	getURL := flag.String("get", "", "fetch a URL and copy the body to stdout instead of converting")
@@ -64,12 +63,12 @@ func main() {
 			fatalf("check %s: %v", *checkPath, err)
 		}
 		fmt.Printf("ok: %d trace events\n", n)
-	case *eventsPath != "" || *spansPath != "":
-		if err := convert(*eventsPath, *spansPath, *outPath); err != nil {
+	case *spansPath != "":
+		if err := convert(*spansPath, *outPath); err != nil {
 			fatalf("convert: %v", err)
 		}
 	default:
-		fmt.Fprintln(os.Stderr, "specify -events/-spans, -check, -get, or -post (see -h)")
+		fmt.Fprintln(os.Stderr, "specify -spans, -check, -get, or -post (see -h)")
 		os.Exit(2)
 	}
 }
@@ -79,30 +78,15 @@ func fatalf(format string, args ...any) {
 	os.Exit(1)
 }
 
-func convert(eventsPath, spansPath, outPath string) error {
-	var events []telemetry.Event
-	var spans []telemetry.SpanExport
-	if eventsPath != "" {
-		f, err := os.Open(eventsPath)
-		if err != nil {
-			return err
-		}
-		events, err = telemetry.ParseJSONL(f)
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("%s: %w", eventsPath, err)
-		}
+func convert(spansPath, outPath string) error {
+	f, err := os.Open(spansPath)
+	if err != nil {
+		return err
 	}
-	if spansPath != "" {
-		f, err := os.Open(spansPath)
-		if err != nil {
-			return err
-		}
-		spans, err = telemetry.ParseSpansJSONL(f)
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("%s: %w", spansPath, err)
-		}
+	records, err := telemetry.ParseSpansJSONL(f)
+	f.Close()
+	if err != nil {
+		return fmt.Errorf("%s: %w", spansPath, err)
 	}
 	out := io.Writer(os.Stdout)
 	if outPath != "" {
@@ -113,11 +97,11 @@ func convert(eventsPath, spansPath, outPath string) error {
 		defer f.Close()
 		out = f
 	}
-	if err := telemetry.WriteChromeTrace(out, spans, events); err != nil {
+	if err := telemetry.WriteChromeTrace(out, records); err != nil {
 		return err
 	}
 	if outPath != "" {
-		fmt.Printf("wrote %d spans + %d events to %s\n", len(spans), len(events), outPath)
+		fmt.Printf("wrote %d records to %s\n", len(records), outPath)
 	}
 	return nil
 }

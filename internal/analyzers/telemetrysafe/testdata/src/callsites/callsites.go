@@ -11,25 +11,25 @@ import (
 	"coolpim/internal/units"
 )
 
-func emit(tr *telemetry.Tracer, at units.Time, vault int, name string) {
-	tr.Emit(at, telemetry.EvPhase, fmt.Sprintf(`"vault":%d`, vault)) // want `fmt.Sprintf call is evaluated before Tracer.Emit`
-	tr.Emit(at, telemetry.EvPhase, `"vault":3`)                      // ok: constant payload
-	tr.Emit(at, telemetry.EvPhase, `"name":`+name)                   // want `non-constant string concatenation`
-	tr.Emit(at, telemetry.EvPhase, `"a":`+`1`)                       // ok: folded at compile time
+func emit(st *telemetry.SpanTracer, at units.Time, vault int, name string) {
+	st.PoolInit(at, fmt.Sprintf("vault-%d", vault), 4) // want `fmt.Sprintf call is evaluated before SpanTracer.PoolInit`
+	st.PoolInit(at, "vault-3", 4)                      // ok: constant payload
+	st.PoolInit(at, "vault-"+name, 4)                  // want `non-constant string concatenation`
+	st.PoolInit(at, "vault-"+"3", 4)                   // ok: folded at compile time
 
-	if tr != nil {
-		tr.Emit(at, telemetry.EvPhase, fmt.Sprintf(`"vault":%d`, vault)) // ok: behind an explicit nil guard
+	if st != nil {
+		st.PoolInit(at, fmt.Sprintf("vault-%d", vault), 4) // ok: behind an explicit nil guard
 	}
 }
 
 func hub(h *telemetry.Telemetry, at units.Time, v int) {
 	if h.Enabled() {
-		h.Tracer.Emit(at, telemetry.EvPhase, fmt.Sprintf(`"v":%d`, v)) // ok: behind an Enabled() guard
+		h.Spans.PoolInit(at, fmt.Sprintf("pcu-%d", v), v) // ok: behind an Enabled() guard
 	}
 }
 
 func spans(st *telemetry.SpanTracer, at units.Time, key string) {
-	st.Name("job:" + key) // want `non-constant string concatenation`
+	st.Name("job:" + key)   // want `non-constant string concatenation`
 	st.Name("thermal.tick") // ok: constant name
 	n := st.Name(key)       // ok: plain value argument
 	st.StartSpan(at, n)

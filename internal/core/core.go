@@ -238,12 +238,11 @@ type SWDynT struct {
 	eng  *sim.Engine
 	pool *TokenPool
 	gate warningGate
-	// Trace, if set, receives pool.resize events for every control
-	// update. Nil disables tracing at zero cost.
-	Trace *telemetry.Tracer
 	// Spans, if set, records one "throttle.react.sw" span per accepted
 	// warning, from warning delivery to the applied control update — the
-	// causal edge closing the paper's feedback loop.
+	// causal edge closing the paper's feedback loop — and a pool.resize
+	// instant for every control update. Nil disables tracing at zero
+	// cost.
 	Spans *telemetry.SpanTracer
 }
 
@@ -275,7 +274,7 @@ func (s *SWDynT) OnThermalWarning(now units.Time) {
 		before := s.pool.Size()
 		s.pool.Reduce(s.cfg.ControlFactor)
 		s.gate.applied(at)
-		s.Trace.PoolResize(at, "sw-ptp", before, s.pool.Size(), "warning")
+		s.Spans.PoolResize(at, "sw-ptp", before, s.pool.Size(), "warning")
 		sp.End(at)
 	})
 }
@@ -319,11 +318,10 @@ type HWDynT struct {
 	eng  *sim.Engine
 	pcus []PCU
 	gate warningGate
-	// Trace, if set, receives pool.resize events (with the aggregate
-	// PIM-enabled warp count across all PCUs) for every control update.
-	Trace *telemetry.Tracer
 	// Spans, if set, records one "throttle.react.hw" span per accepted
-	// warning, from warning delivery to the applied control update.
+	// warning, from warning delivery to the applied control update, and
+	// a pool.resize instant (with the aggregate PIM-enabled warp count
+	// across all PCUs) for every control update.
 	Spans *telemetry.SpanTracer
 }
 
@@ -392,7 +390,7 @@ func (h *HWDynT) OnThermalWarning(now units.Time) {
 			h.pcus[i].step(h.cfg.HWControlFactor)
 		}
 		h.gate.applied(at)
-		h.Trace.PoolResize(at, "hw-pcu", before, totalLimit(h.pcus), "warning")
+		h.Spans.PoolResize(at, "hw-pcu", before, totalLimit(h.pcus), "warning")
 		sp.End(at)
 	})
 }

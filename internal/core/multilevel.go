@@ -58,11 +58,10 @@ type MultiLevelHWDynT struct {
 	gate     warningGate // normal-level gate
 	critGate warningGate // emergency gate
 	critical uint64
-	// Trace, if set, receives pool.resize events (reason "warning" or
-	// "critical") for every control update.
-	Trace *telemetry.Tracer
 	// Spans, if set, records one "throttle.react.hw" (normal) or
-	// "throttle.react.critical" (emergency) span per accepted warning.
+	// "throttle.react.critical" (emergency) span per accepted warning,
+	// and a pool.resize instant (reason "warning" or "critical") for
+	// every control update.
 	Spans *telemetry.SpanTracer
 }
 
@@ -130,7 +129,7 @@ func (h *MultiLevelHWDynT) reduce(at units.Time, cf int, reason string) {
 	for i := range h.pcus {
 		h.pcus[i].step(cf)
 	}
-	h.Trace.PoolResize(at, "hw-pcu", before, totalLimit(h.pcus), reason)
+	h.Spans.PoolResize(at, "hw-pcu", before, totalLimit(h.pcus), reason)
 }
 
 // ObserveWarpSlot mirrors HWDynT.ObserveWarpSlot.

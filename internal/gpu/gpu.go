@@ -169,12 +169,10 @@ type GPU struct {
 	// accesses do.
 	PIMOffloadActive bool
 
-	// Trace, if set, receives offload.accept/offload.reject events for
-	// every block-launch decision. Nil disables tracing at zero cost.
-	Trace *telemetry.Tracer
-
 	// Span wiring (SetSpans): one "gpu.kernel" span per launch, one
-	// "gpu.block.pim"/"gpu.block.nonpim" child span per thread block.
+	// "gpu.block.pim"/"gpu.block.nonpim" child span per thread block, and
+	// an offload.accept/offload.reject instant for every block-launch
+	// decision.
 	spans      *telemetry.SpanTracer
 	spanKernel telemetry.SpanName
 	spanPIM    telemetry.SpanName
@@ -336,7 +334,7 @@ func (g *GPU) startBlock(smID int) {
 	} else {
 		g.stats.PIMBlocks++
 	}
-	g.Trace.OffloadBlock(g.eng.Now(), isPIM, smID, g.nextBlock)
+	g.spans.OffloadBlock(g.eng.Now(), isPIM, smID, g.nextBlock)
 	spanName := g.spanPIM
 	if !isPIM {
 		spanName = g.spanNonPIM

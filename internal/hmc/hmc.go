@@ -149,15 +149,13 @@ type Cube struct {
 	// DisableThermalEffects models the Ideal-Thermal configuration: the
 	// cube never derates, warns, or shuts down.
 	DisableThermalEffects bool
-	// Trace, if set, receives the cube's thermal and link events
-	// (warning raise/clear, derating phase transitions, shutdown, credit
-	// backpressure). Nil disables tracing at zero cost.
-	Trace *telemetry.Tracer
-
 	// Span wiring (SetSpans): one "hmc.read"/"hmc.write"/"hmc.pim" span
-	// per request, from submission to response delivery. System wiring
-	// rate-limits these families (SpanTracer.SetMinGap) so full-scale
-	// runs keep one representative request span per thermal tick.
+	// per request, from submission to response delivery, and the cube's
+	// thermal and link instants (warning raise/clear, derating phase
+	// transitions, shutdown, credit backpressure). System wiring
+	// rate-limits the request families and backpressure
+	// (SpanTracer.SetMinGap) so full-scale runs keep one representative
+	// record per thermal tick.
 	spans     *telemetry.SpanTracer
 	spanRead  telemetry.SpanName
 	spanWrite telemetry.SpanName
@@ -244,19 +242,19 @@ func (c *Cube) SetTemperature(now units.Time, temp units.Celsius) {
 	wasWarning := c.warning
 	c.warning = temp > c.cfg.WarnTemp
 	if c.warning != wasWarning {
-		c.Trace.ThermalWarning(now, c.warning, temp)
+		c.spans.ThermalWarning(now, c.warning, temp)
 	}
 	if phase == dram.PhaseShutdown {
 		c.shutdown = true
 		c.shutTime = now
-		c.Trace.Shutdown(now, temp)
+		c.spans.Shutdown(now, temp)
 		if c.OnShutdown != nil {
 			c.OnShutdown(now) //coolpim:allow hotalloc shutdown callback fires at most once per run, on the terminal overheat event
 		}
 		return
 	}
 	if phase != c.phase {
-		c.Trace.PhaseTransition(now, c.phase.String(), phase.String(), temp)
+		c.spans.PhaseTransition(now, c.phase.String(), phase.String(), temp)
 		c.phase = phase
 		// Derate all DRAM timing by the phase's frequency reduction and
 		// fold the refresh duty cycle in as a multiplicative occupancy
@@ -414,7 +412,7 @@ func (c *Cube) Submit(at units.Time, req flit.Request, done func(resp flit.Respo
 		acceptedAt = bp
 		// Stamp with the engine's current time, not the (possibly
 		// future) link-entry time, to keep the trace monotone.
-		c.Trace.LinkBackpressure(c.eng.Now(), lid, acceptedAt-arrive)
+		c.spans.LinkBackpressure(c.eng.Now(), lid, acceptedAt-arrive)
 	}
 	return acceptedAt
 }

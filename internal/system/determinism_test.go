@@ -10,7 +10,8 @@ import (
 )
 
 // telemetryRun executes one instrumented run and returns the result plus
-// the three rendered exports.
+// the three rendered exports: the span and instant stream, metrics and
+// series.
 func telemetryRun(t *testing.T, pol core.PolicyKind) (*Result, string, string, string) {
 	t.Helper()
 	cfg := thrashCfg()
@@ -24,7 +25,7 @@ func telemetryRun(t *testing.T, pol core.PolicyKind) (*Result, string, string, s
 		t.Fatal(err)
 	}
 	var trace, metrics, series strings.Builder
-	if err := cfg.Telemetry.Tracer.WriteJSONL(&trace); err != nil {
+	if err := cfg.Telemetry.Spans.WriteJSONL(&trace); err != nil {
 		t.Fatal(err)
 	}
 	if err := cfg.Telemetry.Registry.WritePrometheus(&metrics); err != nil {
@@ -38,14 +39,14 @@ func telemetryRun(t *testing.T, pol core.PolicyKind) (*Result, string, string, s
 
 // TestTelemetryDeterminism is the determinism regression test for the
 // observability layer: two same-seed instrumented runs must produce
-// byte-identical trace, metrics and series exports and equal run stats.
+// byte-identical stream, metrics and series exports and equal run stats.
 // Wall-clock profiling data must never leak into the exporters (it only
 // appears in the human-readable summary), or this test fails.
 func TestTelemetryDeterminism(t *testing.T) {
 	resA, traceA, metricsA, seriesA := telemetryRun(t, core.CoolPIMHW)
 	resB, traceB, metricsB, seriesB := telemetryRun(t, core.CoolPIMHW)
 	if traceA != traceB {
-		t.Errorf("JSONL traces differ between same-seed runs (%d vs %d bytes)",
+		t.Errorf("JSONL streams differ between same-seed runs (%d vs %d bytes)",
 			len(traceA), len(traceB))
 	}
 	if metricsA != metricsB {
@@ -62,7 +63,7 @@ func TestTelemetryDeterminism(t *testing.T) {
 		t.Errorf("run stats diverged:\nA: %+v\nB: %+v", resA, resB)
 	}
 	if traceA == "" {
-		t.Error("instrumented run recorded no trace events")
+		t.Error("instrumented run recorded no stream records")
 	}
 }
 
@@ -85,7 +86,7 @@ func TestTelemetryMatchesUninstrumentedRun(t *testing.T) {
 // populated metrics registry.
 func TestTelemetryWiring(t *testing.T) {
 	res, trace, metrics, series := telemetryRun(t, core.CoolPIMSW)
-	for _, want := range []string{`"kind":"pool.init"`, `"mechanism":"sw-ptp"`, `"kind":"offload.`} {
+	for _, want := range []string{`"name":"pool.init"`, `"mechanism":"sw-ptp"`, `"name":"offload.`} {
 		if !strings.Contains(trace, want) {
 			t.Errorf("trace missing %q", want)
 		}

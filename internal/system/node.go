@@ -54,33 +54,29 @@ func RunWorkloads(ws []kernels.Workload, policy core.PolicyKind, cfg Config, g *
 	}
 
 	// Node 0 owns the telemetry plane: its engine is profiled, and the
-	// trace, span and flight instruments attach to its components only.
+	// span and flight instruments attach to its components only.
 	tel := cfg.Telemetry
-	var trace *telemetry.Tracer
 	var spans *telemetry.SpanTracer
 	var flight *telemetry.FlightRecorder
 	if tel.Enabled() {
-		trace, spans, flight = tel.Tracer, tel.Spans, tel.Flight
+		spans, flight = tel.Spans, tel.Flight
 		engines[0].SetObserver(tel.Profile())
-		// Backpressure can fire per request; keep one representative
-		// event per thermal tick and count the rest.
-		trace.SetMinGap(telemetry.EvBackpressure, cfg.ThermalTick)
 		// The cube opens one span per request (the network one per remote
-		// round trip and link transit); at full scale that floods the
-		// capped span store within the first few hundred microseconds and
-		// silently evicts the rare control-plane spans (throttle
-		// reactions) that only arrive once the stack heats up. Keep one
-		// representative request span per thermal tick per family.
-		families := []string{"hmc.read", "hmc.write", "hmc.pim"}
+		// round trip and link transit), and backpressure can fire per
+		// request; at full scale that floods the capped store within the
+		// first few hundred microseconds and silently evicts the rare
+		// control-plane spans (throttle reactions) that only arrive once
+		// the stack heats up. Keep one representative record per thermal
+		// tick per family and count the rest.
+		families := []string{"hmc.read", "hmc.write", "hmc.pim", "link.backpressure"}
 		if net != nil {
 			families = append(families, net.SpanNames()...)
 		}
 		for _, name := range families {
 			spans.SetMinGap(spans.Name(name), cfg.ThermalTick)
 		}
-		// The flight recorder (when attached) shadows the event and span
-		// streams so a crashing run carries its recent history.
-		trace.SetFlight(flight)
+		// The flight recorder (when attached) shadows the stream so a
+		// crashing run carries its recent history.
 		spans.SetFlight(flight)
 	}
 	if net != nil {
@@ -91,7 +87,7 @@ func RunWorkloads(ws []kernels.Workload, policy core.PolicyKind, cfg Config, g *
 	for i := range nodes {
 		n := &nodeState{id: i, cfg: &cfg, eng: engines[i], w: ws[i], res: CubeResult{Node: i}}
 		if i == 0 {
-			n.trace, n.spans, n.flight = trace, spans, flight
+			n.spans, n.flight = spans, flight
 		}
 		if err := n.build(policy, g, cl, net); err != nil {
 			return nil, err
@@ -173,7 +169,6 @@ type nodeState struct {
 	coupler *thermalCoupler
 
 	// Node 0's instruments; nil on the other nodes and without telemetry.
-	trace              *telemetry.Tracer
 	spans              *telemetry.SpanTracer
 	flight             *telemetry.FlightRecorder
 	tempHist, rateHist *telemetry.Histogram
@@ -203,7 +198,6 @@ func (n *nodeState) build(kind core.PolicyKind, g *graph.Graph, cl *sim.Cluster,
 	space := kernels.SpaceFor(g)
 	n.cube = hmc.New(n.eng, space, cfg.HMC)
 	n.cube.DisableThermalEffects = kind.ThermalEffectsDisabled()
-	n.cube.Trace = n.trace
 	n.cube.SetSpans(n.spans)
 	if net != nil {
 		net.AttachNode(n.id, n.cube, space)
@@ -223,7 +217,6 @@ func (n *nodeState) build(kind core.PolicyKind, g *graph.Graph, cl *sim.Cluster,
 	if net != nil {
 		n.dev.SetNetwork(net, n.id)
 	}
-	n.dev.Trace = n.trace
 	n.dev.SetSpans(n.spans)
 	n.w.Setup(space, g)
 	n.coupler = newThermalCoupler(n.cube, model, *cfg)
@@ -258,8 +251,8 @@ func (n *nodeState) buildPolicy(kind core.PolicyKind, warnLevel func() core.Warn
 		pool, _ := swInitialPool(cfg, n.w.Profile())
 		n.res.InitialPoolSize = pool
 		n.sw = core.NewSWDynT(n.eng, cfg.Throttle, pool)
-		n.sw.Trace, n.sw.Spans = n.trace, n.spans
-		n.trace.PoolInit(0, "sw-ptp", pool)
+		n.sw.Spans = n.spans
+		n.spans.PoolInit(0, "sw-ptp", pool)
 		return core.NewCoolPIMSW(n.sw), nil
 	case core.CoolPIMHW:
 		pool := hwInitialPool(cfg)
@@ -272,14 +265,14 @@ func (n *nodeState) buildPolicy(kind core.PolicyKind, warnLevel func() core.Warn
 				ml.Config = cfg.Throttle
 			}
 			n.mhw = core.NewMultiLevelHWDynT(n.eng, ml, cfg.GPU.NumSMs, cfg.GPU.MaxWarpsPerSM)
-			n.mhw.Trace, n.mhw.Spans = n.trace, n.spans
+			n.mhw.Spans = n.spans
 			pol = core.NewCoolPIMHWMultiLevel(n.mhw, warnLevel)
 		} else {
 			n.hw = core.NewHWDynT(n.eng, cfg.Throttle, cfg.GPU.NumSMs, cfg.GPU.MaxWarpsPerSM)
-			n.hw.Trace, n.hw.Spans = n.trace, n.spans
+			n.hw.Spans = n.spans
 			pol = core.NewCoolPIMHW(n.hw)
 		}
-		n.trace.PoolInit(0, "hw-pcu", pool)
+		n.spans.PoolInit(0, "hw-pcu", pool)
 		return pol, nil
 	}
 	return nil, fmt.Errorf("system: unknown policy %v", kind)

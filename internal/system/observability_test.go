@@ -12,6 +12,7 @@ import (
 // enabled run records an "engine.run" root, thermal ticks parented
 // under it, kernel spans with block children, per-request HMC spans,
 // and — when the policy actually throttled — throttle reaction spans.
+// The control loop's instants (ID 0) ride in the same stream.
 func TestSpanTreeCoversRun(t *testing.T) {
 	cfg := thrashCfg()
 	tel := telemetry.New()
@@ -26,7 +27,13 @@ func TestSpanTreeCoversRun(t *testing.T) {
 	byID := map[telemetry.SpanID]telemetry.SpanExport{}
 	for _, s := range spans {
 		byName[s.Name] = append(byName[s.Name], s)
-		byID[s.ID] = s
+		if !s.Instant() {
+			byID[s.ID] = s
+		}
+	}
+	if len(byName["pool.init"]) != 1 || len(byName["offload.accept"]) == 0 {
+		t.Errorf("stream holds %d pool.init and %d offload.accept instants, want 1 and some",
+			len(byName["pool.init"]), len(byName["offload.accept"]))
 	}
 
 	roots := byName["engine.run"]
@@ -71,10 +78,11 @@ func TestSpanTreeCoversRun(t *testing.T) {
 	if len(byName["hmc.read"])+len(byName["hmc.write"])+len(byName["hmc.pim"]) == 0 {
 		t.Fatal("no hmc request spans recorded")
 	}
-	// System wiring samples the per-request families to one span per
-	// thermal tick; without it a full-scale run evicts the rare control
-	// spans out of the capped store (see TestThrottleReactSpansRecorded).
-	for _, fam := range []string{"hmc.read", "hmc.write", "hmc.pim"} {
+	// System wiring samples the per-request families and backpressure to
+	// one record per thermal tick; without it a full-scale run evicts
+	// the rare control spans out of the capped store (see
+	// TestThrottleReactSpansRecorded).
+	for _, fam := range []string{"hmc.read", "hmc.write", "hmc.pim", "link.backpressure"} {
 		if n := len(byName[fam]); n > len(ticks)+2 {
 			t.Errorf("%d %s spans for %d thermal ticks: min-gap sampling not applied", n, fam, len(ticks))
 		}
@@ -113,7 +121,7 @@ func TestDisabledTelemetryRecordsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	var st *telemetry.SpanTracer
-	if st.Len() != 0 {
+	if len(st.Export()) != 0 {
 		t.Fatal("nil tracer claims spans")
 	}
 }

@@ -7,16 +7,14 @@ import (
 )
 
 func TestChromeTraceShape(t *testing.T) {
-	spans := []SpanExport{
+	records := []SpanExport{
 		{ID: 1, Parent: 0, Name: "engine.run", Start: 0, End: 5_000_000},
 		{ID: 2, Parent: 1, Name: "thermal.tick", Start: 1_000_000, End: 1_002_000},
+		{Name: "thermal.warning.raise", Start: 1_500_000, End: 1_500_000, Data: `"temp_c":85.10`},
 		{ID: 3, Parent: 1, Name: "gpu.kernel", Start: 2_000_000, End: spanOpen}, // open: skipped
 	}
-	events := []Event{
-		{At: 1_500_000, Kind: EvWarnRaise, Data: `"temp_c":85.10`},
-	}
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, spans, events); err != nil {
+	if err := WriteChromeTrace(&buf, records); err != nil {
 		t.Fatal(err)
 	}
 
@@ -24,7 +22,7 @@ func TestChromeTraceShape(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &entries); err != nil {
 		t.Fatalf("output is not a trace_event JSON array: %v\n%s", err, buf.String())
 	}
-	// 2 closed spans + 1 instant event; the open span is skipped.
+	// 2 closed spans, then 1 instant event; the open span is skipped.
 	if len(entries) != 3 {
 		t.Fatalf("got %d entries, want 3: %s", len(entries), buf.String())
 	}
@@ -64,10 +62,10 @@ func TestChromeTraceDeterministic(t *testing.T) {
 		{ID: 2, Name: "b.y", Start: 5, End: 15},
 	}
 	var one, two bytes.Buffer
-	if err := WriteChromeTrace(&one, spans, nil); err != nil {
+	if err := WriteChromeTrace(&one, spans); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteChromeTrace(&two, spans, nil); err != nil {
+	if err := WriteChromeTrace(&two, spans); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(one.Bytes(), two.Bytes()) {

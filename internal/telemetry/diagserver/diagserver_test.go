@@ -22,8 +22,8 @@ import (
 var diagGraph = graph.GenRMAT(11, 8, graph.LDBCLikeParams(), 7)
 
 // runExports runs one small simulation and returns its deterministic
-// telemetry exports (events, spans, metrics) as bytes.
-func runExports(t *testing.T, sink telemetry.SnapshotSink) (trace, spans, metrics []byte) {
+// telemetry exports (the span and instant stream, metrics) as bytes.
+func runExports(t *testing.T, sink telemetry.SnapshotSink) (stream, metrics []byte) {
 	t.Helper()
 	cfg := system.DefaultConfig()
 	cfg.GPU.L2.SizeBytes = 8 << 10
@@ -40,26 +40,24 @@ func runExports(t *testing.T, sink telemetry.SnapshotSink) (trace, spans, metric
 	if res.VerifyErr != nil {
 		t.Fatal(res.VerifyErr)
 	}
-	var tr, sp, me bytes.Buffer
-	if err := tel.Tracer.WriteJSONL(&tr); err != nil {
-		t.Fatal(err)
-	}
+	var sp, me bytes.Buffer
 	if err := tel.Spans.WriteJSONL(&sp); err != nil {
 		t.Fatal(err)
 	}
 	if err := tel.Registry.WritePrometheus(&me); err != nil {
 		t.Fatal(err)
 	}
-	return tr.Bytes(), sp.Bytes(), me.Bytes()
+	return sp.Bytes(), me.Bytes()
 }
 
 // TestServerDoesNotPerturbSimulation is the acceptance gate for the
 // diag server: running the same seeded simulation with the HTTP server
 // attached — and clients hammering it concurrently — must produce
-// byte-identical trace, span and metrics exports to a serverless run.
+// byte-identical span-and-instant stream and metrics exports to a
+// serverless run.
 // Run with -race to also exercise the snapshot publication path.
 func TestServerDoesNotPerturbSimulation(t *testing.T) {
-	baseTrace, baseSpans, baseMetrics := runExports(t, nil)
+	baseStream, baseMetrics := runExports(t, nil)
 
 	srv, err := diagserver.New("127.0.0.1:0")
 	if err != nil {
@@ -89,15 +87,12 @@ func TestServerDoesNotPerturbSimulation(t *testing.T) {
 		}(fmt.Sprintf("http://%s%s", srv.Addr(), path))
 	}
 
-	gotTrace, gotSpans, gotMetrics := runExports(t, srv)
+	gotStream, gotMetrics := runExports(t, srv)
 	close(stop)
 	wg.Wait()
 
-	if !bytes.Equal(baseTrace, gotTrace) {
-		t.Error("event trace diverged with diag server attached")
-	}
-	if !bytes.Equal(baseSpans, gotSpans) {
-		t.Error("span export diverged with diag server attached")
+	if !bytes.Equal(baseStream, gotStream) {
+		t.Error("span and instant stream diverged with diag server attached")
 	}
 	if !bytes.Equal(baseMetrics, gotMetrics) {
 		t.Error("metrics export diverged with diag server attached")

@@ -10,7 +10,7 @@ import (
 // on the simulation goroutine and handed to a SnapshotSink. Readers
 // (the diag server's HTTP handlers) only ever see whole published
 // snapshots through an atomic pointer swap — they never touch the live
-// registry, tracer or span store, which are not safe for concurrent
+// registry or span store, which are not safe for concurrent
 // use. This is the snapshot-publication rule that keeps the simulation
 // deterministic and race-free with a diag server attached.
 type Snapshot struct {
@@ -21,7 +21,8 @@ type Snapshot struct {
 	// Spans is a JSON array of the most recent spans (live view,
 	// including wall stamps).
 	Spans []byte
-	// TraceEvents / SpanCount are cheap progress totals for /healthz.
+	// TraceEvents / SpanCount are cheap progress totals for /healthz:
+	// the stream's instants and spans.
 	TraceEvents int
 	SpanCount   int
 }
@@ -43,6 +44,7 @@ func (t *Telemetry) BuildSnapshot(now units.Time) *Snapshot {
 	if t == nil {
 		return nil
 	}
+	spans, instants := t.Spans.counts()
 	var metrics bytes.Buffer
 	if t.Registry != nil {
 		_ = t.Registry.WritePrometheus(&metrics)
@@ -52,8 +54,8 @@ func (t *Telemetry) BuildSnapshot(now units.Time) *Snapshot {
 		SimTime:     now,
 		Metrics:     metrics.Bytes(),
 		Spans:       t.Spans.snapshotJSON(snapshotSpanLimit),
-		TraceEvents: t.Tracer.Len(),
-		SpanCount:   t.Spans.Len(),
+		TraceEvents: instants,
+		SpanCount:   spans,
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 
@@ -21,14 +23,15 @@ type SpanID uint32
 // lookup or a string allocation. The zero SpanName renders as "".
 type SpanName uint32
 
-// DefaultMaxSpans caps the in-memory span store; beyond it spans are
-// dropped and counted, so a runaway emitter cannot exhaust memory.
+// DefaultMaxSpans caps the in-memory store of spans and instants
+// together; beyond it records are dropped and counted, so a runaway
+// emitter cannot exhaust memory.
 const DefaultMaxSpans = 1 << 20
 
 // spanOpen marks a span's End while it is still in flight.
 const spanOpen = units.Time(-1)
 
-// spanRec is the stored form of one span.
+// spanRec is the stored form of one span or instant (id 0).
 type spanRec struct {
 	id          SpanID
 	parent      SpanID
@@ -36,13 +39,19 @@ type spanRec struct {
 	start, end  units.Time
 	wallStartNs int64
 	wallEndNs   int64
+	data        string // instant payload (JSON object body)
 }
 
-// SpanTracer records the hierarchical span tree of one run: every span
-// has an explicit parent (spans routinely outlive the engine event that
-// opened them, so there is deliberately no implicit "current span"
-// stack), an interned name, a simulated start/end time and — when a
-// wall clock is injected — wall-clock stamps for harness-level spans.
+// SpanTracer records the event stream of one run. It holds the
+// hierarchical span tree — every span has an explicit parent (spans
+// routinely outlive the engine event that opened them, so there is
+// deliberately no implicit "current span" stack), an interned name, a
+// simulated start/end time and, when a wall clock is injected,
+// wall-clock stamps for harness-level spans — and, beside it in
+// emission order, the typed instants of the control loop (see
+// EvWarnRaise): zero-duration records with ID 0 and a JSON payload.
+// Instants take no span ID, so span numbering ignores them. One cap,
+// one per-name min-gap sampler and one flight hook serve both kinds.
 //
 // A nil *SpanTracer is the disabled state: every method returns
 // immediately without allocating, and the Span values it hands out are
@@ -57,30 +66,35 @@ type SpanTracer struct {
 	mu       sync.Mutex
 	names    []string            //coolpim:guard mu (index = SpanName-1)
 	nameIDs  map[string]SpanName //coolpim:guard mu
-	spans    []spanRec           //coolpim:guard mu
-	nextID   SpanID              //coolpim:guard mu
+	spans    []spanRec           //coolpim:guard mu (spans and instants, in emission order)
+	nextID   SpanID              //coolpim:guard mu (also the number of stored spans)
 	curRoot  SpanID              //coolpim:guard mu (most recently started, still-open root span)
 	maxSpans int                 //coolpim:guard mu
 	dropped  uint64              //coolpim:guard mu
 	gaps     []nameGap           //coolpim:guard mu (index = SpanName-1; zero gap = record every span)
-	suppress uint64              //coolpim:guard mu
 	wall     func() int64        //coolpim:guard mu (optional wall clock (UnixNano); nil = no stamps)
 	flight   *FlightRecorder     //coolpim:guard mu
 }
 
 // nameGap is the per-name sampling state installed by SetMinGap.
 type nameGap struct {
-	gap  units.Time
-	last units.Time
-	seen bool
+	gap        units.Time
+	last       units.Time
+	seen       bool
+	suppressed uint64
 }
 
-// NewSpanTracer returns an enabled, empty span tracer.
+// NewSpanTracer returns an enabled, empty span tracer with the instant
+// names pre-interned.
 func NewSpanTracer() *SpanTracer {
-	return &SpanTracer{
+	t := &SpanTracer{
 		nameIDs:  make(map[string]SpanName),
 		maxSpans: DefaultMaxSpans,
 	}
+	for _, name := range instantNames[1:] {
+		t.Name(name)
+	}
+	return t
 }
 
 // SetWallClock injects the wall-clock source (a UnixNano reading) used
@@ -100,7 +114,7 @@ func (t *SpanTracer) SetWallClock(fn func() int64) {
 }
 
 // SetFlight attaches a flight recorder that receives one record per
-// span closure (see FlightRecorder).
+// span closure and per recorded instant (see FlightRecorder).
 //
 //coolpim:hotpath nilfast wiring setter; nil tracer returns immediately
 func (t *SpanTracer) SetFlight(fr *FlightRecorder) {
@@ -112,31 +126,19 @@ func (t *SpanTracer) SetFlight(fr *FlightRecorder) {
 	t.mu.Unlock()
 }
 
-// SetMaxSpans caps the stored span count (further spans are dropped and
-// counted). Non-positive n keeps the current cap.
-//
-//coolpim:hotpath nilfast wiring setter; nil tracer returns immediately
-func (t *SpanTracer) SetMaxSpans(n int) {
-	if t == nil || n <= 0 {
-		return
-	}
-	t.mu.Lock()
-	t.maxSpans = n
-	t.mu.Unlock()
-}
-
-// SetMinGap rate-limits one span name: after a span of that name is
-// recorded, further spans of the same name starting closer than gap to
-// it are suppressed — not stored, not counted against the cap, and
-// their Span handles are inert. The first span of the name always
-// records, and (re)installing a gap resets the name's sampling state.
-// Gating is on simulated start time only, so sampling is deterministic.
+// SetMinGap rate-limits one name, span or instant: after a record of
+// that name is stored, further records of the same name starting closer
+// than gap to it are suppressed — counted, not stored, not counted
+// against the cap, and their Span handles are inert. The first record
+// of the name always stores, and (re)installing a gap resets the name's
+// sampling state. Gating is on simulated start time only, so sampling
+// is deterministic.
 //
 // System wiring uses this for per-request span families (one span per
-// HMC request): without sampling, a long run fills the capped store
-// with bulk spans in its first few hundred microseconds and the rare
-// control-plane spans (throttle reactions) that arrive later are
-// silently dropped.
+// HMC request) and link backpressure: without sampling, a long run
+// fills the capped store with bulk records in its first few hundred
+// microseconds and the rare control-plane spans (throttle reactions)
+// that arrive later are silently dropped.
 //
 //coolpim:hotpath nilfast wiring setter; nil tracer returns immediately
 func (t *SpanTracer) SetMinGap(name SpanName, gap units.Time) {
@@ -147,20 +149,8 @@ func (t *SpanTracer) SetMinGap(name SpanName, gap units.Time) {
 	for int(name) > len(t.gaps) {
 		t.gaps = append(t.gaps, nameGap{})
 	}
-	t.gaps[name-1] = nameGap{gap: gap}
+	t.gaps[name-1] = nameGap{gap: gap, suppressed: t.gaps[name-1].suppressed}
 	t.mu.Unlock()
-}
-
-// Suppressed returns how many spans SetMinGap sampling discarded.
-//
-//coolpim:hotpath nilfast disabled-tracer read is allocation-free
-func (t *SpanTracer) Suppressed() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.suppress
 }
 
 // Name interns a span name and returns its handle. Interning the same
@@ -202,8 +192,7 @@ func (t *SpanTracer) StartRoot(at units.Time, name SpanName) Span {
 	if t == nil {
 		return Span{}
 	}
-	sp := t.start(at, name, 0, true)
-	return sp
+	return t.start(at, name, 0, true)
 }
 
 // StartSpan opens a span parented under the current root span (or as a
@@ -241,17 +230,7 @@ func (t *SpanTracer) currentRoot() SpanID {
 func (t *SpanTracer) start(at units.Time, name SpanName, parent SpanID, root bool) Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if n := int(name); n > 0 && n <= len(t.gaps) && t.gaps[n-1].gap > 0 {
-		g := &t.gaps[n-1]
-		if g.seen && at < g.last+g.gap {
-			t.suppress++
-			return Span{}
-		}
-		g.seen = true
-		g.last = at
-	}
-	if len(t.spans) >= t.maxSpans {
-		t.dropped++
+	if !t.admit(at, name) {
 		return Span{}
 	}
 	t.nextID++
@@ -264,6 +243,27 @@ func (t *SpanTracer) start(at units.Time, name SpanName, parent SpanID, root boo
 		t.curRoot = rec.id
 	}
 	return Span{t: t, idx: int32(len(t.spans) - 1)}
+}
+
+// admit applies name's min-gap sampling and the store cap to a record
+// starting at at, counting what it turns away.
+//
+//coolpim:locked mu
+func (t *SpanTracer) admit(at units.Time, name SpanName) bool {
+	if n := int(name); n > 0 && n <= len(t.gaps) && t.gaps[n-1].gap > 0 {
+		g := &t.gaps[n-1]
+		if g.seen && at < g.last+g.gap {
+			g.suppressed++
+			return false
+		}
+		g.seen = true
+		g.last = at
+	}
+	if len(t.spans) >= t.maxSpans {
+		t.dropped++
+		return false
+	}
+	return true
 }
 
 // ID returns the span's identifier (0 for the inert zero Span), for use
@@ -321,19 +321,7 @@ func (t *SpanTracer) nameStr(n SpanName) string {
 	return t.names[n-1]
 }
 
-// Len returns the number of recorded spans.
-//
-//coolpim:hotpath nilfast disabled-tracer read is allocation-free
-func (t *SpanTracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.spans)
-}
-
-// Dropped returns how many spans the in-memory cap discarded.
+// Dropped returns how many records the in-memory cap discarded.
 //
 //coolpim:hotpath nilfast disabled-tracer read is allocation-free
 func (t *SpanTracer) Dropped() uint64 {
@@ -345,21 +333,74 @@ func (t *SpanTracer) Dropped() uint64 {
 	return t.dropped
 }
 
-// SpanExport is the externalized form of one span: name resolved, End
-// equal to -1 while the span is open. Wall stamps are deliberately
-// absent (see SpanTracer).
+// counts splits the stored records into spans and instants.
+func (t *SpanTracer) counts() (spans, instants int) {
+	if t == nil {
+		return 0, 0
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return int(t.nextID), len(t.spans) - int(t.nextID)
+}
+
+// nameCount is one row of the by-name record summary.
+type nameCount struct {
+	Name       string
+	Count      uint64 // records stored
+	Sampled    bool   // SetMinGap installed a gap for the name
+	Suppressed uint64 // records the gap discarded
+}
+
+// countsByName returns, sorted by name, the stored count of every
+// instant kind recorded and every name with a min gap, with what
+// sampling suppressed. Span names without a gap are left out: the span
+// tree itself counts them.
+func (t *SpanTracer) countsByName() []nameCount {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	stored := make([]uint64, len(t.names)+1)
+	for _, r := range t.spans {
+		stored[r.name]++
+	}
+	var out []nameCount
+	for n := 1; n <= len(t.names); n++ {
+		row := nameCount{Name: t.names[n-1], Count: stored[n]}
+		if n <= len(t.gaps) && t.gaps[n-1].gap > 0 {
+			row.Sampled, row.Suppressed = true, t.gaps[n-1].suppressed
+		}
+		// Handles below len(instantNames) are the pre-interned instants.
+		if (n < len(instantNames) && row.Count > 0) || row.Sampled {
+			out = append(out, row)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
+}
+
+// SpanExport is the externalized form of one record: a span (End equal
+// to -1 while it is open), or an instant (ID 0, End == Start) with its
+// payload in Data. Wall stamps are deliberately absent (see
+// SpanTracer).
 type SpanExport struct {
 	ID     SpanID
 	Parent SpanID
 	Name   string
 	Start  units.Time
 	End    units.Time // -1 = still open
+	Data   string     // instant payload: a JSON object body, e.g. `"temp_c":86.20`
 }
 
 // Open reports whether the span had not ended at export time.
 func (s SpanExport) Open() bool { return s.End == spanOpen }
 
-// Export returns a copy of all recorded spans in start order.
+// Instant reports whether the record is a typed instant, not a span.
+func (s SpanExport) Instant() bool { return s.ID == 0 }
+
+// Export returns a copy of all stored records in emission order (spans
+// by start).
 func (t *SpanTracer) Export() []SpanExport {
 	if t == nil {
 		return nil
@@ -368,13 +409,13 @@ func (t *SpanTracer) Export() []SpanExport {
 	defer t.mu.Unlock()
 	out := make([]SpanExport, len(t.spans))
 	for i, r := range t.spans {
-		out[i] = SpanExport{ID: r.id, Parent: r.parent, Name: t.nameStr(r.name), Start: r.start, End: r.end}
+		out[i] = SpanExport{ID: r.id, Parent: r.parent, Name: t.nameStr(r.name), Start: r.start, End: r.end, Data: r.data}
 	}
 	return out
 }
 
-// WriteJSONL writes the span tree as one JSON object per line (see
-// WriteSpansJSONL for the format).
+// WriteJSONL writes every stored record as one JSON object per line
+// (see WriteSpansJSONL for the format).
 func (t *SpanTracer) WriteJSONL(w io.Writer) error {
 	if t == nil {
 		return nil
@@ -382,19 +423,24 @@ func (t *SpanTracer) WriteJSONL(w io.Writer) error {
 	return WriteSpansJSONL(w, t.Export())
 }
 
-// WriteSpansJSONL writes spans as one JSON object per line:
+// WriteSpansJSONL writes records as one JSON object per line:
 //
 //	{"id":3,"parent":1,"name":"thermal.tick","start_ps":10000000,"end_ps":10002000}
+//	{"id":0,"parent":0,"name":"thermal.warning.raise","start_ps":10000000,"end_ps":10000000,"temp_c":86.20}
 //
-// Open spans carry "end_ps":-1. The format round-trips byte-identically
-// through ParseSpansJSONL.
+// Open spans carry "end_ps":-1; an instant's payload fields follow
+// end_ps. The format round-trips byte-identically through
+// ParseSpansJSONL.
 func WriteSpansJSONL(w io.Writer, spans []SpanExport) error {
 	var sb strings.Builder
 	for _, s := range spans {
 		sb.Reset()
-		fmt.Fprintf(&sb, `{"id":%d,"parent":%d,"name":%q,"start_ps":%d,"end_ps":%d}`,
-			uint32(s.ID), uint32(s.Parent), s.Name, int64(s.Start), int64(s.End))
-		sb.WriteByte('\n')
+		writeRecordPrefix(&sb, s)
+		if s.Data != "" {
+			sb.WriteByte(',')
+			sb.WriteString(s.Data)
+		}
+		sb.WriteString("}\n")
 		if _, err := io.WriteString(w, sb.String()); err != nil {
 			return err
 		}
@@ -402,14 +448,23 @@ func WriteSpansJSONL(w io.Writer, spans []SpanExport) error {
 	return nil
 }
 
-// ParseSpansJSONL parses the WriteSpansJSONL format back into spans.
+// writeRecordPrefix writes a record's line up to its payload.
+func writeRecordPrefix(sb *strings.Builder, s SpanExport) {
+	fmt.Fprintf(sb, `{"id":%d,"parent":%d,"name":%q,"start_ps":%d,"end_ps":%d`,
+		uint32(s.ID), uint32(s.Parent), s.Name, int64(s.Start), int64(s.End))
+}
+
+// ParseSpansJSONL parses the WriteSpansJSONL format back into records.
+// The parse is exact: each line's fixed prefix is re-rendered from the
+// parsed fields and verified byte for byte, and the rest of the line
+// becomes the record's Data verbatim, so WriteSpansJSONL of the result
+// reproduces every accepted line.
 func ParseSpansJSONL(r io.Reader) ([]SpanExport, error) {
 	var out []SpanExport
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
+	var sb strings.Builder
+	for lineNo := 1; sc.Scan(); lineNo++ {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" {
 			continue
@@ -424,13 +479,26 @@ func ParseSpansJSONL(r io.Reader) ([]SpanExport, error) {
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
 			return nil, fmt.Errorf("telemetry: spans line %d: %w", lineNo, err)
 		}
-		out = append(out, SpanExport{
+		s := SpanExport{
 			ID:     SpanID(rec.ID),
 			Parent: SpanID(rec.Parent),
 			Name:   rec.Name,
 			Start:  units.Time(rec.StartPs),
 			End:    units.Time(rec.EndPs),
-		})
+		}
+		sb.Reset()
+		writeRecordPrefix(&sb, s)
+		rest, ok := strings.CutPrefix(line, sb.String())
+		if !ok {
+			return nil, fmt.Errorf("telemetry: spans line %d: not in canonical WriteSpansJSONL form", lineNo)
+		}
+		if rest = rest[:len(rest)-1]; rest != "" { // valid JSON: rest ends in '}'
+			if rest[0] != ',' {
+				return nil, fmt.Errorf("telemetry: spans line %d: malformed payload", lineNo)
+			}
+			s.Data = rest[1:]
+		}
+		out = append(out, s)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
@@ -446,26 +514,26 @@ type spanSnapshotRow struct {
 	Parent      uint32  `json:"parent"`
 	Name        string  `json:"name"`
 	StartMs     float64 `json:"start_ms"`
-	EndMs       float64 `json:"end_ms"` // -1e-6 ms sentinel not used; open spans carry "open":true
+	EndMs       float64 `json:"end_ms"` // -1 while open; open spans also carry "open":true
 	Open        bool    `json:"open,omitempty"`
 	WallStartNs int64   `json:"wall_start_ns,omitempty"`
 	WallEndNs   int64   `json:"wall_end_ns,omitempty"`
 }
 
-// snapshotJSON renders the most recent max spans (0 = all) as a JSON
-// array for the diag server's /spans endpoint.
+// snapshotJSON renders the most recent max spans (0 = all; instants
+// are left out) as a JSON array for the diag server's /spans endpoint.
 func (t *SpanTracer) snapshotJSON(max int) []byte {
 	if t == nil {
 		return []byte("[]")
 	}
 	t.mu.Lock()
-	spans := t.spans
-	if max > 0 && len(spans) > max {
-		spans = spans[len(spans)-max:]
-	}
-	rows := make([]spanSnapshotRow, len(spans))
-	for i, r := range spans {
-		rows[i] = spanSnapshotRow{
+	rows := []spanSnapshotRow{}
+	for i := len(t.spans) - 1; i >= 0 && (max <= 0 || len(rows) < max); i-- {
+		r := t.spans[i]
+		if r.id == 0 {
+			continue
+		}
+		row := spanSnapshotRow{
 			ID:          uint32(r.id),
 			Parent:      uint32(r.parent),
 			Name:        t.nameStr(r.name),
@@ -475,11 +543,13 @@ func (t *SpanTracer) snapshotJSON(max int) []byte {
 			WallStartNs: r.wallStartNs,
 			WallEndNs:   r.wallEndNs,
 		}
-		if rows[i].Open {
-			rows[i].EndMs = -1
+		if row.Open {
+			row.EndMs = -1
 		}
+		rows = append(rows, row)
 	}
 	t.mu.Unlock()
+	slices.Reverse(rows)
 	b, err := json.Marshal(rows)
 	if err != nil {
 		return []byte("[]")

@@ -68,7 +68,7 @@ func TestSpanOpenExport(t *testing.T) {
 
 func TestSpanCapDrops(t *testing.T) {
 	st := NewSpanTracer()
-	st.SetMaxSpans(2)
+	st.maxSpans = 2
 	n := st.Name("x")
 	a := st.StartSpan(0, n)
 	b := st.StartSpan(1, n)
@@ -79,8 +79,8 @@ func TestSpanCapDrops(t *testing.T) {
 	c.End(3) // must be a no-op, not a panic
 	a.End(4)
 	b.End(5)
-	if st.Len() != 2 || st.Dropped() != 1 {
-		t.Fatalf("len=%d dropped=%d, want 2/1", st.Len(), st.Dropped())
+	if len(st.Export()) != 2 || st.Dropped() != 1 {
+		t.Fatalf("len=%d dropped=%d, want 2/1", len(st.Export()), st.Dropped())
 	}
 }
 
@@ -97,7 +97,7 @@ func TestNilSpanTracerZeroAlloc(t *testing.T) {
 		child.End(44)
 		root := st.StartRoot(0, name)
 		root.End(1)
-		_ = st.Len()
+		_ = st.Export()
 		_ = st.Dropped()
 	})
 	if allocs != 0 {
@@ -234,8 +234,8 @@ func TestSpanMinGapSampling(t *testing.T) {
 	if rareN != 2 {
 		t.Errorf("un-gapped spans recorded = %d, want 2", rareN)
 	}
-	if got := st.Suppressed(); got != 27 {
-		t.Errorf("Suppressed() = %d, want 27", got)
+	if got := suppressed(st, "hmc.pim"); got != 27 {
+		t.Errorf("suppressed = %d, want 27", got)
 	}
 	// Suppressed handles are inert: End must not corrupt other spans.
 	st.SetMinGap(bulk, 1000)         // resets the name's sampling state
@@ -251,7 +251,7 @@ func TestSpanMinGapSampling(t *testing.T) {
 
 func TestSpanMinGapSuppressionDoesNotCountAgainstCap(t *testing.T) {
 	st := NewSpanTracer()
-	st.SetMaxSpans(4)
+	st.maxSpans = 4
 	bulk := st.Name("bulk")
 	st.SetMinGap(bulk, 1000)
 	// One recorded bulk span, then a flood of suppressed ones.
@@ -268,7 +268,7 @@ func TestSpanMinGapSuppressionDoesNotCountAgainstCap(t *testing.T) {
 		}
 	}
 	if rare != 1 {
-		t.Fatalf("rare span dropped despite sampling (len=%d dropped=%d)", st.Len(), st.Dropped())
+		t.Fatalf("rare span dropped despite sampling (len=%d dropped=%d)", len(st.Export()), st.Dropped())
 	}
 	if st.Dropped() != 0 {
 		t.Fatalf("Dropped() = %d, want 0: suppressed spans must not hit the cap", st.Dropped())

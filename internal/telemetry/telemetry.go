@@ -3,25 +3,30 @@
 //
 //   - a metrics Registry of counters, gauges and histograms with a
 //     Prometheus-text exporter, the queryable end-of-run state of a run;
-//   - a Tracer emitting a structured stream of typed events — thermal
-//     warning raise/clear, DRAM derating phase transitions, token-pool
-//     resizes, PIM offload accept/reject, link FLIT backpressure — with
-//     simulated timestamps and a JSONL exporter, the Fig. 8/14-style view
-//     of the closed control loop;
+//   - a SpanTracer holding the run's one event stream: the span tree of
+//     the causal chain (engine run, GPU kernels and blocks, HMC
+//     requests, thermal ticks, throttle reactions) and, beside it, the
+//     typed instants of the closed control loop — thermal warning
+//     raise/clear, DRAM derating phase transitions, token-pool resizes,
+//     PIM offload accept/reject, link FLIT backpressure — the Fig.
+//     8/14-style view, exported as one JSONL file and as Chrome
+//     trace_event JSON;
 //   - a Series sampler driven by sim.Engine.Every that records aligned
 //     per-component time series and exports them as CSV;
 //   - an EngineProfile implementing sim.Observer, aggregating event
-//     counts and wall-clock handler time per component label.
+//     counts and wall-clock handler time per component label;
+//   - a FlightRecorder ring of the most recent records for crash dumps.
 //
-// The whole layer is opt-in and nil-safe: components hold a *Tracer that
-// may be nil, and every emit method on a nil tracer is a single
+// The whole layer is opt-in and nil-safe: components hold a *SpanTracer
+// that may be nil, and every emit method on a nil tracer is a single
 // predictable branch with no allocation, so the simulation hot path is
 // unaffected when telemetry is disabled (see the package benchmarks).
 // All recorded data is a pure function of the simulation, so two runs
-// with identical seeds produce byte-identical trace, series and metrics
+// with identical seeds produce byte-identical span, series and metrics
 // exports — the determinism regression test in internal/system relies
 // on this. Wall-clock profiling data is kept out of those exporters for
-// the same reason (it only appears in the human-readable summary).
+// the same reason (it only appears in the human-readable summary and
+// the live snapshots).
 package telemetry
 
 import (
@@ -33,19 +38,18 @@ import (
 )
 
 // Telemetry bundles the observability subsystem of one simulation run:
-// one registry, one trace stream, one time-series sampler and one engine
+// one registry, one event stream, one time-series sampler and one engine
 // profile. A nil *Telemetry means "disabled" throughout the codebase.
 // A Telemetry must not be shared between concurrent runs.
 type Telemetry struct {
 	Registry *Registry
-	Tracer   *Tracer
 	Series   *Series
 	Spans    *SpanTracer
 	profile  *EngineProfile
 
-	// Flight, if non-nil, is the crash-evidence ring buffer: the tracer
-	// and span tracer feed it copies of their records and the system
-	// wiring adds thermal snapshots, so a panicking or wedged run can be
+	// Flight, if non-nil, is the crash-evidence ring buffer: the span
+	// tracer feeds it copies of its records and the system wiring adds
+	// thermal snapshots, so a panicking or wedged run can be
 	// dumped post-mortem (see FlightRecorder). Opt-in; set it before the
 	// run is wired.
 	Flight *FlightRecorder
@@ -63,7 +67,6 @@ type Telemetry struct {
 func New() *Telemetry {
 	t := &Telemetry{
 		Registry: NewRegistry(),
-		Tracer:   NewTracer(),
 		Series:   NewSeries(),
 		Spans:    NewSpanTracer(),
 		profile:  NewEngineProfile(),
@@ -169,21 +172,27 @@ func (p *EngineProfile) Stats() []LabelStat {
 	return out
 }
 
-// WriteSummary prints the human-readable end-of-run summary: trace event
-// counts by kind, the engine profile, and every registered metric.
+// WriteSummary prints the human-readable end-of-run summary: stored
+// counts of every instant and every sampled name, with what sampling
+// and the store cap discarded, the engine profile, and every registered
+// metric.
 func (t *Telemetry) WriteSummary(w io.Writer) error {
 	if t == nil {
 		return nil
 	}
-	if counts := t.Tracer.CountsByKind(); len(counts) > 0 {
-		fmt.Fprintf(w, "trace events (%d total):\n", t.Tracer.Len())
-		for _, kc := range counts {
-			line := fmt.Sprintf("  %-28s %8d", kc.Kind, kc.Count)
-			if kc.Suppressed > 0 {
-				line += fmt.Sprintf("  (+%d rate-limited)", kc.Suppressed)
+	if counts := t.Spans.countsByName(); len(counts) > 0 {
+		spans, instants := t.Spans.counts()
+		fmt.Fprintf(w, "trace records (%d events, %d spans):\n", instants, spans)
+		for _, c := range counts {
+			line := fmt.Sprintf("  %-28s %8d", c.Name, c.Count)
+			if c.Sampled {
+				line += fmt.Sprintf("  (+%d rate-limited)", c.Suppressed)
 			}
 			fmt.Fprintln(w, line)
 		}
+	}
+	if d := t.Spans.Dropped(); d > 0 {
+		fmt.Fprintf(w, "trace records dropped at the store cap: %d\n", d)
 	}
 	if stats := t.profile.Stats(); len(stats) > 0 {
 		fmt.Fprintf(w, "engine profile (events scheduled under each component label):\n")

@@ -201,99 +201,112 @@ func TestLabeledFuncMetrics(t *testing.T) {
 	})
 }
 
+// TestTracerKindsAndJSONL pins the JSONL line of every instant kind:
+// ID 0, start_ps == end_ps, payload fields after end_ps.
 func TestTracerKindsAndJSONL(t *testing.T) {
-	tr := NewTracer()
-	tr.PoolInit(0, "sw-ptp", 64)
-	tr.ThermalWarning(10*units.Microsecond, true, 86.2)
-	tr.PhaseTransition(10*units.Microsecond, "Normal", "Extended", 86.2)
-	tr.PoolResize(12*units.Microsecond, "sw-ptp", 64, 58, "warning")
-	tr.OffloadBlock(13*units.Microsecond, false, 3, 41)
-	tr.LinkBackpressure(14*units.Microsecond, 2, 120*units.Nanosecond)
-	tr.ThermalWarning(20*units.Microsecond, false, 84.9)
-	tr.Shutdown(30*units.Microsecond, 105.5)
+	st := NewSpanTracer()
+	st.PoolInit(0, "sw-ptp", 64)
+	st.ThermalWarning(10*units.Microsecond, true, 86.2)
+	st.PhaseTransition(10*units.Microsecond, "Normal", "Extended", 86.2)
+	st.PoolResize(12*units.Microsecond, "sw-ptp", 64, 58, "warning")
+	st.OffloadBlock(13*units.Microsecond, false, 3, 41)
+	st.OffloadBlock(13*units.Microsecond, true, 4, 42)
+	st.LinkBackpressure(14*units.Microsecond, 2, 120*units.Nanosecond)
+	st.ThermalWarning(20*units.Microsecond, false, 84.9)
+	st.Shutdown(30*units.Microsecond, 105.5)
 
-	if tr.Len() != 8 {
-		t.Fatalf("Len = %d, want 8", tr.Len())
-	}
 	var sb strings.Builder
-	if err := tr.WriteJSONL(&sb); err != nil {
+	if err := st.WriteJSONL(&sb); err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if len(lines) != 8 {
-		t.Fatalf("got %d JSONL lines, want 8", len(lines))
+	want := `{"id":0,"parent":0,"name":"pool.init","start_ps":0,"end_ps":0,"mechanism":"sw-ptp","size":64}
+{"id":0,"parent":0,"name":"thermal.warning.raise","start_ps":10000000,"end_ps":10000000,"temp_c":86.20}
+{"id":0,"parent":0,"name":"thermal.phase","start_ps":10000000,"end_ps":10000000,"from":"Normal","to":"Extended","temp_c":86.20}
+{"id":0,"parent":0,"name":"pool.resize","start_ps":12000000,"end_ps":12000000,"mechanism":"sw-ptp","from":64,"to":58,"reason":"warning"}
+{"id":0,"parent":0,"name":"offload.reject","start_ps":13000000,"end_ps":13000000,"sm":3,"block":41}
+{"id":0,"parent":0,"name":"offload.accept","start_ps":13000000,"end_ps":13000000,"sm":4,"block":42}
+{"id":0,"parent":0,"name":"link.backpressure","start_ps":14000000,"end_ps":14000000,"link":2,"wait_ns":120.0}
+{"id":0,"parent":0,"name":"thermal.warning.clear","start_ps":20000000,"end_ps":20000000,"temp_c":84.90}
+{"id":0,"parent":0,"name":"thermal.shutdown","start_ps":30000000,"end_ps":30000000,"temp_c":105.50}
+`
+	if sb.String() != want {
+		t.Fatalf("JSONL =\n%s\nwant\n%s", sb.String(), want)
 	}
-	for _, want := range []string{
-		`{"t_ps":0,"t_ms":0.000000,"kind":"pool.init","mechanism":"sw-ptp","size":64}`,
-		`{"t_ps":10000000,"t_ms":0.010000,"kind":"thermal.warning.raise","temp_c":86.20}`,
-		`"kind":"thermal.phase","from":"Normal","to":"Extended"`,
-		`"kind":"pool.resize","mechanism":"sw-ptp","from":64,"to":58,"reason":"warning"`,
-		`"kind":"offload.reject","sm":3,"block":41`,
-		`"kind":"link.backpressure","link":2,"wait_ns":120.0`,
-		`"kind":"thermal.warning.clear"`,
-		`"kind":"thermal.shutdown","temp_c":105.50`,
-	} {
-		if !strings.Contains(sb.String(), want) {
-			t.Errorf("JSONL missing %q:\n%s", want, sb.String())
+	if spans, instants := st.counts(); spans != 0 || instants != 9 {
+		t.Errorf("counts = %d spans, %d instants; want 0, 9", spans, instants)
+	}
+	if rows := st.countsByName(); len(rows) != 9 {
+		t.Errorf("countsByName rows = %d, want 9 distinct kinds", len(rows))
+	}
+	// Instants take no span ID: the next span is still span 1.
+	if id := st.StartSpan(40*units.Microsecond, st.Name("engine.run")).ID(); id != 1 {
+		t.Errorf("first span after instants got ID %d, want 1", id)
+	}
+}
+
+// suppressed returns name's rate-limited count from countsByName.
+func suppressed(st *SpanTracer, name string) uint64 {
+	for _, r := range st.countsByName() {
+		if r.Name == name {
+			return r.Suppressed
 		}
 	}
-	counts := tr.CountsByKind()
-	if len(counts) != 8 {
-		t.Errorf("CountsByKind rows = %d, want 8 distinct kinds", len(counts))
-	}
+	return 0
 }
 
 func TestTracerRateLimit(t *testing.T) {
-	tr := NewTracer()
-	tr.SetMinGap(EvBackpressure, units.Microsecond)
+	st := NewSpanTracer()
+	st.SetMinGap(EvBackpressure, units.Microsecond)
 	for i := 0; i < 10; i++ {
-		tr.LinkBackpressure(units.Time(i)*100*units.Nanosecond, 0, units.Nanosecond)
+		st.LinkBackpressure(units.Time(i)*100*units.Nanosecond, 0, units.Nanosecond)
 	}
-	// Events at 0..900ns: only the first survives a 1us gap.
-	if tr.Len() != 1 {
-		t.Fatalf("Len = %d, want 1 after rate limiting", tr.Len())
+	// Instants at 0..900ns: only the first survives a 1us gap.
+	if len(st.Export()) != 1 {
+		t.Fatalf("Len = %d, want 1 after rate limiting", len(st.Export()))
 	}
-	tr.LinkBackpressure(2*units.Microsecond, 0, units.Nanosecond)
-	if tr.Len() != 2 {
-		t.Fatalf("Len = %d, want 2 after the gap elapses", tr.Len())
+	st.LinkBackpressure(2*units.Microsecond, 0, units.Nanosecond)
+	if len(st.Export()) != 2 {
+		t.Fatalf("Len = %d, want 2 after the gap elapses", len(st.Export()))
 	}
-	counts := tr.CountsByKind()
-	if len(counts) != 1 || counts[0].Suppressed != 9 {
-		t.Fatalf("suppressed = %+v, want 9", counts)
+	if got := suppressed(st, "link.backpressure"); got != 9 {
+		t.Fatalf("suppressed = %d, want 9", got)
 	}
 	// Other kinds are unaffected.
-	tr.ThermalWarning(0, true, 86)
-	tr.ThermalWarning(1, false, 86)
-	if tr.Len() != 4 {
-		t.Fatalf("Len = %d, want 4 (no gap on warnings)", tr.Len())
+	st.ThermalWarning(0, true, 86)
+	st.ThermalWarning(1, false, 86)
+	if len(st.Export()) != 4 {
+		t.Fatalf("Len = %d, want 4 (no gap on warnings)", len(st.Export()))
 	}
 }
 
+// TestTracerCapDropsExcess checks that instants count against the one
+// store cap and that what it turns away is counted.
 func TestTracerCapDropsExcess(t *testing.T) {
-	tr := NewTracer()
-	tr.maxEvents = 3
-	for i := 0; i < 5; i++ {
-		tr.OffloadBlock(units.Time(i), true, 0, i)
+	st := NewSpanTracer()
+	st.maxSpans = 3
+	st.StartSpan(0, st.Name("gpu.kernel")).End(1)
+	for i := 0; i < 4; i++ {
+		st.OffloadBlock(units.Time(i), true, 0, i)
 	}
-	if tr.Len() != 3 || tr.Dropped() != 2 {
-		t.Fatalf("len=%d dropped=%d, want 3/2", tr.Len(), tr.Dropped())
+	if len(st.Export()) != 3 || st.Dropped() != 2 {
+		t.Fatalf("len=%d dropped=%d, want 3/2", len(st.Export()), st.Dropped())
 	}
 }
 
-// TestNilTracerZeroAlloc pins the disabled-telemetry contract: every emit
-// method on a nil tracer (and Observe on a nil histogram) must not
-// allocate, so components can call them unguarded on the hot path.
+// TestNilTracerZeroAlloc pins the disabled-telemetry contract: every
+// instant emitter on a nil tracer (and Observe on a nil histogram) must
+// not allocate, so components can call them unguarded on the hot path.
 func TestNilTracerZeroAlloc(t *testing.T) {
-	var tr *Tracer
+	var st *SpanTracer
 	var h *Histogram
 	allocs := testing.AllocsPerRun(1000, func() {
-		tr.ThermalWarning(0, true, 86)
-		tr.PhaseTransition(0, "a", "b", 86)
-		tr.PoolResize(0, "sw-ptp", 4, 3, "warning")
-		tr.OffloadBlock(0, true, 1, 2)
-		tr.LinkBackpressure(0, 0, 1)
-		tr.Shutdown(0, 106)
-		tr.Emit(0, EvPoolInit, "")
+		st.ThermalWarning(0, true, 86)
+		st.PhaseTransition(0, "a", "b", 86)
+		st.Shutdown(0, 106)
+		st.PoolInit(0, "sw-ptp", 4)
+		st.PoolResize(0, "sw-ptp", 4, 3, "warning")
+		st.OffloadBlock(0, true, 1, 2)
+		st.LinkBackpressure(0, 0, 1)
 		h.Observe(1.5)
 	})
 	if allocs != 0 {
@@ -375,17 +388,44 @@ func TestEngineProfileAggregates(t *testing.T) {
 
 func TestWriteSummarySmoke(t *testing.T) {
 	tel := New()
-	tel.Tracer.ThermalWarning(0, true, 86)
+	tel.Spans.ThermalWarning(0, true, 86)
 	tel.Registry.Counter("x_total", "").Inc()
 	tel.Profile().EventExecuted("hmc", 0, 42)
+	// A sampled span family: one stored, two rate-limited. A sampled
+	// name nothing suppressed still reports its count.
+	pim := tel.Spans.Name("hmc.pim")
+	tel.Spans.SetMinGap(pim, 100)
+	tel.Spans.SetMinGap(tel.Spans.Name("hmc.read"), 100)
+	for at := units.Time(0); at < 30; at += 10 {
+		tel.Spans.StartSpan(at, pim).End(at + 5)
+	}
 	var sb strings.Builder
 	if err := tel.WriteSummary(&sb); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"thermal.warning.raise", "hmc", "x_total"} {
+	for _, want := range []string{
+		"trace records (1 events, 1 spans):",
+		"thermal.warning.raise", "hmc", "x_total",
+		"hmc.pim                             1  (+2 rate-limited)",
+		"hmc.read                            0  (+0 rate-limited)",
+	} {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("summary missing %q:\n%s", want, sb.String())
 		}
+	}
+	if strings.Contains(sb.String(), "dropped") {
+		t.Errorf("summary reports drops under the cap:\n%s", sb.String())
+	}
+	// Past the cap the summary names what the store discarded.
+	tel.Spans.maxSpans = len(tel.Spans.Export())
+	tel.Spans.Shutdown(40, 106)
+	tel.Spans.PoolInit(40, "hw-pcu", 8)
+	sb.Reset()
+	if err := tel.WriteSummary(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if want := "trace records dropped at the store cap: 2\n"; !strings.Contains(sb.String(), want) {
+		t.Errorf("summary missing %q:\n%s", want, sb.String())
 	}
 	// Disabled hub: summary is a silent no-op.
 	var nilTel *Telemetry

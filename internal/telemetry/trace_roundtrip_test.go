@@ -3,45 +3,100 @@ package telemetry
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// TestTraceJSONLRoundTrip pins the event-trace format: writing, parsing
-// and re-writing the stream must reproduce the original bytes exactly,
-// so downstream tools (coolpim-trace, diffing two runs) can treat the
-// JSONL file as canonical.
+// TestTraceJSONLRoundTrip pins the stream format: writing, parsing and
+// re-writing spans and instants must reproduce the original bytes
+// exactly, so downstream tools (coolpim-trace, diffing two runs) can
+// treat the JSONL file as canonical.
 func TestTraceJSONLRoundTrip(t *testing.T) {
-	tr := NewTracer()
-	tr.ThermalWarning(1_000_000, true, 85.3)
-	tr.PhaseTransition(2_000_000, "nominal", "derate1", 86.1)
-	tr.PoolResize(3_000_000, "sw-ptp", 60, 48, "warning")
-	tr.Emit(4_000_000, EvShutdown, "") // payload-free event
+	st := NewSpanTracer()
+	root := st.StartRoot(0, st.Name("engine.run")) // left open: end_ps -1
+	st.ThermalWarning(1_000_000, true, 85.3)
+	sp := st.StartSpan(1_500_000, st.Name(`odd "name"`))
+	st.PhaseTransition(2_000_000, "nominal", "derate1", 86.1)
+	sp.End(2_500_000)
+	st.PoolResize(3_000_000, "sw-ptp", 60, 48, "warning")
+	st.instant(4_000_000, EvShutdown, "") // payload-free instant
+	_ = root
 
 	var first bytes.Buffer
-	if err := tr.WriteJSONL(&first); err != nil {
+	if err := st.WriteJSONL(&first); err != nil {
 		t.Fatal(err)
 	}
-	events, err := ParseJSONL(bytes.NewReader(first.Bytes()))
+	records, err := ParseSpansJSONL(bytes.NewReader(first.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 4 {
-		t.Fatalf("parsed %d events, want 4", len(events))
+	if !slices.Equal(records, st.Export()) {
+		t.Fatalf("parsed records differ from the store:\n%+v\nvs\n%+v", records, st.Export())
 	}
 	var second bytes.Buffer
-	if err := WriteEventsJSONL(&second, events); err != nil {
+	if err := WriteSpansJSONL(&second, records); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(first.Bytes(), second.Bytes()) {
 		t.Fatalf("round trip not byte-identical:\n%q\nvs\n%q", first.String(), second.String())
 	}
+	if last := records[len(records)-1]; !last.Instant() || last.Data != "" || last.End != last.Start {
+		t.Fatalf("payload-free instant = %+v", last)
+	}
+	if !records[0].Open() {
+		t.Fatalf("open root lost its open marker: %+v", records[0])
+	}
 }
 
+// TestParseJSONLRejectsGarbage checks ParseSpansJSONL refuses input
+// that is not JSON, and JSON lines WriteSpansJSONL would not write.
 func TestParseJSONLRejectsGarbage(t *testing.T) {
-	if _, err := ParseJSONL(strings.NewReader("not json\n")); err == nil {
-		t.Fatal("garbage line accepted")
+	for _, in := range []string{
+		"not json\n",
+		"null\n",
+		`{"id": 1,"parent":0,"name":"a","start_ps":0,"end_ps":1}` + "\n",
+		`{"parent":0,"id":1,"name":"a","start_ps":0,"end_ps":1}` + "\n",
+		`{"id":0,"parent":0,"name":"a","start_ps":0,"end_ps":0 ,"x":1}` + "\n",
+	} {
+		if recs, err := ParseSpansJSONL(strings.NewReader(in)); err == nil {
+			t.Errorf("accepted %q as %+v", in, recs)
+		}
 	}
+}
+
+// FuzzParseSpansJSONL feeds arbitrary bytes to the stream parser. It
+// must never panic, and every input it accepts must be canonical:
+// writing the records reproduces the input's non-blank lines, and those
+// bytes parse back to the same records.
+func FuzzParseSpansJSONL(f *testing.F) {
+	f.Add([]byte(`{"id":1,"parent":0,"name":"engine.run","start_ps":0,"end_ps":5000}` + "\n"))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		records, err := ParseSpansJSONL(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		var want strings.Builder
+		for _, line := range strings.Split(string(in), "\n") {
+			if line = strings.TrimSpace(line); line != "" {
+				want.WriteString(line + "\n")
+			}
+		}
+		var out bytes.Buffer
+		if err := WriteSpansJSONL(&out, records); err != nil {
+			t.Fatal(err)
+		}
+		if out.String() != want.String() {
+			t.Fatalf("accepted input is not canonical:\n%q\nwrites\n%q", want.String(), out.String())
+		}
+		again, err := ParseSpansJSONL(bytes.NewReader(out.Bytes()))
+		if err != nil {
+			t.Fatalf("rewritten stream rejected: %v\n%q", err, out.String())
+		}
+		if !slices.Equal(records, again) {
+			t.Fatalf("records changed across a round trip:\n%+v\nvs\n%+v", records, again)
+		}
+	})
 }
 
 // TestHelpEscaping is the S1 regression: HELP text containing

@@ -3,7 +3,8 @@
 #
 # Runs a short simulation with the diagnostics HTTP server attached and
 # held open, fetches /metrics, /healthz and /spans while it is up, and
-# validates the run's Chrome trace export as trace_event JSON. Uses
+# validates the run's Chrome trace export as trace_event JSON against
+# the converted JSONL stream of spans and instants. Uses
 # cmd/coolpim-trace as the HTTP client and the JSON validator so the
 # test needs nothing beyond the Go toolchain.
 #
@@ -21,8 +22,8 @@ $GO build -o bin/coolpim-trace ./cmd/coolpim-trace
 # run so the endpoint fetches below cannot race run completion.
 bin/coolpim-sim -workload dc -policy coolpim-hw -scale 12 -reps 1 \
     -diag-addr 127.0.0.1:0 -diag-hold 60s \
-    -trace-out "$OUT/trace.jsonl" -spans-out "$OUT/spans.jsonl" \
-    -trace-chrome "$OUT/trace.json" -flight-out "$OUT/ring.flight.jsonl" \
+    -spans-out "$OUT/spans.jsonl" -trace-chrome "$OUT/trace.json" \
+    -flight-out "$OUT/ring.flight.jsonl" \
     >"$OUT/sim.log" 2>&1 &
 SIM_PID=$!
 trap 'kill $SIM_PID 2>/dev/null || true' EXIT INT TERM
@@ -56,15 +57,17 @@ bin/coolpim-trace -get "http://$ADDR/spans" | grep -q '"name":"thermal.tick"' \
     || { echo "obs-smoke: /spans missing thermal.tick spans"; exit 1; }
 grep -q '"name":"engine.run"' "$OUT/spans.jsonl" \
     || { echo "obs-smoke: spans export missing engine.run root"; exit 1; }
+grep -q '^{"id":0,"parent":0,"name":"pool.init",' "$OUT/spans.jsonl" \
+    || { echo "obs-smoke: spans export missing the pool.init instant"; exit 1; }
 
 kill $SIM_PID 2>/dev/null || true
 wait $SIM_PID 2>/dev/null || true
 trap - EXIT INT TERM
 
 # Offline artifacts: the Chrome export must validate as trace_event
-# JSON, and converting the JSONL exports must agree with it.
+# JSON, and converting the JSONL stream must agree with it.
 bin/coolpim-trace -check "$OUT/trace.json"
-bin/coolpim-trace -events "$OUT/trace.jsonl" -spans "$OUT/spans.jsonl" -out "$OUT/trace2.json"
+bin/coolpim-trace -spans "$OUT/spans.jsonl" -out "$OUT/trace2.json"
 cmp "$OUT/trace.json" "$OUT/trace2.json" \
     || { echo "obs-smoke: converter disagrees with the sim's own Chrome export"; exit 1; }
 [ -s "$OUT/ring.flight.jsonl" ] || { echo "obs-smoke: empty flight ring dump"; exit 1; }
