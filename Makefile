@@ -19,15 +19,17 @@ test:
 vet:
 	$(GO) vet ./...
 
-# lint runs the whole static gate: formatting, standard vet, and the
-# repo's own analyzer suite (cmd/coolpim-vet) over every package via the
-# -vettool protocol. Any diagnostic fails the target.
+# lint runs the whole static gate: formatting, standard vet, the
+# inlining guard on the checked per-lane helpers (scripts/inline_check.sh)
+# and the repo's own analyzer suite (cmd/coolpim-vet) over every package
+# via the -vettool protocol. Any diagnostic fails the target.
 lint:
 	@unformatted=$$(gofmt -l $$(git ls-files '*.go' | grep -v '/testdata/')); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 	$(GO) vet ./...
+	GO=$(GO) scripts/inline_check.sh
 	$(GO) build -o $(VETTOOL) ./cmd/coolpim-vet
 	$(GO) vet -vettool=$(CURDIR)/$(VETTOOL) ./...
 
@@ -52,28 +54,34 @@ bench:
 
 # The performance trajectory: bench-json regenerates the committed
 # BENCH_<n>.json snapshots (event-engine ns/op + allocs/op, cube
-# read/PIM throughput, one full-system run's wall time). Each PR that
-# claims a speedup commits the next numbered snapshot; benchstat-style
-# comparison against the previous one is the review artifact.
+# read/PIM throughput, cache lookup and fill, one full-system run's wall
+# time). Each benchmark runs BENCH_COUNT times; benchjson folds the runs
+# into a median with its min-max spread, and compares the new snapshot
+# against the previous one, flagging every delta outside the observed
+# spread. Each PR that claims a speedup commits the next numbered
+# snapshot, and that comparison is the review artifact.
 BENCH_NEXT := $(shell n=$$(ls BENCH_[0-9]*.json 2>/dev/null | wc -l); echo $$((n+1)))
+BENCH_PREV := BENCH_$(shell echo $$(($(BENCH_NEXT)-1))).json
+BENCH_COUNT := 5
 BENCH_SUBSTRATE := ^(BenchmarkEventEngine|BenchmarkEventQueueMix|BenchmarkCubeReadThroughput|BenchmarkCubePIMThroughput)$$
+BENCH_CACHE := ^(BenchmarkCacheAccess|BenchmarkCacheFill)$$
 BENCH_THERMAL := ^(BenchmarkThermalStep|BenchmarkSolveSteady|BenchmarkFastSolve|BenchmarkStepFast)$$
 BENCH_COUPLER := ^BenchmarkApplyPowerTick(Adaptive)?$$
 BENCH_CLUSTER := ^(BenchmarkShardedEngine|BenchmarkMultiCubeSystem)$$
 
 bench-json:
-	@( $(GO) test -run '^$$' -bench '$(BENCH_SUBSTRATE)' -benchmem . && \
-	   $(GO) test -run '^$$' -bench '$(BENCH_THERMAL)' -benchmem . && \
-	   $(GO) test -run '^$$' -bench '$(BENCH_COUPLER)' -benchmem ./internal/system && \
-	   $(GO) test -run '^$$' -bench '$(BENCH_CLUSTER)' -benchtime 3x -benchmem . && \
-	   $(GO) test -run '^$$' -bench '^BenchmarkFig10Speedup$$/^dc$$/^Naive-Offloading$$' -benchtime 3x . \
-	 ) | $(GO) run ./cmd/benchjson -out BENCH_$(BENCH_NEXT).json
+	@( $(GO) test -run '^$$' -bench '$(BENCH_SUBSTRATE)|$(BENCH_CACHE)' -benchmem -count $(BENCH_COUNT) . && \
+	   $(GO) test -run '^$$' -bench '$(BENCH_THERMAL)' -benchmem -count $(BENCH_COUNT) . && \
+	   $(GO) test -run '^$$' -bench '$(BENCH_COUPLER)' -benchmem -count $(BENCH_COUNT) ./internal/system && \
+	   $(GO) test -run '^$$' -bench '$(BENCH_CLUSTER)' -benchtime 3x -benchmem -count $(BENCH_COUNT) . && \
+	   $(GO) test -run '^$$' -bench '^BenchmarkFig10Speedup$$/^dc$$/^Naive-Offloading$$' -benchtime 3x -count $(BENCH_COUNT) . \
+	 ) | $(GO) run ./cmd/benchjson -out BENCH_$(BENCH_NEXT).json $(if $(wildcard $(BENCH_PREV)),-compare $(BENCH_PREV))
 
 # bench-smoke is the CI guard: a fixed, tiny iteration count over the
 # substrate micro-benches so they cannot silently stop compiling or
 # start failing, piped through benchjson to keep the tooling honest.
 bench-smoke:
-	( $(GO) test -run '^$$' -bench '$(BENCH_SUBSTRATE)|$(BENCH_THERMAL)|^(BenchmarkDRAMBankSchedule|BenchmarkCacheAccess|BenchmarkPowerModel)$$' \
+	( $(GO) test -run '^$$' -bench '$(BENCH_SUBSTRATE)|$(BENCH_CACHE)|$(BENCH_THERMAL)|^(BenchmarkDRAMBankSchedule|BenchmarkPowerModel)$$' \
 		-benchtime 100x -benchmem . && \
 	  $(GO) test -run '^$$' -bench '$(BENCH_CLUSTER)' -benchtime 1x -benchmem . && \
 	  $(GO) test -run '^$$' -bench '$(BENCH_COUPLER)' -benchtime 100x -benchmem ./internal/system \

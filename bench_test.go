@@ -457,6 +457,27 @@ func BenchmarkCacheAccess(b *testing.B) {
 	}
 }
 
+// BenchmarkCacheFill times the L2 miss path: an access stream over four
+// times the L2's capacity misses on every access and fills, and every
+// fourth op invalidates a line filled 8,192 ops earlier, leaving the
+// hole behind valid ways that invalidateForPIM leaves on PIM packets,
+// so Fill's victim search sees both full sets and sets with a hole.
+func BenchmarkCacheFill(b *testing.B) {
+	c := cache.New(cache.L2Config())
+	const span = 1 << 22
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		addr := uint64(i*64) % span
+		if !c.Access(addr, false) {
+			c.Fill(addr, i%2 == 0)
+		}
+		if i%4 == 0 {
+			c.Invalidate((addr + span - 8192*64) % span)
+		}
+	}
+}
+
 func BenchmarkRMATGeneration(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		g := graph.GenRMAT(12, 8, graph.LDBCLikeParams(), int64(i))

@@ -10,6 +10,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -75,6 +76,7 @@ type Cache struct {
 	cfg       Config
 	sets      [][]way
 	lineShift uint
+	setShift  uint // log2 of the set count: line >> setShift is the tag
 	setMask   uint64
 	clock     uint64
 	stats     Stats
@@ -89,6 +91,7 @@ func New(cfg Config) *Cache {
 		cfg:       cfg,
 		sets:      make([][]way, cfg.Sets()),
 		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
+		setShift:  uint(bits.TrailingZeros(uint(cfg.Sets()))),
 		setMask:   uint64(cfg.Sets() - 1),
 	}
 	for i := range c.sets {
@@ -110,7 +113,7 @@ func (c *Cache) LineAddr(addr uint64) uint64 {
 
 func (c *Cache) locate(addr uint64) (set int, tag uint64) {
 	line := addr >> c.lineShift
-	return int(line & c.setMask), line >> uint(bits.TrailingZeros(uint(c.cfg.Sets())))
+	return int(line & c.setMask), line >> c.setShift
 }
 
 // Access looks up addr. On a hit it refreshes LRU state and, for writes,
@@ -149,27 +152,33 @@ func (c *Cache) Contains(addr uint64) bool {
 // Fill inserts addr's line (after a miss was serviced), evicting the LRU
 // way if the set is full. It returns the evicted line's address and
 // dirtiness when a valid line was displaced.
+//
+// The victim is the last invalid way, else the first least-recently-used
+// one, chosen in the same pass that looks for the line.
 func (c *Cache) Fill(addr uint64, dirty bool) (evictedAddr uint64, evictedDirty, hasVictim bool) {
 	set, tag := c.locate(addr)
 	c.clock++
 	c.stats.Fills++
-	victim := 0
-	for i := range c.sets[set] {
-		w := &c.sets[set][i]
-		if w.valid && w.tag == tag {
+	ways := c.sets[set]
+	victim, oldest, free := 0, uint64(math.MaxUint64), false
+	for i := range ways {
+		w := &ways[i]
+		if !w.valid {
+			victim, free = i, true
+			continue
+		}
+		if w.tag == tag {
 			// Already present (e.g. refilled by a racing access path):
 			// just update state.
 			w.dirty = w.dirty || dirty
 			w.lru = c.clock
 			return 0, false, false
 		}
-		if !w.valid {
-			victim = i
-		} else if c.sets[set][victim].valid && w.lru < c.sets[set][victim].lru {
-			victim = i
+		if !free && w.lru < oldest {
+			victim, oldest = i, w.lru
 		}
 	}
-	w := &c.sets[set][victim]
+	w := &ways[victim]
 	if w.valid {
 		c.stats.Evictions++
 		if w.dirty {
@@ -184,8 +193,7 @@ func (c *Cache) Fill(addr uint64, dirty bool) (evictedAddr uint64, evictedDirty,
 }
 
 func (c *Cache) reconstruct(set int, tag uint64) uint64 {
-	setBits := uint(bits.TrailingZeros(uint(c.cfg.Sets())))
-	return ((tag << setBits) | uint64(set)) << c.lineShift
+	return ((tag << c.setShift) | uint64(set)) << c.lineShift
 }
 
 // Invalidate drops addr's line, returning whether it was present and

@@ -1,7 +1,9 @@
 package cache
 
 import (
+	"math/bits"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -216,5 +218,141 @@ func TestWorkingSetFitsPerfectly(t *testing.T) {
 				t.Fatalf("pass %d line %d missed", pass, i)
 			}
 		}
+	}
+}
+
+// refFill is Fill before its victim search became one pass: the
+// two-pass form that re-reads the current victim on every way, with the
+// tag shift derived from Config.Sets on each call. The differential
+// test below replays streams through it and through Fill.
+func refFill(c *Cache, addr uint64, dirty bool) (evictedAddr uint64, evictedDirty, hasVictim bool) {
+	setBits := uint(bits.TrailingZeros(uint(c.cfg.Sets())))
+	line := addr >> c.lineShift
+	set, tag := int(line&c.setMask), line>>setBits
+	c.clock++
+	c.stats.Fills++
+	victim := 0
+	for i := range c.sets[set] {
+		w := &c.sets[set][i]
+		if w.valid && w.tag == tag {
+			w.dirty = w.dirty || dirty
+			w.lru = c.clock
+			return 0, false, false
+		}
+		if !w.valid {
+			victim = i
+		} else if c.sets[set][victim].valid && w.lru < c.sets[set][victim].lru {
+			victim = i
+		}
+	}
+	w := &c.sets[set][victim]
+	if w.valid {
+		c.stats.Evictions++
+		if w.dirty {
+			c.stats.Writebacks++
+		}
+		evictedAddr = ((w.tag << setBits) | uint64(set)) << c.lineShift
+		evictedDirty = w.dirty
+		hasVictim = true
+	}
+	*w = way{tag: tag, valid: true, dirty: dirty, lru: c.clock}
+	return evictedAddr, evictedDirty, hasVictim
+}
+
+// holesBehindValid counts the invalid ways of addr's set that sit before
+// a valid way: the state invalidateForPIM leaves in a full set, where
+// the victim search must skip valid ways to reach the last hole.
+func holesBehindValid(c *Cache, addr uint64) int {
+	set, _ := c.locate(addr)
+	ways := c.sets[set]
+	n := 0
+	for i, w := range ways {
+		if w.valid {
+			continue
+		}
+		for _, later := range ways[i+1:] {
+			if later.valid {
+				n++
+				break
+			}
+		}
+	}
+	return n
+}
+
+// TestFillMatchesReference replays seeded random Access, Fill and
+// Invalidate streams through Fill and refFill on the test- and
+// paper-profile cache geometries, comparing every return value, the
+// final Stats and the final way state.
+func TestFillMatchesReference(t *testing.T) {
+	for _, g := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"test L1", Config{SizeBytes: 4 << 10, LineBytes: 64, Ways: 4}},
+		{"test L2", Config{SizeBytes: 8 << 10, LineBytes: 64, Ways: 16}},
+		{"paper L1", Config{SizeBytes: 8 << 10, LineBytes: 64, Ways: 4}},
+		{"paper L2", Config{SizeBytes: 64 << 10, LineBytes: 64, Ways: 16}},
+	} {
+		t.Run(g.name, func(t *testing.T) {
+			holes, multi := 0, 0
+			for seed := int64(1); seed <= 4; seed++ {
+				got, ref := New(g.cfg), New(g.cfg)
+				rng := rand.New(rand.NewSource(seed))
+				lines := 3 * g.cfg.SizeBytes / g.cfg.LineBytes // three times the capacity
+				var recent [64]uint64                          // recent fills: mostly resident
+				fill := func(i int, addr uint64, dirty bool) {
+					if n := holesBehindValid(ref, addr); n > 0 {
+						holes++
+						if n > 1 {
+							multi++
+						}
+					}
+					ga, gd, gh := got.Fill(addr, dirty)
+					ra, rd, rh := refFill(ref, addr, dirty)
+					if ga != ra || gd != rd || gh != rh {
+						t.Fatalf("seed %d op %d: Fill(%#x, %v) = (%#x, %v, %v), reference (%#x, %v, %v)",
+							seed, i, addr, dirty, ga, gd, gh, ra, rd, rh)
+					}
+					recent[i%len(recent)] = addr
+				}
+				for i := 0; i < 20000; i++ {
+					addr := uint64(rng.Intn(lines)*g.cfg.LineBytes + rng.Intn(g.cfg.LineBytes))
+					switch r := rng.Intn(10); {
+					case r < 6: // an access, filled on a miss as the GPU does
+						write := rng.Intn(4) == 0
+						gh, rh := got.Access(addr, write), ref.Access(addr, write)
+						if gh != rh {
+							t.Fatalf("seed %d op %d: Access(%#x) hit %v, reference %v", seed, i, addr, gh, rh)
+						}
+						if !gh {
+							fill(i, addr, write)
+						}
+					case r < 8: // a fill that may find its line resident
+						fill(i, addr, rng.Intn(2) == 0)
+					default: // an invalidation, usually of a recent fill
+						if rng.Intn(4) != 0 {
+							addr = recent[rng.Intn(len(recent))]
+						}
+						gd, gp := got.Invalidate(addr)
+						rd, rp := ref.Invalidate(addr)
+						if gd != rd || gp != rp {
+							t.Fatalf("seed %d op %d: Invalidate(%#x) = (%v, %v), reference (%v, %v)", seed, i, addr, gd, gp, rd, rp)
+						}
+					}
+				}
+				if got.Stats() != ref.Stats() {
+					t.Errorf("seed %d: stats %+v, reference %+v", seed, got.Stats(), ref.Stats())
+				}
+				if !reflect.DeepEqual(got.sets, ref.sets) || got.clock != ref.clock {
+					t.Errorf("seed %d: final way state differs from the reference", seed)
+				}
+			}
+			// The streams must reach the case the one-pass search changes
+			// most: a hole behind valid ways, and several holes at once.
+			if holes == 0 || multi == 0 {
+				t.Errorf("fills into sets with holes behind valid ways: %d (%d with several), want both > 0", holes, multi)
+			}
+		})
 	}
 }

@@ -199,6 +199,10 @@ type GPU struct {
 	// construction; fire-and-forget submissions (no-return PIM packets,
 	// dirty write-backs) share it instead of minting a closure per packet.
 	observeCb func(resp flit.Response, at units.Time)
+
+	// freeMiss recycles the in-flight states of L2 misses and returning
+	// PIM lanes (missState), as the cube recycles its request states.
+	freeMiss *missState
 }
 
 // New builds a GPU wired to an engine, functional memory, HMC cube and
@@ -418,7 +422,7 @@ type warpState struct {
 	// state on the warp: the warp stalls until the load returns, so at
 	// most one is outstanding at a time and the pre-bound loadFinishEv
 	// replaces a capturing closure per load. atomicIssue/atomicPending
-	// do the same for blocking host atomics.
+	// do the same for blocking host atomics and returning PIM atomics.
 	loadOp        *simt.Op
 	loadIssue     units.Time
 	loadPending   int
@@ -671,12 +675,14 @@ func (w *warpState) execPIMAtomic(op *simt.Op, issueAt units.Time) {
 		return
 	}
 
-	remaining := op.Mask.Count()
+	// Each returning lane rides a pooled missState; the warp's blocking
+	// atomic countdown (atomicResume) resumes it after the last lane.
+	w.atomicIssue = issueAt
+	w.atomicPending = op.Mask.Count()
 	for lane := 0; lane < simt.WarpSize; lane++ {
 		if !op.Mask.Lane(lane) {
 			continue
 		}
-		lane := lane
 		imm := op.Val[lane]
 		if op.Atomic == mem.AtomicSub {
 			imm = -imm // sub encodes as signed add of the negation
@@ -691,17 +697,9 @@ func (w *warpState) execPIMAtomic(op *simt.Op, issueAt units.Time) {
 			Imm2:       uint64(op.Cmp[lane]),
 			WithReturn: true,
 		}
-		//coolpim:allow hotalloc with-return PIM completion must carry its lane and the warp's shared countdown; one bounded allocation per returning lane, rare next to the no-return adds that dominate the Table III kernels
-		g.submitAt(issueAt, req, func(resp flit.Response, at units.Time) {
-			g.observe(resp)
-			op.Out[lane] = uint32(resp.Data)
-			op.OutOK[lane] = resp.Atomic
-			remaining--
-			if remaining == 0 {
-				g.stats.AtomicWait += at - issueAt
-				w.advance(at)
-			}
-		})
+		m := g.getMiss()
+		m.op, m.lane, m.done = op, lane, w.atomicResumeEv
+		g.submitAt(issueAt, req, m.completeFn)
 	}
 }
 
@@ -812,8 +810,9 @@ func (w *warpState) execHostAtomic(op *simt.Op, issueAt units.Time) {
 }
 
 // atomicResume retires one line transaction of the warp's blocking host
-// atomic; the last one resumes the warp. Posted atomics never invoke it
-// (the warp retired at credit-clear time).
+// atomic, or one lane of its returning PIM atomic; the last one resumes
+// the warp. Posted atomics never invoke it (the warp retired at
+// credit-clear time).
 func (w *warpState) atomicResume(at units.Time) {
 	w.atomicPending--
 	if w.atomicPending == 0 {
@@ -827,21 +826,16 @@ func (w *warpState) atomicResume(at units.Time) {
 // (bypassing L1, as GPU global atomics do). When posted, done is not
 // called — the returned accepted time is the retire point.
 func (g *GPU) l2AtomicAccess(line uint64, issueAt units.Time, posted bool, done func(at units.Time)) (acceptedAt units.Time) {
+	if posted {
+		done = nil
+	}
 	if g.l2.Access(line, true) {
-		if !posted {
+		if done != nil {
 			g.eng.At(issueAt+g.cfg.L2HitLatency, done)
 		}
 		return issueAt
 	}
-	g.tagSeq++
-	return g.submitAt(issueAt+g.cfg.L2HitLatency, flit.Request{Tag: g.tagSeq, Cmd: flit.CmdRead64, Addr: line},
-		func(resp flit.Response, at units.Time) { //coolpim:allow hotalloc miss-path completion must carry the line and fill state across the HMC round trip; one allocation per L2 miss, amortized by the miss latency
-			g.observe(resp)
-			g.fillL2(line, true)
-			if !posted {
-				done(at) //coolpim:allow hotalloc completion callback is inherently dynamic; warp handlers are the pre-bound method values proven under the advance root
-			}
-		})
+	return g.fetchLine(issueAt, line, true, nil, false, done)
 }
 
 // lineAccess runs a 64-byte load/store line through the hierarchy on
@@ -857,13 +851,7 @@ func (g *GPU) lineAccess(smID int, line uint64, write bool, issueAt units.Time, 
 			g.eng.At(issueAt+g.cfg.L2HitLatency, done)
 			return issueAt
 		}
-		g.tagSeq++
-		return g.submitAt(issueAt+g.cfg.L2HitLatency, flit.Request{Tag: g.tagSeq, Cmd: flit.CmdRead64, Addr: line},
-			func(resp flit.Response, at units.Time) { //coolpim:allow hotalloc miss-path completion must carry the line and fill state across the HMC round trip; one allocation per uncacheable-line L2 miss
-				g.observe(resp)
-				g.fillL2(line, write)
-				done(at) //coolpim:allow hotalloc completion callback is inherently dynamic; warp handlers are the pre-bound method values proven under the advance root
-			})
+		return g.fetchLine(issueAt, line, write, nil, false, done)
 	}
 	l1 := g.sms[smID].l1
 	if l1.Access(line, write) {
@@ -876,14 +864,90 @@ func (g *GPU) lineAccess(smID int, line uint64, write bool, issueAt units.Time, 
 		return issueAt
 	}
 	// L2 miss: fetch from the cube.
+	return g.fetchLine(issueAt, line, false, l1, write, done)
+}
+
+// fetchLine reads an L2-missing line from memory. On the response it
+// fills the L2 (dirty when l2Dirty), then l1 when non-nil (dirty when
+// l1Dirty), then calls done unless it is nil (a posted atomic).
+func (g *GPU) fetchLine(issueAt units.Time, line uint64, l2Dirty bool, l1 *cache.Cache, l1Dirty bool, done func(at units.Time)) (acceptedAt units.Time) {
+	m := g.getMiss()
+	m.line, m.l2Dirty, m.l1, m.l1Dirty, m.done = line, l2Dirty, l1, l1Dirty, done
 	g.tagSeq++
-	return g.submitAt(issueAt+g.cfg.L2HitLatency, flit.Request{Tag: g.tagSeq, Cmd: flit.CmdRead64, Addr: line},
-		func(resp flit.Response, at units.Time) { //coolpim:allow hotalloc miss-path completion must carry the line and both fill targets across the HMC round trip; one allocation per L2 miss, amortized by the miss latency
-			g.observe(resp)
-			g.fillL2(line, false)
-			g.fillL1(l1, line, write)
-			done(at) //coolpim:allow hotalloc completion callback is inherently dynamic; warp handlers are the pre-bound method values proven under the advance root
-		})
+	return g.submitAt(issueAt+g.cfg.L2HitLatency, flit.Request{Tag: g.tagSeq, Cmd: flit.CmdRead64, Addr: line}, m.completeFn)
+}
+
+// missState carries one L2-miss line or returning PIM lane across the
+// HMC round trip. States are pooled on the GPU's freelist with the
+// completion bound once, as hmc.reqState is, so the steady-state miss
+// path performs no allocations (TestMissPathZeroAllocs pins it).
+type missState struct {
+	g *GPU
+	// line/l2Dirty/l1/l1Dirty describe a line fill: the L2 always, the
+	// L1 too when l1 is non-nil (the cacheable path).
+	line    uint64
+	l2Dirty bool
+	l1      *cache.Cache
+	l1Dirty bool
+	// op/lane, when op is non-nil, mark a returning PIM lane instead of
+	// a line fill: the response's old value lands in op.Out[lane].
+	op   *simt.Op
+	lane int
+	// done is the warp's pre-bound handler, nil for a posted atomic.
+	done       func(at units.Time)
+	completeFn func(resp flit.Response, at units.Time) // pre-bound m.complete
+	next       *missState
+}
+
+// getMiss pops a pooled state or grows the pool by one.
+//
+//coolpim:hotpath
+func (g *GPU) getMiss() *missState {
+	m := g.freeMiss
+	if m == nil {
+		//coolpim:allow hotalloc pool growth: one state + one bound completion func per unit of peak outstanding misses, ever; the steady state recycles
+		m = &missState{g: g}
+		m.completeFn = m.complete //coolpim:allow hotalloc bound once per pooled state, reused for every miss it carries
+		return m
+	}
+	g.freeMiss = m.next
+	m.next = nil
+	return m
+}
+
+// putMiss recycles a completed state, dropping its references so the
+// pool never pins a warp, an op or a cache.
+func (g *GPU) putMiss(m *missState) {
+	m.l1 = nil
+	m.op = nil
+	m.done = nil
+	m.next = g.freeMiss
+	g.freeMiss = m
+}
+
+// complete handles the memory response of a missing line or returning
+// PIM lane: observe the ERRSTAT, fill the caches or the lane's result,
+// then hand the completion to the warp. The state is recycled before
+// the handler runs, so a warp that issues its next miss reuses it.
+//
+//coolpim:hotpath
+func (m *missState) complete(resp flit.Response, at units.Time) {
+	g := m.g
+	g.observe(resp)
+	if op := m.op; op != nil {
+		op.Out[m.lane] = uint32(resp.Data)
+		op.OutOK[m.lane] = resp.Atomic
+	} else {
+		g.fillL2(m.line, m.l2Dirty)
+		if m.l1 != nil {
+			g.fillL1(m.l1, m.line, m.l1Dirty)
+		}
+	}
+	done := m.done
+	g.putMiss(m)
+	if done != nil {
+		done(at) //coolpim:allow hotalloc completion callback is inherently dynamic; warp handlers are the pre-bound method values proven under the advance root
+	}
 }
 
 func (g *GPU) fillL1(l1 *cache.Cache, line uint64, dirty bool) {

@@ -3,6 +3,7 @@ package gpu
 import (
 	"testing"
 
+	"coolpim/internal/cache"
 	"coolpim/internal/core"
 	"coolpim/internal/hmc"
 	"coolpim/internal/mem"
@@ -548,5 +549,81 @@ func TestPIMNoReturnCASCarriesCompare(t *testing.T) {
 	}
 	if got := r.space.Load32(buf.Addr(1)); got != 7 {
 		t.Errorf("CAS with mismatched compare overwrote %d", got)
+	}
+}
+
+// TestMissPathZeroAllocs pins the pooled miss path: once the missState
+// freelist, the cube's request pool and the event queue have grown to a
+// scenario's in-flight depth, every L2-missing line and every returning
+// PIM lane makes its HMC round trip without allocating. Each case runs
+// one warp that repeats its op over a buffer eight times the L2, so
+// every line misses; a round advances the engine by a fixed window.
+func TestMissPathZeroAllocs(t *testing.T) {
+	load := func(c *simt.Ctx, addr [simt.WarpSize]uint64) { c.Load(simt.FullMask, addr) }
+	atomic := func(needReturn bool) func(*simt.Ctx, [simt.WarpSize]uint64) {
+		return func(c *simt.Ctx, addr [simt.WarpSize]uint64) {
+			c.Atomic(mem.AtomicAdd, simt.FullMask, addr, splatOnes(), [simt.WarpSize]uint32{}, needReturn)
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		policy core.Policy
+		pim    bool // buffer in the offloading (uncacheable) region
+		op     func(*simt.Ctx, [simt.WarpSize]uint64)
+		check  func(Stats) uint64 // the traffic the case must issue
+	}{
+		{"cacheable load miss", core.NewNonOffloading(), false, load,
+			func(s Stats) uint64 { return s.LoadLines - s.UncachedLines }},
+		{"uncacheable load miss", core.NewNaiveOffloading(), true, load,
+			func(s Stats) uint64 { return s.UncachedLines }},
+		{"posted host atomic", core.NewNonOffloading(), false, atomic(false),
+			func(s Stats) uint64 { return s.HostLaneOps }},
+		{"returning host atomic", core.NewNonOffloading(), false, atomic(true),
+			func(s Stats) uint64 { return s.HostLaneOps }},
+		{"with-return PIM lanes", core.NewNaiveOffloading(), true, atomic(true),
+			func(s Stats) uint64 { return s.PIMLaneOps }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.New()
+			space := mem.NewSpace(1 << 16)
+			cube := hmc.New(eng, space, hmc.DefaultConfig())
+			cfg := DefaultConfig()
+			cfg.L1 = cache.Config{SizeBytes: 1 << 10, LineBytes: 64, Ways: 4}
+			cfg.L2 = cache.Config{SizeBytes: 8 << 10, LineBytes: 64, Ways: 16}
+			g := New(eng, space, cube, tc.policy, cfg)
+			g.PIMOffloadActive = tc.pim
+			buf := space.Alloc("lines", 16<<10, tc.pim) // 64 KB: 1,024 lines
+
+			stop, done := false, false
+			kernel := func(c *simt.Ctx) {
+				var addr [simt.WarpSize]uint64
+				for i := 0; !stop; i++ {
+					for l := range addr {
+						addr[l] = buf.Addr((i*simt.WarpSize + l) * 16 % buf.Words) // one line per lane
+					}
+					tc.op(c, addr)
+				}
+			}
+			g.RunKernel(&Launch{Name: "miss", Kernel: kernel, NonPIM: kernel, Blocks: 1, BlockDim: simt.WarpSize,
+				OnComplete: func(units.Time) { done = true }})
+			window := units.FromNanoseconds(5000)
+			round := func() { eng.RunUntil(eng.Now() + window) }
+			for i := 0; i < 40; i++ { // grow the pools: several sweeps of the buffer
+				round()
+			}
+			before := tc.check(g.Stats())
+			const runs = 100
+			if avg := testing.AllocsPerRun(runs, round); avg != 0 {
+				t.Errorf("miss round trip allocates %.1f per round, want 0", avg)
+			}
+			if moved := tc.check(g.Stats()) - before; moved < runs+1 {
+				t.Fatalf("only %d lines or lanes in %d rounds: the case is not exercising its path", moved, runs+1)
+			}
+			stop = true
+			eng.Run()
+			if !done {
+				t.Fatal("kernel did not finish after stop")
+			}
+		})
 	}
 }

@@ -97,9 +97,35 @@ type Buffer struct {
 // Addr returns the byte address of word i.
 func (b Buffer) Addr(i int) uint64 {
 	if i < 0 || i >= b.Words {
-		panic(fmt.Sprintf("mem: %s[%d] out of range (%d words)", b.Name, i, b.Words))
+		panic(&indexError{b.Name, i, b.Words})
 	}
 	return b.Base + uint64(i)*WordBytes
+}
+
+// indexError and accessError are the panic values of the per-word range
+// checks (Buffer.Addr, Space.index). They format their messages only
+// when printed: a fmt.Sprintf in the check itself would push these
+// helpers, which run once per lane of every memory op, past the
+// inliner's budget.
+type indexError struct {
+	name     string
+	i, words int
+}
+
+func (e *indexError) Error() string {
+	return fmt.Sprintf("mem: %s[%d] out of range (%d words)", e.name, e.i, e.words)
+}
+
+type accessError struct {
+	addr      uint64
+	unaligned bool // else beyond the space's capacity
+}
+
+func (e accessError) Error() string {
+	if e.unaligned {
+		return fmt.Sprintf("mem: unaligned access at %#x", e.addr)
+	}
+	return fmt.Sprintf("mem: access at %#x beyond capacity", e.addr)
 }
 
 // End returns the first byte address past the buffer.
@@ -176,11 +202,11 @@ func (s *Space) Buffers() []Buffer { return s.bufs }
 
 func (s *Space) index(addr uint64) int {
 	if addr%WordBytes != 0 {
-		panic(fmt.Sprintf("mem: unaligned access at %#x", addr))
+		panic(accessError{addr, true})
 	}
 	i := addr / WordBytes
 	if i >= uint64(len(s.words)) {
-		panic(fmt.Sprintf("mem: access at %#x beyond capacity", addr))
+		panic(accessError{addr, false})
 	}
 	return int(i)
 }

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -169,22 +170,37 @@ func TestSpaceAtomic(t *testing.T) {
 	}
 }
 
+// TestAccessPanics checks every range check and its message: the panic
+// values print exactly as the formatted strings they replaced, so users
+// and runner.RunPanicError see no difference.
 func TestAccessPanics(t *testing.T) {
 	s := NewSpace(16)
-	for name, fn := range map[string]func(){
-		"unaligned":    func() { s.Load32(2) },
-		"out of range": func() { s.Load32(1 << 20) },
-		"bad buf idx":  func() { b := s.Alloc("b", 2, false); b.Addr(2) },
-		"zero alloc":   func() { s.Alloc("z", 0, false) },
-		"overflow":     func() { s.Alloc("big", 1<<20, false) },
+	b := s.Alloc("b", 2, false)
+	for _, tc := range []struct {
+		name string
+		fn   func()
+		want string
+	}{
+		{"unaligned load", func() { s.Load32(2) }, "mem: unaligned access at 0x2"},
+		{"load out of range", func() { s.Load32(1 << 20) }, "mem: access at 0x100000 beyond capacity"},
+		{"unaligned store", func() { s.Store32(7, 1) }, "mem: unaligned access at 0x7"},
+		{"store out of range", func() { s.Store32(64, 1) }, "mem: access at 0x40 beyond capacity"},
+		{"unaligned atomic", func() { s.Atomic(AtomicAdd, 1, 1, 0) }, "mem: unaligned access at 0x1"},
+		{"bad buf idx", func() { b.Addr(2) }, "mem: b[2] out of range (2 words)"},
+		{"negative buf idx", func() { b.Addr(-1) }, "mem: b[-1] out of range (2 words)"},
+		{"zero alloc", func() { s.Alloc("z", 0, false) }, `mem: Alloc("z", 0)`},
+		{"overflow", func() { s.Alloc("big", 1<<20, false) }, `mem: out of space allocating "big" (1048576 words)`},
 	} {
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Errorf("%s did not panic", name)
+				r := recover()
+				if r == nil {
+					t.Errorf("%s did not panic", tc.name)
+				} else if got := fmt.Sprint(r); got != tc.want {
+					t.Errorf("%s panicked with %q, want %q", tc.name, got, tc.want)
 				}
 			}()
-			fn()
+			tc.fn()
 		}()
 	}
 }

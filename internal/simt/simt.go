@@ -27,10 +27,18 @@ const FullMask Mask = 0xFFFFFFFF
 // LaneMask returns a mask with only lane i active.
 func LaneMask(i int) Mask {
 	if i < 0 || i >= WarpSize {
-		panic(fmt.Sprintf("simt: lane %d out of range", i))
+		panic(laneError(i))
 	}
 	return 1 << uint(i)
 }
+
+// laneError is LaneMask's panic value: an out-of-range lane. It formats
+// its message only when printed; a fmt.Sprintf in LaneMask itself would
+// push LaneMask and every Mask method built on it past the inliner's
+// budget, and they run once per lane of every warp op.
+type laneError int
+
+func (e laneError) Error() string { return fmt.Sprintf("simt: lane %d out of range", int(e)) }
 
 // FirstN returns a mask with lanes 0..n-1 active.
 func FirstN(n int) Mask {

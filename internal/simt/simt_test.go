@@ -1,6 +1,7 @@
 package simt
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -56,13 +57,33 @@ func TestMaskCountProperty(t *testing.T) {
 	}
 }
 
+// TestLaneMaskPanics checks the lane range check and its message: the
+// panic value prints exactly as the formatted string it replaced, so
+// users and runner.RunPanicError see no difference.
 func TestLaneMaskPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("LaneMask(32) did not panic")
-		}
-	}()
-	LaneMask(32)
+	for _, tc := range []struct {
+		name string
+		fn   func()
+		want string
+	}{
+		{"LaneMask(32)", func() { LaneMask(32) }, "simt: lane 32 out of range"},
+		{"LaneMask(-1)", func() { LaneMask(-1) }, "simt: lane -1 out of range"},
+		{"Lane(32)", func() { FullMask.Lane(32) }, "simt: lane 32 out of range"},
+		{"Set(-1)", func() { Mask(0).Set(-1) }, "simt: lane -1 out of range"},
+		{"Clear(40)", func() { FullMask.Clear(40) }, "simt: lane 40 out of range"},
+	} {
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Errorf("%s did not panic", tc.name)
+				} else if got := fmt.Sprint(r); got != tc.want {
+					t.Errorf("%s panicked with %q, want %q", tc.name, got, tc.want)
+				}
+			}()
+			tc.fn()
+		}()
+	}
 }
 
 func TestThreadID(t *testing.T) {

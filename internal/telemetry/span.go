@@ -205,7 +205,7 @@ func (t *SpanTracer) StartSpan(at units.Time, name SpanName) Span {
 	if t == nil {
 		return Span{}
 	}
-	return t.start(at, name, t.currentRoot(), false)
+	return t.startUnderRoot(at, name)
 }
 
 // StartChild opens a span under an explicit parent (0 for a root
@@ -220,11 +220,13 @@ func (t *SpanTracer) StartChild(at units.Time, name SpanName, parent SpanID) Spa
 	return t.start(at, name, parent, false)
 }
 
-func (t *SpanTracer) currentRoot() SpanID {
+// startUnderRoot is StartSpan's enabled path. It stays out of line so
+// the disabled path, the nil check, inlines into every caller.
+func (t *SpanTracer) startUnderRoot(at units.Time, name SpanName) Span {
 	t.mu.Lock()
 	r := t.curRoot
 	t.mu.Unlock()
-	return r
+	return t.start(at, name, r, false)
 }
 
 func (t *SpanTracer) start(at units.Time, name SpanName, parent SpanID, root bool) Span {
