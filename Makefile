@@ -143,8 +143,9 @@ obs-smoke:
 # serve-smoke exercises the simulation service end to end: coolpim-serve
 # on an ephemeral port, three concurrent identical campaign submissions,
 # asserting exactly one execution (two cache hits), byte-identical
-# responses, and one ledger entry per matrix cell (see
-# scripts/serve_smoke.sh).
+# responses, one ledger entry per matrix cell plus one campaign record,
+# and, after a restart on the same ledger, a hit with the same bytes
+# that simulates nothing (see scripts/serve_smoke.sh).
 serve-smoke:
 	scripts/serve_smoke.sh
 

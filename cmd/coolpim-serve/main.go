@@ -7,22 +7,23 @@
 //	                         returns 202 + the run id immediately.
 //	GET  /v1/runs/{id}       status document; ?watch=1 streams progress
 //	                         events as JSONL until the run finishes.
-//	GET  /metrics            Prometheus metrics (cache hit/miss/corrupt,
+//	GET  /metrics            Prometheus metrics (cache hits/misses,
 //	                         executions, admission queue depth, ...).
 //	GET  /healthz            liveness probe.
 //
-// Results are memoized in a content-addressed on-disk cache keyed by
-// the spec's cache key (execution knobs like -parallel excluded), so
-// re-POSTing a completed campaign returns byte-identical results
-// without re-simulating — across restarts too. Identical concurrent
-// submissions share one execution (singleflight). -max-inflight bounds
-// concurrent simulations; overflow queues per tenant (X-Tenant header)
-// and drains round-robin, and past -max-queue the server answers 429
-// with a Retry-After estimate.
+// The run ledger (-ledger) is the one store: every matrix cell, reused
+// by any later campaign under the same profile hash, and one record per
+// finished campaign, keyed by the spec's cache key (execution knobs
+// like -parallel excluded). Re-POSTing a campaign returns byte-identical
+// results without simulating, across restarts too. Identical concurrent
+// submissions share one execution. -max-inflight bounds concurrent
+// simulations; overflow queues per tenant (X-Tenant header) and drains
+// round-robin, and past -max-queue the server answers 429 with a
+// Retry-After estimate.
 //
 // Example:
 //
-//	coolpim-serve -addr 127.0.0.1:8780 -cache-dir cache/ -ledger serve.jsonl
+//	coolpim-serve -addr 127.0.0.1:8780 -ledger serve.jsonl
 //	curl -s -X POST 127.0.0.1:8780/v1/runs \
 //	    -d '{"profile":"quick","workloads":["dc"],"policies":["baseline","coolpim-hw"]}'
 package main
@@ -43,8 +44,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8780", "HTTP listen address (use :0 for an ephemeral port)")
-	cacheDir := flag.String("cache-dir", "serve-cache", "result cache directory")
-	ledgerPath := flag.String("ledger", "", "shared JSONL run ledger; completed cells are reused across campaigns and restarts")
+	ledgerPath := flag.String("ledger", "serve-ledger.jsonl", "JSONL run ledger, the server's one store; completed cells and campaigns are reused across campaigns and restarts")
 	maxInflight := flag.Int("max-inflight", 2, "maximum concurrently executing campaigns")
 	maxQueue := flag.Int("max-queue", 16, "maximum queued campaigns before rejecting with 429")
 	flag.Parse()
@@ -54,7 +54,6 @@ func main() {
 	}
 
 	srv, err := serve.New(serve.Config{
-		CacheDir:    *cacheDir,
 		LedgerPath:  *ledgerPath,
 		MaxInflight: *maxInflight,
 		MaxQueue:    *maxQueue,
@@ -79,8 +78,8 @@ func main() {
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		<-stop
-		// In-flight sync responses get a grace period; the result cache
-		// and ledger are already durable at this point.
+		// In-flight sync responses get a grace period; the ledger is
+		// already durable at this point.
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		hs.Shutdown(ctx)

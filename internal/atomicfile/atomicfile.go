@@ -42,11 +42,3 @@ func Write(path string, write func(w io.Writer) error) error {
 	}
 	return nil
 }
-
-// WriteBytes is Write for a fully materialized payload.
-func WriteBytes(path string, data []byte) error {
-	return Write(path, func(w io.Writer) error {
-		_, err := w.Write(data)
-		return err
-	})
-}

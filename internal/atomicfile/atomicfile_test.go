@@ -9,6 +9,14 @@ import (
 	"testing"
 )
 
+// writeString is Write of a fixed payload.
+func writeString(path, data string) error {
+	return Write(path, func(w io.Writer) error {
+		_, err := io.WriteString(w, data)
+		return err
+	})
+}
+
 // tempOrphans lists leftover temp files in dir.
 func tempOrphans(t *testing.T, dir string) []string {
 	t.Helper()
@@ -28,10 +36,10 @@ func tempOrphans(t *testing.T, dir string) []string {
 func TestWriteReplacesAtomically(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "out.txt")
-	if err := WriteBytes(path, []byte("first")); err != nil {
+	if err := writeString(path, "first"); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteBytes(path, []byte("second")); err != nil {
+	if err := writeString(path, "second"); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(path)
@@ -56,7 +64,7 @@ func TestWriteRenameFailureCleansUp(t *testing.T) {
 	if err := os.MkdirAll(filepath.Join(target, "occupant"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	err := WriteBytes(target, []byte("payload"))
+	err := writeString(target, "payload")
 	if err == nil {
 		t.Fatal("rename over a non-empty directory should fail")
 	}
@@ -73,7 +81,7 @@ func TestWriteRenameFailureCleansUp(t *testing.T) {
 
 func TestWriteUnwritableDirectory(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "no", "such", "dir", "out.txt")
-	if err := WriteBytes(missing, []byte("x")); err == nil {
+	if err := writeString(missing, "x"); err == nil {
 		t.Fatal("write into a missing directory should fail")
 	}
 }
@@ -81,7 +89,7 @@ func TestWriteUnwritableDirectory(t *testing.T) {
 func TestWriteCallbackErrorCleansUp(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "out.txt")
-	if err := WriteBytes(path, []byte("keep")); err != nil {
+	if err := writeString(path, "keep"); err != nil {
 		t.Fatal(err)
 	}
 	boom := errors.New("render failed")

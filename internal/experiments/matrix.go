@@ -430,12 +430,14 @@ func deriveCell(newW workloadCtor, p Profile, wl string, pol core.PolicyKind, na
 
 // ConfigHash fingerprints everything about the profile that determines
 // a run's outcome — graph parameters, workload sizing and the full
-// system configuration — excluding the run-scoped Telemetry hook, which
-// never affects results. Ledger entries recorded under a different hash
-// are re-run on resume instead of silently reused.
+// system configuration — excluding the run-scoped Telemetry hook and
+// the engine shard count, which never affect results (DESIGN.md §12).
+// Ledger entries recorded under a different hash are re-run on resume
+// instead of silently reused.
 func (p Profile) ConfigHash() (string, error) {
 	q := p
 	q.Sys.Telemetry = nil
+	q.Sys.Net.Shards = 0
 	h, err := runner.HashConfig(q)
 	if err != nil {
 		return "", fmt.Errorf("experiments: hashing profile %s: %w", p.Name, err)

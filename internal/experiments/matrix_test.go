@@ -276,6 +276,28 @@ func TestMatrixConfigHashStableAndSensitive(t *testing.T) {
 	if h3 == h1 {
 		t.Fatal("profile hash insensitive to Reps")
 	}
+	// The engine shard count never changes results (DESIGN.md §12), so
+	// it must not split ledgers or result documents.
+	net, err := hmc.FlagConfig(2, "chain", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	multi := MultiCubeProfile(TestProfile(), net)
+	hm, err := multi.ConfigHash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 2} {
+		sharded := multi
+		sharded.Sys.Net.Shards = shards
+		if h, err := sharded.ConfigHash(); err != nil || h != hm {
+			t.Errorf("shards %d: hash %s (%v), want %s", shards, h, err, hm)
+		}
+		sharded.Reps++
+		if h, _ := sharded.ConfigHash(); h == hm {
+			t.Errorf("shards %d: hash insensitive to Reps", shards)
+		}
+	}
 }
 
 // TestFig14SeriesMatchesSerialRuns pins the parallelized Fig14Series:

@@ -23,8 +23,8 @@ import (
 // MatrixOpts and hmc.NetworkConfig. It is the single source of truth
 // for validation — every front end rejects a bad spec identically —
 // and for result identity: CacheKey fingerprints exactly the fields
-// that determine simulation outcomes, so the result cache and the
-// run ledger agree on what "the same campaign" means.
+// that determine simulation outcomes (the ResultSpec), so every
+// request for the same science names the same campaign.
 //
 // The zero value of every field means "use the default"; Normalized
 // makes those defaults explicit. Durations are carried as integer
@@ -59,8 +59,8 @@ type CampaignSpec struct {
 	Topology      string `json:"topology,omitempty"`
 	LinkLatencyNs int64  `json:"link_latency_ns,omitempty"`
 	// Shards partitions the multi-cube event engine; it is proven not
-	// to affect results (see DESIGN.md §11) and is excluded from
-	// CacheKey along with the execution knobs below.
+	// to affect results (see DESIGN.md §12) and is excluded from the
+	// ResultSpec along with the execution knobs below.
 	Shards int `json:"shards,omitempty"`
 
 	// Execution knobs: how the campaign runs, never what it computes.
@@ -213,14 +213,12 @@ func (s CampaignSpec) CanonicalJSON() ([]byte, error) {
 	return b, nil
 }
 
-// CacheKey fingerprints the fields that determine simulation results:
-// the full sha256 (hex) of the canonical JSON with the execution-only
-// knobs — Parallel, TimeoutNs, Retries, BackoffNs, FailFast,
-// InterruptAfter — and Shards zeroed out, since none of them affect
-// outcomes. Two requests with equal keys may share one simulation and
-// one cached result; the key is also machine-independent (the
-// Parallel = NumCPU normalization is erased).
-func (s CampaignSpec) CacheKey() (string, error) {
+// ResultSpec is the Normalized spec reduced to what determines result
+// bytes: the execution-only knobs — Parallel, TimeoutNs, Retries,
+// BackoffNs, FailFast, InterruptAfter — and Shards are zeroed, since
+// none of them affect outcomes. Result documents embed it, so they do
+// not depend on how the first requester ran the campaign.
+func (s CampaignSpec) ResultSpec() CampaignSpec {
 	n := s.Normalized()
 	n.Parallel = 0
 	n.TimeoutNs = 0
@@ -229,7 +227,15 @@ func (s CampaignSpec) CacheKey() (string, error) {
 	n.FailFast = false
 	n.InterruptAfter = 0
 	n.Shards = 0
-	b, err := json.Marshal(n)
+	return n
+}
+
+// CacheKey is the full sha256 (hex) of the ResultSpec's JSON: the
+// campaign's identity. Two requests with equal keys may share one
+// simulation and one result; the key is also machine-independent (the
+// Parallel = NumCPU normalization is erased).
+func (s CampaignSpec) CacheKey() (string, error) {
+	b, err := json.Marshal(s.ResultSpec())
 	if err != nil {
 		return "", fmt.Errorf("spec: cache key marshal: %w", err)
 	}

@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -44,10 +46,11 @@ type Entry struct {
 // A nil *Ledger is a valid "disabled" ledger: Completed misses and
 // Append is a no-op.
 type Ledger struct {
-	mu   sync.Mutex
-	f    *os.File         //coolpim:guard mu
-	done map[string]Entry //coolpim:guard mu (successful entries loaded on resume)
-	path string           // immutable after OpenLedger
+	mu sync.Mutex
+	f  *os.File //coolpim:guard mu
+	// done holds the reusable entries, loaded on resume and appended
+	// since, by key and then config hash.
+	done map[string]map[string]Entry //coolpim:guard mu
 }
 
 // OpenLedger opens (creating if needed) the ledger at path. With
@@ -57,7 +60,7 @@ type Ledger struct {
 // are skipped, and new entries are appended after the old ones.
 // Without resume the file is truncated.
 func OpenLedger(path string, resume bool) (*Ledger, error) {
-	l := &Ledger{done: make(map[string]Entry), path: path}
+	l := &Ledger{done: make(map[string]map[string]Entry)}
 	needNewline := false
 	if resume {
 		data, err := os.ReadFile(path)
@@ -74,13 +77,7 @@ func OpenLedger(path string, resume bool) (*Ledger, error) {
 			if err := json.Unmarshal([]byte(line), &e); err != nil || e.Key == "" {
 				continue // torn or foreign line; never trust it
 			}
-			if e.Status == StatusOK {
-				l.done[e.Key] = e
-			} else {
-				// A later failure supersedes an earlier success for the
-				// same key (e.g. a re-run after a config revert).
-				delete(l.done, e.Key)
-			}
+			l.record(e)
 		}
 	}
 	flags := os.O_CREATE | os.O_WRONLY
@@ -105,44 +102,67 @@ func OpenLedger(path string, resume bool) (*Ledger, error) {
 	return l, nil
 }
 
-// Path returns the ledger's file path ("" for a nil ledger).
-func (l *Ledger) Path() string {
-	if l == nil {
-		return ""
+// record makes e the latest outcome of its (key, config hash). A
+// success is kept if it carries a reusable result: either the explicit
+// Ok marker (which covers legitimately empty payloads) or, for entries
+// written before the marker existed, a non-empty payload. Anything else
+// supersedes an earlier success (e.g. a re-run after a config revert).
+//
+//coolpim:locked mu
+func (l *Ledger) record(e Entry) {
+	if e.Status != StatusOK || (!e.Ok && len(e.Result) == 0) {
+		delete(l.done[e.Key], e.ConfigHash)
+		return
 	}
-	return l.path
+	if l.done[e.Key] == nil {
+		l.done[e.Key] = make(map[string]Entry)
+	}
+	l.done[e.Key][e.ConfigHash] = e
 }
 
-// Resumable returns how many successful entries were loaded at open.
+// Resumable returns how many reusable entries the ledger holds: at
+// open, those loaded on resume.
 func (l *Ledger) Resumable() int {
 	if l == nil {
 		return 0
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.done)
+	n := 0
+	for _, byHash := range l.done {
+		n += len(byHash)
+	}
+	return n
 }
 
-// Completed returns the successful entry for key, provided it was
-// produced under the same config hash and carries a reusable result:
-// either the explicit Ok marker (which covers legitimately empty
-// payloads) or, for entries written before the marker existed, a
-// non-empty payload.
+// Completed returns the reusable entry for key produced under
+// configHash.
 func (l *Ledger) Completed(key, configHash string) (Entry, bool) {
 	if l == nil {
 		return Entry{}, false
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	e, ok := l.done[key]
-	if !ok || e.ConfigHash != configHash || (!e.Ok && len(e.Result) == 0) {
-		return Entry{}, false
+	e, ok := l.done[key][configHash]
+	return e, ok
+}
+
+// Entries returns key's reusable entries under every config hash, in
+// hash order.
+func (l *Ledger) Entries(key string) []Entry {
+	if l == nil {
+		return nil
 	}
-	return e, true
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := slices.Collect(maps.Values(l.done[key]))
+	slices.SortFunc(out, func(a, b Entry) int { return strings.Compare(a.ConfigHash, b.ConfigHash) })
+	return out
 }
 
 // Append writes one entry and syncs the file, so an entry either made
-// it to stable storage or the torn line is discarded on resume.
+// it to stable storage or the torn line is discarded on resume. An
+// appended success also satisfies later campaigns in this process.
 func (l *Ledger) Append(e Entry) error {
 	if l == nil {
 		return nil
@@ -156,7 +176,11 @@ func (l *Ledger) Append(e Entry) error {
 	if _, err := l.f.Write(append(b, '\n')); err != nil {
 		return err
 	}
-	return l.f.Sync()
+	if err := l.f.Sync(); err != nil {
+		return err
+	}
+	l.record(e)
+	return nil
 }
 
 // Close closes the underlying file.

@@ -131,6 +131,40 @@ func TestLedgerConfigHashMismatchRerunsEverything(t *testing.T) {
 	}
 }
 
+// TestLedgerKeepsEveryConfigHash: one key completed under two config
+// hashes is reusable under both, at once after each Append and after a
+// reopen.
+func TestLedgerKeepsEveryConfigHash(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "runs.jsonl")
+	l, err := OpenLedger(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []string{"cfg-a", "cfg-b"} {
+		if err := l.Append(Entry{Key: "cell", ConfigHash: h, Status: StatusOK, Ok: true, Result: []byte(`{"n":1}`)}); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := l.Completed("cell", h); !ok {
+			t.Fatalf("appended entry under %s not Completed in the same process", h)
+		}
+	}
+	l.Close()
+
+	l2, err := OpenLedger(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	for _, h := range []string{"cfg-a", "cfg-b"} {
+		if _, ok := l2.Completed("cell", h); !ok {
+			t.Errorf("entry under %s not Completed after reopen", h)
+		}
+	}
+	if got := len(l2.Entries("cell")); got != 2 {
+		t.Errorf("Entries(cell) = %d entries, want 2", got)
+	}
+}
+
 func TestLedgerFailedEntriesAreRerun(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "runs.jsonl")
 	l, err := OpenLedger(path, false)

@@ -25,7 +25,8 @@
 //   - Checkpoint/resume. With a Ledger attached, every completed run is
 //     appended (and synced) to a JSONL file as it finishes; a resumed
 //     campaign satisfies already-completed (key, config-hash) jobs from
-//     the ledger without re-running them.
+//     the ledger without re-running them. Appended entries also satisfy
+//     later campaigns on the same open ledger in the same process.
 //
 // The runner is harness-level code, not simulation code: it is the one
 // sanctioned home for goroutines and wall-clock reads under the

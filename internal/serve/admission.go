@@ -22,9 +22,9 @@ func (e ErrOverloaded) Error() string {
 // admission bounds how many campaigns execute at once and queues the
 // overflow fairly: each tenant has its own FIFO, and freed slots are
 // handed out round-robin across tenants, so one tenant posting a
-// hundred campaigns cannot starve another posting one. Cache hits and
-// in-flight joins never pass through admission — only work that will
-// actually simulate.
+// hundred campaigns cannot starve another posting one. Joins and
+// recorded campaigns never pass through admission — only work that
+// will actually simulate.
 type admission struct {
 	mu          sync.Mutex
 	inflight    int

@@ -29,8 +29,8 @@ type Event struct {
 }
 
 // run is the registry entry for one campaign (identified by its cache
-// key). Exactly one run exists per key at a time; concurrent POSTs of
-// the same spec share it.
+// key). Exactly one live run exists per key; every request for the
+// same spec shares it.
 type run struct {
 	id      string
 	tenant  string
@@ -40,11 +40,9 @@ type run struct {
 	state  string
 	events []Event
 	subs   map[chan Event]struct{}
-	result []byte // response payload once done
-	errMsg string
+	result []byte // response payload; result and err are final once done closes
+	err    error
 	done   chan struct{}
-
-	finished sync.Once
 }
 
 func newRun(id, tenant string) *run {
@@ -89,19 +87,13 @@ func (r *run) emitLocked(state, cell string, fromLedger bool, errMsg string) {
 	}
 }
 
-// finishOnce resolves the run exactly once. Every handler that shared
-// the run's singleflight (the executor and every joiner) calls it with
-// the same outcome; the first call wins and the rest are no-ops.
-func (r *run) finishOnce(result []byte, err error) {
-	r.finished.Do(func() { r.finish(result, err) })
-}
-
+// finish resolves the run; its executor calls it exactly once.
 func (r *run) finish(result []byte, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if err != nil {
-		r.errMsg = err.Error()
-		r.emitLocked(StateFailed, "", false, r.errMsg)
+		r.err = err
+		r.emitLocked(StateFailed, "", false, err.Error())
 	} else {
 		r.result = result
 		r.emitLocked(StateDone, "", false, "")
@@ -128,10 +120,13 @@ func (r *run) subscribe() (backlog []Event, ch chan Event, cancel func()) {
 func (r *run) snapshot() (state string, result []byte, errMsg string, events int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.state, r.result, r.errMsg, len(r.events)
+	if r.err != nil {
+		errMsg = r.err.Error()
+	}
+	return r.state, r.result, errMsg, len(r.events)
 }
 
-// registry tracks live runs by cache key.
+// registry tracks this process's runs by cache key.
 type registry struct {
 	mu sync.Mutex
 	m  map[string]*run
@@ -140,16 +135,14 @@ type registry struct {
 func newRegistry() *registry { return &registry{m: make(map[string]*run)} }
 
 // getOrCreate returns the run for id, creating it if absent; created
-// reports whether this caller is the one that must execute it. A
-// finished run is replaced by a fresh one — relevant only after a
-// failure, since a successful result is already in the cache and a
-// repeat request never reaches execution.
+// reports whether this caller is the one that must execute it. A run
+// in flight or done is the join point for every later request; a
+// failed run is replaced by a fresh one, so failures are retried.
 func (g *registry) getOrCreate(id, tenant string) (r *run, created bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if r, ok := g.m[id]; ok {
-		state, _, _, _ := r.snapshot()
-		if state != StateDone && state != StateFailed {
+		if state, _, _, _ := r.snapshot(); state != StateFailed {
 			return r, false
 		}
 	}

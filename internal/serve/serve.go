@@ -1,16 +1,16 @@
 // Package serve is the simulation-as-a-service layer: an HTTP/JSON
 // front end that accepts experiments.CampaignSpec documents, schedules
 // them on the fault-tolerant runner, streams per-cell progress, and
-// memoizes completed results in a content-addressed cache
-// (internal/resultcache) keyed by the spec's CacheKey.
+// keeps every result in one store, the run ledger (internal/runner).
 //
-// The contract the layer is built around: POSTing the same campaign
-// twice returns byte-identical results, and the second request never
-// re-enters the runner — it is served from the cache, or joins the
-// in-flight execution if the first request is still running. Admission
-// control bounds how many campaigns simulate at once (per-tenant FIFO
-// queues drained round-robin, 429 + Retry-After past the queue limit);
-// cache hits bypass admission entirely.
+// The contract: POSTing the same campaign twice returns byte-identical
+// results, and the second request never simulates. It joins the run in
+// flight or finished in this process (the registry, keyed by the spec's
+// CacheKey); after a restart, the campaign/<id> record the finished run
+// appended to the ledger rebuilds the run from the ledger's cells.
+// Admission control bounds how many campaigns simulate at once
+// (per-tenant FIFO queues drained round-robin, 429 + Retry-After past
+// the queue limit); joins and recorded campaigns bypass it.
 package serve
 
 import (
@@ -26,7 +26,6 @@ import (
 
 	"coolpim/internal/core"
 	"coolpim/internal/experiments"
-	"coolpim/internal/resultcache"
 	"coolpim/internal/runner"
 	"coolpim/internal/system"
 	"coolpim/internal/telemetry"
@@ -36,6 +35,10 @@ import (
 // documents, so anything bigger is garbage or abuse.
 const maxSpecBytes = 1 << 20
 
+// campaignPrefix prefixes a campaign's CacheKey to name its ledger
+// record, apart from the "workload/policy" cell keys.
+const campaignPrefix = "campaign/"
+
 // RunFunc executes one campaign and returns the response payload
 // (JSON). progress receives one call per completed matrix cell. The
 // server's default RunFunc runs real simulations; tests inject stubs.
@@ -43,12 +46,10 @@ type RunFunc func(ctx context.Context, spec experiments.CampaignSpec, progress f
 
 // Config configures a Server.
 type Config struct {
-	// CacheDir is the result cache directory (required).
-	CacheDir string
-	// LedgerPath, if non-empty, opens a shared JSONL run ledger with
-	// resume enabled: matrix cells completed by any earlier campaign
-	// (under the same profile hash) are reused instead of re-simulated,
-	// even across server restarts.
+	// LedgerPath is the JSONL run ledger, the server's only store
+	// (required; opened with resume): the cells and campaign records of
+	// every earlier campaign under the same profile hash are reused
+	// instead of re-simulated, even across server restarts.
 	LedgerPath string
 	// MaxInflight bounds concurrently executing campaigns (< 1 = 1).
 	MaxInflight int
@@ -63,79 +64,63 @@ type Config struct {
 // Server is the HTTP simulation service. Construct with New, mount
 // Handler, Close when done.
 type Server struct {
-	cfg    Config
-	store  *resultcache.Store
 	ledger *runner.Ledger
 	adm    *admission
 	runs   *registry
 	runFn  RunFunc
 	reg    *telemetry.Registry
 
-	requests atomic.Int64 // campaign submissions (POST /v1/runs)
-	rejected atomic.Int64 // 429 responses
+	requests   atomic.Int64 // campaign submissions (POST /v1/runs)
+	rejected   atomic.Int64 // 429 responses
+	hits       atomic.Int64 // submissions that joined a run or named a recorded campaign
+	misses     atomic.Int64 // submissions that started a new run
+	inflight   atomic.Int64 // runs executing now
+	executions atomic.Int64 // new runs that completed
+	failures   atomic.Int64 // runs that failed
 }
 
 // New builds a Server over cfg.
 func New(cfg Config) (*Server, error) {
-	store, err := resultcache.Open(cfg.CacheDir)
+	if cfg.LedgerPath == "" {
+		return nil, errors.New("serve: a ledger path is required")
+	}
+	// Always resume: the ledger is the server's cross-restart memory,
+	// and profile hashing already guards against reusing entries from
+	// a different configuration.
+	l, err := runner.OpenLedger(cfg.LedgerPath, true)
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{
-		cfg:   cfg,
-		store: store,
-		adm:   newAdmission(cfg.MaxInflight, cfg.MaxQueue),
-		runs:  newRegistry(),
-		runFn: cfg.RunFn,
+		ledger: l,
+		adm:    newAdmission(cfg.MaxInflight, cfg.MaxQueue),
+		runs:   newRegistry(),
+		runFn:  cfg.RunFn,
 	}
 	if s.runFn == nil {
 		s.runFn = s.runCampaign
 	}
-	if cfg.LedgerPath != "" {
-		// Always resume: the ledger is the server's cross-restart memory
-		// of completed cells, and profile hashing already guards against
-		// reusing entries from a different configuration.
-		l, err := runner.OpenLedger(cfg.LedgerPath, true)
-		if err != nil {
-			return nil, err
-		}
-		s.ledger = l
-	}
 
-	// The registry holds only callback-backed metrics, so it is
-	// immutable after this block and safe for concurrent scrapes (the
-	// callbacks read atomics and mutex-guarded snapshots).
+	// The registry holds only callback-backed metrics over atomics, so
+	// it is immutable after this block and safe for concurrent scrapes.
 	reg := telemetry.NewRegistry()
-	stat := func(pick func(resultcache.Stats) int64) func() float64 {
-		return func() float64 { return float64(pick(s.store.Stats())) }
+	load := func(v *atomic.Int64) func() float64 {
+		return func() float64 { return float64(v.Load()) }
 	}
 	reg.CounterFunc("coolpim_cache_hits_total",
-		"Requests served from the result cache (disk entries and in-flight joins).",
-		stat(func(st resultcache.Stats) int64 { return st.Hits }))
+		"Submissions served without a new run (joins and recorded campaigns).", load(&s.hits))
 	reg.CounterFunc("coolpim_cache_misses_total",
-		"Requests that had to execute their campaign.",
-		stat(func(st resultcache.Stats) int64 { return st.Misses }))
-	reg.CounterFunc("coolpim_cache_corrupt_total",
-		"Cache entries dropped by envelope verification.",
-		stat(func(st resultcache.Stats) int64 { return st.Corrupt }))
-	reg.CounterFunc("coolpim_cache_write_errors_total",
-		"Completed results that could not be persisted.",
-		stat(func(st resultcache.Stats) int64 { return st.WriteErrors }))
+		"Submissions that had to execute their campaign.", load(&s.misses))
 	reg.GaugeFunc("coolpim_cache_inflight",
-		"Campaign executions currently in flight.",
-		stat(func(st resultcache.Stats) int64 { return st.Inflight }))
+		"Campaign executions currently in flight.", load(&s.inflight))
 	reg.CounterFunc("coolpim_campaigns_executed_total",
-		"Campaigns that simulated to completion.",
-		stat(func(st resultcache.Stats) int64 { return st.Executions }))
+		"Campaigns that simulated to completion.", load(&s.executions))
 	reg.CounterFunc("coolpim_campaigns_failed_total",
-		"Campaigns whose execution failed.",
-		stat(func(st resultcache.Stats) int64 { return st.Failures }))
+		"Campaigns whose execution failed.", load(&s.failures))
 	reg.CounterFunc("coolpim_requests_total",
-		"Campaign submissions received.",
-		func() float64 { return float64(s.requests.Load()) })
+		"Campaign submissions received.", load(&s.requests))
 	reg.CounterFunc("coolpim_rejected_total",
-		"Submissions rejected by admission control (HTTP 429).",
-		func() float64 { return float64(s.rejected.Load()) })
+		"Submissions rejected by admission control (HTTP 429).", load(&s.rejected))
 	reg.GaugeFunc("coolpim_admission_queue_depth",
 		"Campaigns waiting for an execution slot.",
 		func() float64 { return float64(s.adm.depth()) })
@@ -162,9 +147,9 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// handleSubmit is POST /v1/runs: validate the spec, dedupe through the
-// result cache, and either return the payload (sync, the default) or a
-// 202 pointing at the status endpoint (?async=1).
+// handleSubmit is POST /v1/runs: validate the spec, join or start its
+// run, and either return the payload (sync, the default) or a 202
+// pointing at the status endpoint (?async=1).
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	var spec experiments.CampaignSpec
@@ -188,62 +173,130 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		tenant = "default"
 	}
 
-	rn, created := s.runs.getOrCreate(key, tenant)
+	_, recorded := s.recorded(key)
+	rn, hit := s.start(key, spec, tenant, recorded)
+	cache, count := "miss", &s.misses
+	if hit {
+		cache, count = "hit", &s.hits
+	}
+	count.Add(1)
 	if r.URL.Query().Get("async") == "1" {
-		if created {
-			//coolpim:allow determinism harness async submission: the campaign itself is internally deterministic; this goroutine only detaches it from the HTTP request
-			go s.execute(rn, spec, tenant)
-		}
 		state, _, _, _ := rn.snapshot()
 		w.Header().Set("Location", "/v1/runs/"+key)
 		writeJSON(w, http.StatusAccepted, statusDoc{ID: key, State: state})
 		return
 	}
 
-	data, hit, err := s.execute(rn, spec, tenant)
-	if err != nil {
+	<-rn.done
+	if rn.err != nil {
 		var over ErrOverloaded
-		if errors.As(err, &over) {
+		if errors.As(rn.err, &over) {
 			s.rejected.Add(1)
 			w.Header().Set("Retry-After", strconv.Itoa(int(over.RetryAfter/time.Second)))
-			writeError(w, http.StatusTooManyRequests, err.Error())
+			writeError(w, http.StatusTooManyRequests, rn.err.Error())
 			return
 		}
-		writeError(w, http.StatusInternalServerError, err.Error())
+		writeError(w, http.StatusInternalServerError, rn.err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	if hit {
-		w.Header().Set("X-Cache", "hit")
-	} else {
-		w.Header().Set("X-Cache", "miss")
-	}
+	w.Header().Set("X-Cache", cache)
 	w.Header().Set("X-Run-Id", key)
-	w.Write(data)
+	w.Write(rn.result)
 }
 
-// execute resolves one submission through the result cache: a verified
-// disk entry and a join on an in-flight execution are both hits; only a
-// genuinely new campaign passes admission control and simulates. The
-// campaign runs under the background context — a client disconnect must
-// not kill an execution other requests may be joined on.
-func (s *Server) execute(rn *run, spec experiments.CampaignSpec, tenant string) (data []byte, hit bool, err error) {
-	data, hit, err = s.store.Do(rn.id, func() ([]byte, error) {
-		release, aerr := s.adm.acquire(context.Background(), tenant)
-		if aerr != nil {
-			return nil, aerr
+// start returns the run for campaign key, starting it unless a run is
+// in flight or finished in this process. A recorded campaign is rebuilt
+// from the ledger's cells without an admission slot. hit reports that
+// the caller triggers no simulation: it joined a run, or the campaign
+// is recorded.
+func (s *Server) start(key string, spec experiments.CampaignSpec, tenant string, recorded bool) (rn *run, hit bool) {
+	rn, created := s.runs.getOrCreate(key, tenant)
+	if created {
+		//coolpim:allow determinism harness run execution: the campaign itself is internally deterministic; this goroutine only detaches it from the HTTP request
+		go s.execute(rn, spec, recorded)
+	}
+	return rn, !created || recorded
+}
+
+// execute runs rn to completion under the background context: a
+// client disconnect must not kill a run other requests share.
+func (s *Server) execute(rn *run, spec experiments.CampaignSpec, recorded bool) {
+	s.inflight.Add(1)
+	data, err := s.produce(rn, spec, recorded)
+	s.inflight.Add(-1)
+	if err != nil {
+		s.failures.Add(1)
+	} else if !recorded {
+		s.executions.Add(1)
+	}
+	rn.finish(data, err)
+}
+
+// produce computes rn's payload. A new campaign takes an admission
+// slot and, on success, appends its campaign record; a recorded one
+// only reads the ledger.
+func (s *Server) produce(rn *run, spec experiments.CampaignSpec, recorded bool) ([]byte, error) {
+	if !recorded {
+		release, err := s.adm.acquire(context.Background(), rn.tenant)
+		if err != nil {
+			return nil, err
 		}
 		t0 := time.Now() //coolpim:allow determinism harness wall-clock campaign timing for the Retry-After estimate; never feeds simulated state
 		defer func() {
 			release(time.Since(t0)) //coolpim:allow determinism harness wall-clock campaign timing for the Retry-After estimate; never feeds simulated state
 		}()
-		rn.emit(StateRunning, "", false, "")
-		return s.runFn(context.Background(), spec, func(cell string, fromLedger bool, errMsg string) {
-			rn.emit("", cell, fromLedger, errMsg)
-		})
+	}
+	rn.emit(StateRunning, "", false, "")
+	data, err := s.runFn(context.Background(), spec, func(cell string, fromLedger bool, errMsg string) {
+		rn.emit("", cell, fromLedger, errMsg)
 	})
-	rn.finishOnce(data, err)
-	return data, hit, err
+	if err == nil && !recorded {
+		err = s.record(rn.id, spec)
+	}
+	return data, err
+}
+
+// record appends campaign id's ledger record: its ResultSpec under its
+// profile hash.
+func (s *Server) record(id string, spec experiments.CampaignSpec) error {
+	hash, err := profileHash(spec)
+	if err != nil {
+		return err
+	}
+	b, err := json.Marshal(spec.ResultSpec())
+	if err != nil {
+		return err
+	}
+	return s.ledger.Append(runner.Entry{Key: campaignPrefix + id, ConfigHash: hash, Status: runner.StatusOK, Ok: true, Result: b})
+}
+
+// recorded returns the spec of campaign id when the ledger holds its
+// record under the profile hash this build computes for that spec. A
+// record from a build whose profile differs is not a hit, and one
+// whose spec does not hash to id is foreign.
+func (s *Server) recorded(id string) (experiments.CampaignSpec, bool) {
+	for _, e := range s.ledger.Entries(campaignPrefix + id) {
+		var spec experiments.CampaignSpec
+		if json.Unmarshal(e.Result, &spec) != nil {
+			continue
+		}
+		hash, herr := profileHash(spec)
+		key, kerr := spec.CacheKey()
+		if herr == nil && kerr == nil && hash == e.ConfigHash && key == id {
+			return spec, true
+		}
+	}
+	return experiments.CampaignSpec{}, false
+}
+
+// profileHash is the ConfigHash of the profile spec builds.
+func profileHash(spec experiments.CampaignSpec) (string, error) {
+	prof, err := spec.BuildProfile()
+	if err != nil {
+		return "", err
+	}
+	return prof.ConfigHash()
 }
 
 // runCampaign is the real RunFunc: build the profile and runner options
@@ -274,8 +327,9 @@ func (s *Server) runCampaign(ctx context.Context, spec experiments.CampaignSpec,
 }
 
 // resultDoc is the response payload of a completed campaign. Maps are
-// keyed by the CLI policy spellings; encoding/json sorts map keys, so
-// the document is deterministic and safe to cache byte-for-byte.
+// keyed by the CLI policy spellings; encoding/json sorts map keys, and
+// Spec is the ResultSpec, so the document depends only on the
+// campaign's identity and is byte-identical across joins and restarts.
 type resultDoc struct {
 	Profile      string                   `json:"profile"`
 	ConfigHash   string                   `json:"config_hash"`
@@ -298,7 +352,7 @@ func marshalResult(spec experiments.CampaignSpec, prof experiments.Profile, rows
 	doc := resultDoc{
 		Profile:    prof.Name,
 		ConfigHash: hash,
-		Spec:       spec.Normalized(),
+		Spec:       spec.ResultSpec(),
 		Rows:       make([]resultRow, 0, len(rows)),
 	}
 	var pols []core.PolicyKind
@@ -363,18 +417,22 @@ type statusDoc struct {
 // closes after the terminal event.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
+	watch := r.URL.Query().Get("watch") == "1"
 	rn, ok := s.runs.get(id)
 	if !ok {
-		// Not in this process's registry, but possibly completed by an
-		// earlier incarnation: the cache is the durable record.
-		if data, cached := s.store.Get(id); cached {
-			writeJSON(w, http.StatusOK, statusDoc{ID: id, State: StateDone, Result: data})
+		// Not in this process's registry, but possibly recorded by an
+		// earlier incarnation: rebuild the run from the ledger.
+		spec, recorded := s.recorded(id)
+		if !recorded {
+			writeError(w, http.StatusNotFound, "unknown run "+id)
 			return
 		}
-		writeError(w, http.StatusNotFound, "unknown run "+id)
-		return
+		rn, _ = s.start(id, spec, "default", true)
+		if !watch {
+			<-rn.done
+		}
 	}
-	if r.URL.Query().Get("watch") == "1" {
+	if watch {
 		s.watch(w, r, rn)
 		return
 	}

@@ -7,9 +7,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -18,6 +21,7 @@ import (
 	"time"
 
 	"coolpim/internal/experiments"
+	"coolpim/internal/runner"
 )
 
 // testSpec is the smallest real campaign: the "test" profile, one cell.
@@ -25,8 +29,8 @@ const testSpec = `{"profile":"test","workloads":["dc"],"policies":["baseline"],"
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	if cfg.CacheDir == "" {
-		cfg.CacheDir = t.TempDir()
+	if cfg.LedgerPath == "" {
+		cfg.LedgerPath = filepath.Join(t.TempDir(), "ledger.jsonl")
 	}
 	s, err := New(cfg)
 	if err != nil {
@@ -62,15 +66,11 @@ func post(t *testing.T, url, body string, hdr map[string]string) (*http.Response
 }
 
 // TestSyncSubmitExecutesOnceAndMemoizes runs a real (tiny) campaign
-// end to end: the first POST simulates, the second is served from the
-// cache byte-identically without re-entering the runner, and the
-// result document carries the expected shape.
+// end to end: the first POST simulates, the second joins the finished
+// run byte-identically without re-entering the runner, and the result
+// document carries the expected shape.
 func TestSyncSubmitExecutesOnceAndMemoizes(t *testing.T) {
-	dir := t.TempDir()
-	s, ts := newTestServer(t, Config{
-		CacheDir:   filepath.Join(dir, "cache"),
-		LedgerPath: filepath.Join(dir, "ledger.jsonl"),
-	})
+	s, ts := newTestServer(t, Config{})
 
 	resp1, body1 := post(t, ts.URL+"/v1/runs", testSpec, nil)
 	if resp1.StatusCode != http.StatusOK {
@@ -107,12 +107,12 @@ func TestSyncSubmitExecutesOnceAndMemoizes(t *testing.T) {
 	if !bytes.Equal(body1, body2) {
 		t.Fatalf("memoized result not byte-identical:\n%s\nvs\n%s", body1, body2)
 	}
-	if st := s.store.Stats(); st.Executions != 1 || st.Hits != 1 {
-		t.Fatalf("stats = %+v, want exactly one execution and one hit", st)
+	if e, h := s.executions.Load(), s.hits.Load(); e != 1 || h != 1 {
+		t.Fatalf("%d executions and %d hits, want exactly one of each", e, h)
 	}
 
 	// A semantically identical spec written differently (explicit
-	// defaults, different execution knobs) is the same cache entry.
+	// defaults, different execution knobs) is the same run.
 	resp3, body3 := post(t, ts.URL+"/v1/runs",
 		`{"profile":"test","workloads":["dc"],"policies":["baseline"],"parallel":4,"retries":2,"thermal_mode":"exact"}`, nil)
 	if resp3.StatusCode != http.StatusOK || resp3.Header.Get("X-Cache") != "hit" {
@@ -121,65 +121,78 @@ func TestSyncSubmitExecutesOnceAndMemoizes(t *testing.T) {
 	if !bytes.Equal(body1, body3) {
 		t.Fatal("equivalent spec returned different bytes")
 	}
-	if st := s.store.Stats(); st.Executions != 1 {
-		t.Fatalf("equivalent spec re-executed: %+v", st)
+	if e := s.executions.Load(); e != 1 {
+		t.Fatalf("equivalent spec re-executed: %d executions", e)
 	}
 }
 
-// TestConcurrentIdenticalSubmitsShareOneExecution: N clients post the
-// same spec at once; the stub campaign runs exactly once and everyone
-// receives the same bytes.
+// TestConcurrentIdenticalSubmitsShareOneExecution: N clients post each
+// of several distinct specs at once; the stub campaign runs exactly once
+// per spec and every client of a spec receives the same bytes.
 func TestConcurrentIdenticalSubmitsShareOneExecution(t *testing.T) {
-	var runs atomic.Int64
+	var mu sync.Mutex
+	runs := map[string]int{}
 	release := make(chan struct{})
 	_, ts := newTestServer(t, Config{
+		MaxInflight: 4,
 		RunFn: func(ctx context.Context, spec experiments.CampaignSpec, progress func(string, bool, string)) ([]byte, error) {
-			runs.Add(1)
+			wl := spec.Workloads[0]
+			mu.Lock()
+			runs[wl]++
+			mu.Unlock()
 			<-release
-			return []byte(`{"stub":true}`), nil
+			return []byte(`{"stub":"` + wl + `"}`), nil
 		},
 	})
 
+	workloads := []string{"dc", "pagerank", "bfs-ta", "sssp-twc"}
 	const clients = 3
 	var wg sync.WaitGroup
-	bodies := make([][]byte, clients)
-	caches := make([]string, clients)
-	for i := 0; i < clients; i++ {
+	bodies := make([][]byte, len(workloads)*clients)
+	caches := make([]string, len(bodies))
+	for i := range bodies {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, body := post(t, ts.URL+"/v1/runs", testSpec, nil)
+			spec := `{"profile":"test","workloads":["` + workloads[i%len(workloads)] + `"],"policies":["baseline"]}`
+			resp, body := post(t, ts.URL+"/v1/runs", spec, nil)
 			if resp.StatusCode != http.StatusOK {
 				t.Errorf("client %d: %d %s", i, resp.StatusCode, body)
 			}
 			bodies[i], caches[i] = body, resp.Header.Get("X-Cache")
 		}(i)
 	}
-	// Let the flight collect joiners, then release the one execution.
+	// Let the runs collect joiners, then release the executions.
 	time.Sleep(50 * time.Millisecond)
 	close(release)
 	wg.Wait()
 
-	if n := runs.Load(); n != 1 {
-		t.Fatalf("campaign ran %d times, want 1", n)
+	for _, wl := range workloads {
+		if runs[wl] != 1 {
+			t.Errorf("campaign %s ran %d times, want 1", wl, runs[wl])
+		}
 	}
 	hits := 0
 	for i := range bodies {
-		if !bytes.Equal(bodies[i], bodies[0]) {
-			t.Fatalf("client %d got different bytes", i)
+		if want := `{"stub":"` + workloads[i%len(workloads)] + `"}`; string(bodies[i]) != want {
+			t.Fatalf("client %d got %s, want %s", i, bodies[i], want)
 		}
 		if caches[i] == "hit" {
 			hits++
 		}
 	}
-	if hits != clients-1 {
-		t.Fatalf("%d hits, want %d", hits, clients-1)
+	if want := len(workloads) * (clients - 1); hits != want {
+		t.Fatalf("%d hits, want %d", hits, want)
 	}
 }
 
 // TestInvalidSubmissionsRejected: malformed JSON, unknown fields and
-// nonsensical specs are 400s and never reach execution.
+// nonsensical specs are 400s and never reach execution; a server
+// without a ledger is not built at all.
 func TestInvalidSubmissionsRejected(t *testing.T) {
+	if _, err := New(Config{}); err == nil {
+		t.Fatal("New accepted a config without a ledger path")
+	}
 	var runs atomic.Int64
 	_, ts := newTestServer(t, Config{
 		RunFn: func(ctx context.Context, spec experiments.CampaignSpec, progress func(string, bool, string)) ([]byte, error) {
@@ -267,31 +280,24 @@ func waitForState(t *testing.T, base, id, want string) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		resp, err := http.Get(base + "/v1/runs/" + id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var doc statusDoc
-		err = json.NewDecoder(resp.Body).Decode(&doc)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if doc.State == want {
+		if _, doc := getStatus(t, base, id); doc.State == want {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("run %s stuck in %q, want %q", id, doc.State, want)
+			t.Fatalf("run %s never reached %q", id, want)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 }
 
-// TestFailedCampaignIsRetriable: a failure is not cached, surfaces as a
-// 500, and a repeat POST re-executes (and can succeed).
+// TestFailedCampaignIsRetriable: a failure is neither kept as the
+// run's result nor recorded in the ledger, surfaces as a 500, and a
+// repeat POST re-executes (and can succeed).
 func TestFailedCampaignIsRetriable(t *testing.T) {
 	var calls atomic.Int64
+	ledger := filepath.Join(t.TempDir(), "ledger.jsonl")
 	s, ts := newTestServer(t, Config{
+		LedgerPath: ledger,
 		RunFn: func(ctx context.Context, spec experiments.CampaignSpec, progress func(string, bool, string)) ([]byte, error) {
 			if calls.Add(1) == 1 {
 				return nil, fmt.Errorf("solver diverged")
@@ -303,6 +309,9 @@ func TestFailedCampaignIsRetriable(t *testing.T) {
 	if resp.StatusCode != http.StatusInternalServerError || !bytes.Contains(body, []byte("solver diverged")) {
 		t.Fatalf("failed campaign: %d %s", resp.StatusCode, body)
 	}
+	if b, err := os.ReadFile(ledger); err != nil || len(b) != 0 {
+		t.Fatalf("failed campaign left a ledger record: %q (%v)", b, err)
+	}
 	resp2, body2 := post(t, ts.URL+"/v1/runs", testSpec, nil)
 	if resp2.StatusCode != http.StatusOK || string(body2) != `{"ok":true}` {
 		t.Fatalf("retry: %d %s", resp2.StatusCode, body2)
@@ -310,8 +319,8 @@ func TestFailedCampaignIsRetriable(t *testing.T) {
 	if resp2.Header.Get("X-Cache") != "miss" {
 		t.Fatal("retry should re-execute, not hit")
 	}
-	if st := s.store.Stats(); st.Failures != 1 || st.Executions != 1 {
-		t.Fatalf("stats = %+v", st)
+	if f, e := s.failures.Load(), s.executions.Load(); f != 1 || e != 1 {
+		t.Fatalf("%d failures and %d executions, want one of each", f, e)
 	}
 }
 
@@ -380,42 +389,150 @@ func TestWatchStreamsProgressEvents(t *testing.T) {
 }
 
 // TestStatusFallsBackToCacheAcrossRestart: a run finished by a previous
-// server incarnation is visible through GET /v1/runs/{id} via the
-// durable cache; a truly unknown id is a 404.
+// server incarnation is visible through GET /v1/runs/{id}, rebuilt from
+// its campaign record in the ledger; a truly unknown id is a 404.
 func TestStatusFallsBackToCacheAcrossRestart(t *testing.T) {
-	dir := t.TempDir()
+	ledger := filepath.Join(t.TempDir(), "ledger.jsonl")
 	stub := func(ctx context.Context, spec experiments.CampaignSpec, progress func(string, bool, string)) ([]byte, error) {
 		return []byte(`{"stub":true}`), nil
 	}
-	_, ts1 := newTestServer(t, Config{CacheDir: dir, RunFn: stub})
+	s1, ts1 := newTestServer(t, Config{LedgerPath: ledger, RunFn: stub})
 	resp, _ := post(t, ts1.URL+"/v1/runs", testSpec, nil)
 	runID := resp.Header.Get("X-Run-Id")
 	if runID == "" {
 		t.Fatal("no X-Run-Id header")
 	}
 	ts1.Close()
+	s1.Close()
 
-	_, ts2 := newTestServer(t, Config{CacheDir: dir, RunFn: stub})
-	sresp, err := http.Get(ts2.URL + "/v1/runs/" + runID)
+	_, ts2 := newTestServer(t, Config{LedgerPath: ledger, RunFn: stub})
+	if code, doc := getStatus(t, ts2.URL, runID); code != http.StatusOK || doc.State != StateDone || string(doc.Result) != `{"stub":true}` {
+		t.Fatalf("restart status: %d %+v", code, doc)
+	}
+	if code, _ := getStatus(t, ts2.URL, strings.Repeat("0", 64)); code != http.StatusNotFound {
+		t.Fatalf("unknown run: %d, want 404", code)
+	}
+}
+
+// getStatus fetches GET /v1/runs/{id}: the HTTP status and the decoded
+// body (zero for an error document).
+func getStatus(t *testing.T, base, id string) (int, statusDoc) {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/runs/" + id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sresp.Body.Close()
+	defer resp.Body.Close()
 	var doc statusDoc
-	if err := json.NewDecoder(sresp.Body).Decode(&doc); err != nil {
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 		t.Fatal(err)
 	}
-	if sresp.StatusCode != http.StatusOK || doc.State != StateDone || string(doc.Result) != `{"stub":true}` {
-		t.Fatalf("restart status: %d %+v", sresp.StatusCode, doc)
+	return resp.StatusCode, doc
+}
+
+// ledgerKeys lists the keys of the ledger file's entries, in file order.
+func ledgerKeys(t *testing.T, path string) []string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		var e runner.Entry
+		if err := json.Unmarshal([]byte(line), &e); err != nil {
+			t.Fatalf("ledger line %q: %v", line, err)
+		}
+		keys = append(keys, e.Key)
+	}
+	return keys
+}
+
+// TestRestartServesRecordedCampaignFromLedger runs a real campaign,
+// closes the server and reopens one on the same ledger. The recorded
+// campaign's status rebuilds with the original bytes, a re-POST with a
+// different parallel is a hit with the same bytes, and neither takes
+// an admission slot or simulates a cell.
+func TestRestartServesRecordedCampaignFromLedger(t *testing.T) {
+	ledger := filepath.Join(t.TempDir(), "ledger.jsonl")
+	s1, ts1 := newTestServer(t, Config{LedgerPath: ledger})
+	resp, body := post(t, ts1.URL+"/v1/runs", testSpec, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("first POST: %d %s", resp.StatusCode, body)
+	}
+	runID := resp.Header.Get("X-Run-Id")
+	ts1.Close()
+	s1.Close()
+	keys := ledgerKeys(t, ledger)
+	if want := []string{"dc/Non-Offloading", campaignPrefix + runID}; !slices.Equal(keys, want) {
+		t.Fatalf("ledger keys %v, want %v", keys, want)
 	}
 
-	if resp404, err := http.Get(ts2.URL + "/v1/runs/" + strings.Repeat("0", 64)); err != nil {
+	s2, ts2 := newTestServer(t, Config{LedgerPath: ledger})
+	if code, doc := getStatus(t, ts2.URL, runID); code != http.StatusOK || doc.State != StateDone || !bytes.Equal(doc.Result, body) {
+		t.Fatalf("rebuilt status %d %q differs from the original result:\n%s\nvs\n%s", code, doc.State, doc.Result, body)
+	}
+	other := strings.Replace(testSpec, `"parallel":1`, `"parallel":2`, 1)
+	resp2, body2 := post(t, ts2.URL+"/v1/runs", other, nil)
+	if resp2.StatusCode != http.StatusOK || resp2.Header.Get("X-Cache") != "hit" {
+		t.Fatalf("re-POST after restart: %d X-Cache=%q", resp2.StatusCode, resp2.Header.Get("X-Cache"))
+	}
+	if !bytes.Equal(body, body2) {
+		t.Fatalf("re-POST after restart returned different bytes:\n%s\nvs\n%s", body, body2)
+	}
+	if m, e := s2.misses.Load(), s2.executions.Load(); m != 0 || e != 0 {
+		t.Fatalf("restarted server: %d misses, %d executions, want none", m, e)
+	}
+	if got := ledgerKeys(t, ledger); !slices.Equal(got, keys) {
+		t.Fatalf("restarted server appended to the ledger: %v", got)
+	}
+}
+
+// TestStaleCampaignRecordIsNotAHit: a campaign record written under a
+// different profile hash (a build whose profile changed) is ignored,
+// so the campaign takes an admission slot and executes.
+func TestStaleCampaignRecordIsNotAHit(t *testing.T) {
+	ledger := filepath.Join(t.TempDir(), "ledger.jsonl")
+	var spec experiments.CampaignSpec
+	if err := json.Unmarshal([]byte(testSpec), &spec); err != nil {
 		t.Fatal(err)
-	} else {
-		resp404.Body.Close()
-		if resp404.StatusCode != http.StatusNotFound {
-			t.Fatalf("unknown run: %d, want 404", resp404.StatusCode)
-		}
+	}
+	key, err := spec.CacheKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := json.Marshal(spec.ResultSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := runner.OpenLedger(ledger, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(runner.Entry{Key: campaignPrefix + key, ConfigHash: "stale", Status: runner.StatusOK, Ok: true, Result: rs}); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+
+	var s *Server
+	slots := -1
+	s, ts := newTestServer(t, Config{LedgerPath: ledger,
+		RunFn: func(ctx context.Context, spec experiments.CampaignSpec, progress func(string, bool, string)) ([]byte, error) {
+			s.adm.mu.Lock()
+			slots = s.adm.inflight
+			s.adm.mu.Unlock()
+			return []byte(`{"stub":true}`), nil
+		},
+	})
+	if code, _ := getStatus(t, ts.URL, key); code != http.StatusNotFound {
+		t.Fatalf("GET of a stale-recorded run: %d, want 404", code)
+	}
+	resp, body := post(t, ts.URL+"/v1/runs", testSpec, nil)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "miss" {
+		t.Fatalf("POST over a stale record: %d X-Cache=%q %s", resp.StatusCode, resp.Header.Get("X-Cache"), body)
+	}
+	if slots != 1 {
+		t.Fatalf("campaign ran with %d admission slots taken, want 1", slots)
 	}
 }
 
@@ -458,11 +575,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // on a cell reuse the shared server ledger — the overlapping cell is
 // simulated once and restored from the ledger the second time.
 func TestLedgerSharedAcrossCampaigns(t *testing.T) {
-	dir := t.TempDir()
-	s, ts := newTestServer(t, Config{
-		CacheDir:   filepath.Join(dir, "cache"),
-		LedgerPath: filepath.Join(dir, "ledger.jsonl"),
-	})
+	s, ts := newTestServer(t, Config{})
 
 	if resp, body := post(t, ts.URL+"/v1/runs", testSpec, nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("first campaign: %d %s", resp.StatusCode, body)
@@ -474,22 +587,25 @@ func TestLedgerSharedAcrossCampaigns(t *testing.T) {
 		t.Fatalf("second campaign: %d %s", resp.StatusCode, body)
 	}
 	if resp.Header.Get("X-Cache") != "miss" {
-		t.Fatal("different campaign must not hit the result cache")
+		t.Fatal("different campaign must not join the first one")
 	}
-	if st := s.store.Stats(); st.Executions != 2 {
-		t.Fatalf("stats = %+v", st)
+	if e := s.executions.Load(); e != 2 {
+		t.Fatalf("%d executions, want 2", e)
 	}
-	runID := resp.Header.Get("X-Run-Id")
-	sresp, err := http.Get(ts.URL + "/v1/runs/" + runID)
-	if err != nil {
-		t.Fatal(err)
+	rn, ok := s.runs.get(resp.Header.Get("X-Run-Id"))
+	if !ok {
+		t.Fatal("second campaign not in the registry")
 	}
-	defer sresp.Body.Close()
-	var doc statusDoc
-	if err := json.NewDecoder(sresp.Body).Decode(&doc); err != nil {
-		t.Fatal(err)
+	events, _, cancel := rn.subscribe()
+	cancel()
+	fromLedger := map[string]bool{}
+	for _, e := range events {
+		if e.Cell != "" {
+			fromLedger[e.Cell] = e.FromLedger
+		}
 	}
-	if doc.Events < 3 {
-		t.Fatalf("expected lifecycle + 2 cell events, got %d", doc.Events)
+	want := map[string]bool{"dc/Non-Offloading": true, "dc/IdealThermal": false}
+	if !maps.Equal(fromLedger, want) {
+		t.Fatalf("cell from_ledger flags = %v, want %v", fromLedger, want)
 	}
 }
