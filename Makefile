@@ -91,7 +91,8 @@ bench-smoke:
 # paper profile and fails on any byte difference — the guard that keeps
 # results_fig14.txt in lockstep with the simulator (and, since the
 # stencil kernel is pinned bit-identical to the reference model, with
-# the thermal arithmetic itself).
+# the thermal arithmetic itself). Fig. 14 alone runs a 3-cell matrix:
+# the sssp-twc naive cell, then its SW and HW cells.
 figs-check:
 	$(GO) run ./cmd/figures -exp fig14 -profile paper | diff -u results_fig14.txt - \
 		&& echo "results_fig14.txt up to date"
@@ -99,20 +100,22 @@ figs-check:
 # figs-check-system regenerates the committed paper-profile system
 # figures — the full Figs. 10-13 matrix (10 workloads x 5 policies, all
 # 50 cells, the 16 inert ones derived from their naive cells) plus the
-# Fig. 14 series — and fails on any byte difference from
-# results_system.txt. The matrix runs on GOMAXPROCS workers.
+# Fig. 14 series, printed from that matrix's sssp-twc row — and fails on
+# any byte difference from results_system.txt. The matrix runs on
+# GOMAXPROCS workers.
 figs-check-system:
 	$(GO) run ./cmd/figures -exp fig10,fig11,fig12,fig13,fig14 -profile paper | diff -u results_system.txt - \
 		&& echo "results_system.txt up to date"
 
 # accuracy-check re-runs the epsilon-bounded adaptive-vs-exact harness
-# (DESIGN.md §6c) at campaign scale: the full paper-profile matrix plus
-# the Fig. 14 series under both thermal tiers, asserting the pinned
-# figure-quantity tolerances. Slow (two full campaigns); figs-check
-# remains the byte-identity guard for the committed exact-tier outputs.
+# (DESIGN.md §6c) at campaign scale: the full paper-profile matrix under
+# both thermal tiers, asserting the pinned figure-quantity tolerances on
+# every cell and the Fig. 14 series contract on its sssp-twc naive, SW
+# and HW cells. Slow (two full campaigns); figs-check remains the
+# byte-identity guard for the committed exact-tier outputs.
 accuracy-check:
 	COOLPIM_ACCURACY_PROFILE=paper $(GO) test ./internal/experiments \
-		-run '^(TestAdaptiveMatrixWithinEpsilon|TestFig14AdaptiveWithinEpsilon)$$' -v -timeout 120m
+		-run '^TestAdaptiveMatrixWithinEpsilon$$' -v -timeout 120m
 
 # sweep-smoke exercises the fault-tolerant campaign runner end to end:
 # a TestProfile 2x2 matrix through coolpim-sweep, killed after two runs

@@ -9,6 +9,7 @@
 package coolpim
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -229,18 +230,23 @@ func BenchmarkFig13PeakTemp(b *testing.B) {
 	}
 }
 
-// BenchmarkFig14RateSeries regenerates the closed-loop time series.
+// BenchmarkFig14RateSeries regenerates the closed-loop time series: the
+// naive, SW and HW cells of the Fig. 14 workload, as a 3-cell matrix.
 func BenchmarkFig14RateSeries(b *testing.B) {
 	p := benchProfile()
 	p.Graph() // warm the cache so generation stays out of the timed region
 	b.ResetTimer()
 	var n int
 	for i := 0; i < b.N; i++ {
-		series, err := experiments.Fig14Series(p, "sssp-twc")
+		rows, err := experiments.RunMatrixOpts(context.Background(), p, experiments.MatrixOpts{
+			Workloads: []string{experiments.Fig14Workload},
+			Policies:  []core.PolicyKind{core.NaiveOffloading, core.CoolPIMSW, core.CoolPIMHW},
+			Parallel:  3,
+		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		n = len(series[core.NaiveOffloading])
+		n = len(rows[0].Results[core.NaiveOffloading].Series)
 	}
 	b.ReportMetric(float64(n), "samples")
 }

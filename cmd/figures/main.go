@@ -9,6 +9,9 @@
 //	figures -all                                  (everything; the system
 //	                                               figures take minutes)
 //	figures -analytic                             (tables + figs 1-5 only)
+//
+// Fig. 14 plots three cells of the Figs. 10-13 matrix; asked for alone,
+// it runs just those cells, on the same ledger and diagnostics.
 package main
 
 import (
@@ -25,6 +28,7 @@ import (
 	"coolpim/internal/experiments"
 	"coolpim/internal/runner"
 	"coolpim/internal/specflag"
+	"coolpim/internal/system"
 	"coolpim/internal/telemetry"
 	"coolpim/internal/telemetry/diagserver"
 	"coolpim/internal/units"
@@ -82,17 +86,28 @@ func main() {
 		os.Exit(2)
 	}
 
-	// The Fig. 10-13 matrix is shared across those figures; run it once.
+	// The Fig. 10-13 matrix is shared across those figures, and Fig. 14
+	// plots three cells of its Fig14Workload row: run it once. Fig. 14
+	// alone runs just those three cells.
 	var rows []experiments.Row
-	needMatrix := false
+	var opts experiments.MatrixOpts
+	full, fig14 := false, false
 	for _, id := range ids {
 		switch id {
 		case "fig10", "fig11", "fig12", "fig13":
-			needMatrix = true
+			full = true
+		case "fig14":
+			fig14 = true
 		}
 	}
-	if needMatrix {
-		fmt.Printf("## running %s-profile system matrix (10 workloads × 5 configs; this takes a while)\n\n", prof.Name)
+	if !full && fig14 {
+		opts.Workloads = []string{experiments.Fig14Workload}
+		opts.Policies = fig14Policies()
+	}
+	if full || fig14 {
+		if full {
+			fmt.Printf("## running %s-profile system matrix (10 workloads × 5 configs; this takes a while)\n\n", prof.Name)
+		}
 		progress := func(string) {}
 		if *verbose {
 			progress = func(s string) { fmt.Fprintln(os.Stderr, s) }
@@ -109,11 +124,9 @@ func main() {
 		}
 		// Rows reassemble in matrix order, so the output does not depend
 		// on the worker count.
-		opts := experiments.MatrixOpts{
-			Parallel: runtime.GOMAXPROCS(0),
-			Ledger:   ledger,
-			Progress: progress,
-		}
+		opts.Parallel = runtime.GOMAXPROCS(0)
+		opts.Ledger = ledger
+		opts.Progress = progress
 		if *diagAddr != "" {
 			diag, err := diagserver.New(*diagAddr)
 			if err != nil {
@@ -170,7 +183,7 @@ func main() {
 		case "fig13":
 			printFig13(rows)
 		case "fig14":
-			printFig14(prof)
+			printFig14(rows)
 		case "ablations":
 			printAblations(prof)
 		default:
@@ -489,32 +502,45 @@ func printAblations(prof experiments.Profile) {
 	}
 }
 
-func printFig14(prof experiments.Profile) {
-	// The paper plots bfs-ta; on this platform bfs-ta never crosses the
-	// thermal threshold, so sssp-twc — which shows the strongest
-	// closed-loop dynamics — carries the figure (see EXPERIMENTS.md).
-	const workload = "sssp-twc"
-	fmt.Printf("## Fig. 14 — PIM rate over time (%s; paper uses bfs-ta, see EXPERIMENTS.md)\n", workload)
-	series, err := experiments.Fig14Series(prof, workload)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fig14 failed:", err)
-		return
+// fig14Policies are the policies Fig. 14 plots, in column order.
+func fig14Policies() []core.PolicyKind {
+	return []core.PolicyKind{core.NaiveOffloading, core.CoolPIMSW, core.CoolPIMHW}
+}
+
+// printFig14 prints the PIM-rate series of the Fig14Workload row's
+// naive, SW and HW cells. It fails when a cell has no series, as a cell
+// resumed from a ledger entry written without one has.
+func printFig14(rows []experiments.Row) {
+	pols := fig14Policies()
+	series := make([][]system.Sample, len(pols))
+	for _, r := range rows {
+		if r.Workload != experiments.Fig14Workload {
+			continue
+		}
+		for j, p := range pols {
+			series[j] = r.Results[p].Series
+		}
 	}
-	pols := []core.PolicyKind{core.NaiveOffloading, core.CoolPIMSW, core.CoolPIMHW}
+	for j, p := range pols {
+		if len(series[j]) == 0 {
+			fmt.Fprintf(os.Stderr, "fig14: %s/%v has no time series (a ledger entry recorded without one?)\n",
+				experiments.Fig14Workload, p)
+			os.Exit(1)
+		}
+	}
+	fmt.Printf("## Fig. 14 — PIM rate over time (%s; paper uses bfs-ta, see EXPERIMENTS.md)\n", experiments.Fig14Workload)
 	fmt.Printf("%-12s %-14s %-14s %-14s\n", "t (ms)", "Naive", "CoolPIM(SW)", "CoolPIM(HW)")
 	maxLen := 0
-	for _, p := range pols {
-		if len(series[p]) > maxLen {
-			maxLen = len(series[p])
-		}
+	for _, s := range series {
+		maxLen = max(maxLen, len(s))
 	}
 	for i := 0; i < maxLen; i++ {
 		var t units.Time
 		cells := make([]string, len(pols))
-		for j, p := range pols {
-			if i < len(series[p]) {
-				t = series[p][i].At
-				cells[j] = fmt.Sprintf("%.2f", float64(series[p][i].PIMRate))
+		for j, s := range series {
+			if i < len(s) {
+				t = s[i].At
+				cells[j] = fmt.Sprintf("%.2f", float64(s[i].PIMRate))
 			} else {
 				cells[j] = "-"
 			}

@@ -35,8 +35,7 @@ const unitsPkg = "coolpim/internal/units"
 var floatUnits = map[string]bool{
 	"Celsius": true, "Watt": true, "Joule": true,
 	"BytesPerSecond": true, "EnergyPerBit": true,
-	"ThermalResistance": true, "ThermalCapacitance": true,
-	"OpsPerNs": true,
+	"ThermalResistance": true, "OpsPerNs": true,
 }
 
 // unitTypeName returns the internal/units type name beneath t, or "".

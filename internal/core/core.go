@@ -363,10 +363,7 @@ func (h *HWDynT) ObserveWarpSlot(sm, warpSlot int) {
 // Limit returns an SM's current PIM-enabled warp count.
 func (h *HWDynT) Limit(sm int) int { return h.pcus[sm].Limit() }
 
-// TotalLimit returns the PIM-enabled warp count summed over all SMs —
-// the device-wide throttle state a Fig. 14-style trace plots.
-func (h *HWDynT) TotalLimit() int { return totalLimit(h.pcus) }
-
+// totalLimit returns the PIM-enabled warp count summed over all SMs.
 func totalLimit(pcus []PCU) int {
 	total := 0
 	for i := range pcus {

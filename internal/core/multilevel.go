@@ -91,9 +91,6 @@ func (h *MultiLevelHWDynT) WarpPIMEnabled(sm, warpSlot int) bool {
 // Limit returns an SM's PIM-enabled warp count.
 func (h *MultiLevelHWDynT) Limit(sm int) int { return h.pcus[sm].Limit() }
 
-// TotalLimit returns the PIM-enabled warp count summed over all SMs.
-func (h *MultiLevelHWDynT) TotalLimit() int { return totalLimit(h.pcus) }
-
 // OnWarning delivers a leveled thermal warning.
 func (h *MultiLevelHWDynT) OnWarning(now units.Time, level WarningLevel) {
 	if level == WarnCritical {

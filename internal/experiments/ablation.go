@@ -1,10 +1,10 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"coolpim/internal/core"
-	"coolpim/internal/kernels"
 	"coolpim/internal/system"
 	"coolpim/internal/thermal"
 	"coolpim/internal/units"
@@ -26,128 +26,81 @@ type AblationPoint struct {
 	Shutdown bool
 }
 
-func runPair(p Profile, workload string, pol core.PolicyKind, cfg system.Config) (*system.Result, *system.Result, error) {
-	g := p.Graph()
-	w, err := kernels.NewSized(workload, p.Reps)
-	if err != nil {
-		return nil, nil, err
+// sweep runs one ablation point per value: set applies the value to
+// the profile's platform, and the point is a two-cell campaign, the
+// workload under the non-offloading baseline and under pol, both cells
+// at once.
+func sweep[T any](p Profile, workload string, pol core.PolicyKind, vals []T, label func(T) string, set func(*system.Config, T)) ([]AblationPoint, error) {
+	pts := make([]AblationPoint, 0, len(vals))
+	for _, v := range vals {
+		q := p
+		set(&q.Sys, v)
+		rows, err := RunMatrixOpts(context.TODO(), q, MatrixOpts{
+			Workloads: []string{workload},
+			Policies:  []core.PolicyKind{core.NonOffloading, pol},
+			Parallel:  2,
+		})
+		if err != nil {
+			return nil, err
+		}
+		res, base := rows[0].Results[pol], rows[0].Results[core.NonOffloading]
+		pts = append(pts, AblationPoint{
+			Label:    label(v),
+			Speedup:  res.Speedup(base),
+			PIMRate:  res.AvgPIMRate,
+			PeakDRAM: res.PeakDRAM,
+			Updates:  res.ControlUpdates,
+			Shutdown: res.Shutdown,
+		})
 	}
-	base, err := system.RunWorkload(w, core.NonOffloading, cfg, g)
-	if err != nil {
-		return nil, nil, err
-	}
-	w2, err := kernels.NewSized(workload, p.Reps)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := system.RunWorkload(w2, pol, cfg, g)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, base, nil
-}
-
-func point(label string, res, base *system.Result) AblationPoint {
-	return AblationPoint{
-		Label:    label,
-		Speedup:  res.Speedup(base),
-		PIMRate:  res.AvgPIMRate,
-		PeakDRAM: res.PeakDRAM,
-		Updates:  res.ControlUpdates,
-		Shutdown: res.Shutdown,
-	}
+	return pts, nil
 }
 
 // AblationControlFactor sweeps HW-DynT's per-step PCU reduction: small
 // factors converge slowly (more time above 85 °C), large factors risk
 // under-tuning the offload intensity — the trade-off of Section IV-B.
 func AblationControlFactor(p Profile, workload string, factors []int) ([]AblationPoint, error) {
-	var pts []AblationPoint
-	for _, cf := range factors {
-		cfg := p.Sys
-		cfg.Throttle.HWControlFactor = cf
-		res, base, err := runPair(p, workload, core.CoolPIMHW, cfg)
-		if err != nil {
-			return nil, err
-		}
-		pts = append(pts, point(fmt.Sprintf("CF=%d", cf), res, base))
-	}
-	return pts, nil
+	return sweep(p, workload, core.CoolPIMHW, factors,
+		func(cf int) string { return fmt.Sprintf("CF=%d", cf) },
+		func(c *system.Config, cf int) { c.Throttle.HWControlFactor = cf })
 }
 
 // AblationSettleTime sweeps the delayed-control-update window
 // (Tthermal): too short over-reduces during the thermal lag, too long
 // leaves the cube hot between steps (Section IV-C).
 func AblationSettleTime(p Profile, workload string, settles []units.Time) ([]AblationPoint, error) {
-	var pts []AblationPoint
-	for _, st := range settles {
-		cfg := p.Sys
-		cfg.Throttle.SettleTime = st
-		res, base, err := runPair(p, workload, core.CoolPIMHW, cfg)
-		if err != nil {
-			return nil, err
-		}
-		pts = append(pts, point(fmt.Sprintf("settle=%v", st), res, base))
-	}
-	return pts, nil
+	return sweep(p, workload, core.CoolPIMHW, settles,
+		func(st units.Time) string { return fmt.Sprintf("settle=%v", st) },
+		func(c *system.Config, st units.Time) { c.Throttle.SettleTime = st })
 }
 
 // AblationMargin sweeps SW-DynT's Eq. 1 initialization margin ("we use a
 // margin of 4 thread blocks for our evaluation").
 func AblationMargin(p Profile, workload string, margins []int) ([]AblationPoint, error) {
-	var pts []AblationPoint
-	for _, m := range margins {
-		cfg := p.Sys
-		cfg.Throttle.Margin = m
-		res, base, err := runPair(p, workload, core.CoolPIMSW, cfg)
-		if err != nil {
-			return nil, err
-		}
-		pts = append(pts, point(fmt.Sprintf("margin=%d", m), res, base))
-	}
-	return pts, nil
+	return sweep(p, workload, core.CoolPIMSW, margins,
+		func(m int) string { return fmt.Sprintf("margin=%d", m) },
+		func(c *system.Config, m int) { c.Throttle.Margin = m })
 }
 
 // AblationCooling runs naive offloading under each Table II cooling
 // solution: the stronger the sink, the later thermal trouble arrives.
 func AblationCooling(p Profile, workload string) ([]AblationPoint, error) {
-	var pts []AblationPoint
-	for _, cool := range thermal.Coolings() {
-		cfg := p.Sys
-		cfg.Cooling = cool
-		res, base, err := runPair(p, workload, core.NaiveOffloading, cfg)
-		if err != nil {
-			return nil, err
-		}
-		pts = append(pts, point(cool.Name, res, base))
-	}
-	return pts, nil
+	return sweep(p, workload, core.NaiveOffloading, thermal.Coolings(),
+		func(cool thermal.Cooling) string { return cool.Name },
+		func(c *system.Config, cool thermal.Cooling) { c.Cooling = cool })
 }
 
 // AblationMultiLevel compares standard HW-DynT against the footnote-4
 // two-level-warning extension under a deliberately weak heat sink, where
 // single-level feedback overshoots deep into the critical phase.
 func AblationMultiLevel(p Profile, workload string) ([]AblationPoint, error) {
-	weak := thermal.Cooling{Name: "weak sink", SinkResistance: 1.2, FanPowerRel: 1}
-	var pts []AblationPoint
-
-	cfg := p.Sys
-	cfg.Cooling = weak
-	res, base, err := runPair(p, workload, core.CoolPIMHW, cfg)
-	if err != nil {
-		return nil, err
-	}
-	pts = append(pts, point("single-level HW-DynT", res, base))
-
-	cfg2 := p.Sys
-	cfg2.Cooling = weak
-	cfg2.MultiLevelHW = true
-	res2, base2, err := runPair(p, workload, core.CoolPIMHW, cfg2)
-	if err != nil {
-		return nil, err
-	}
-	ml := point("multi-level HW-DynT (ext.)", res2, base2)
-	_ = base2
-	pts = append(pts, ml)
-	return pts, nil
+	p.Sys.Cooling = thermal.Cooling{Name: "weak sink", SinkResistance: 1.2, FanPowerRel: 1}
+	return sweep(p, workload, core.CoolPIMHW, []bool{false, true},
+		func(multi bool) string {
+			if multi {
+				return "multi-level HW-DynT (ext.)"
+			}
+			return "single-level HW-DynT"
+		},
+		func(c *system.Config, multi bool) { c.MultiLevelHW = multi })
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"coolpim/internal/core"
@@ -210,7 +211,7 @@ func TestProfiles(t *testing.T) {
 func TestMatrixSmall(t *testing.T) {
 	p := TestProfile()
 	pols := []core.PolicyKind{core.NonOffloading, core.NaiveOffloading, core.IdealThermal}
-	rows, err := RunMatrix(p, []string{"dc"}, pols, 1, nil)
+	rows, err := RunMatrixOpts(context.Background(), p, MatrixOpts{Workloads: []string{"dc"}, Policies: pols})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,6 @@ import (
 	"coolpim/internal/runner"
 	"coolpim/internal/system"
 	"coolpim/internal/telemetry"
-	"coolpim/internal/units"
 )
 
 // Profile fixes the input graph and platform configuration of a
@@ -94,7 +93,7 @@ func TestProfile() Profile {
 
 // Graph generates (and caches) the profile's input graph. Generation
 // runs outside the cache lock — campaign-scale RMAT takes seconds, and
-// parallel RunMatrix workers on distinct profiles must not serialize on
+// parallel campaign workers on distinct profiles must not serialize on
 // it — with a double-checked insertion so every caller of the same
 // profile still shares one canonical *graph.Graph instance.
 func (p Profile) Graph() *graph.Graph {
@@ -149,8 +148,8 @@ func (r Row) NormBW(k core.PolicyKind) float64 {
 }
 
 // MatrixOpts configures a campaign beyond the profile. The zero value
-// reproduces the historical RunMatrix behavior: serial, run to
-// completion, no deadline, no retry, no ledger.
+// runs the full matrix serially, to completion, with no deadline, retry
+// or ledger.
 type MatrixOpts struct {
 	// Workloads and Policies select the matrix cells; empty means the
 	// full paper matrix (kernels.Names() × core.Kinds()).
@@ -232,19 +231,6 @@ func runCell(newW workloadCtor, p Profile, wl string, pol core.PolicyKind, sys s
 // matrixKey names one campaign cell in errors, ledgers and hooks.
 func matrixKey(wl string, pol core.PolicyKind) string { return wl + "/" + pol.String() }
 
-// RunMatrix executes every (workload × policy) combination of the
-// campaign, `parallel` runs at a time (each run is single-threaded and
-// deterministic). progress, if non-nil, receives one line per completed
-// run. It is RunMatrixOpts with the historical defaults.
-func RunMatrix(p Profile, workloads []string, policies []core.PolicyKind, parallel int, progress func(string)) ([]Row, error) {
-	return RunMatrixOpts(context.Background(), p, MatrixOpts{
-		Workloads: workloads,
-		Policies:  policies,
-		Parallel:  parallel,
-		Progress:  progress,
-	})
-}
-
 // RunMatrixOpts executes the campaign matrix on the internal/runner
 // orchestration layer. Results are keyed deterministically by matrix
 // position; a failing matrix returns a *runner.CampaignError listing
@@ -252,9 +238,9 @@ func RunMatrix(p Profile, workloads []string, policies []core.PolicyKind, parall
 // completion order, and a panicking run surfaces as a
 // *runner.RunPanicError instead of wedging the pool.
 //
-// Campaign rows carry aggregates only — each run's time series is
-// dropped (it would dominate the resume ledger; use Fig14Series for
-// series work), so fresh and ledger-resumed rows are identical.
+// Each cell's result keeps its time series (Fig. 14 plots three of
+// them), and the ledger records it, so fresh and ledger-resumed rows
+// are identical.
 //
 // Every workload's naive cell is dispatched first. Its CoolPIM(SW),
 // CoolPIM(HW) and IdealThermal cells wait for that naive outcome and,
@@ -326,7 +312,6 @@ func RunMatrixOpts(ctx context.Context, p Profile, o MatrixOpts) ([]Row, error) 
 					if res.VerifyErr != nil {
 						return nil, fmt.Errorf("verification: %w", res.VerifyErr)
 					}
-					res.Series = nil
 					return res, nil
 				},
 				Done: func(r runner.Result[*system.Result]) {
@@ -463,39 +448,11 @@ func GeoMean(rows []Row, f func(Row) float64) float64 {
 	return math.Exp(sum / float64(n))
 }
 
-// Fig14Series runs the Fig. 14 experiment: one workload under naive, SW
-// and HW control, returning the PIM-rate time series of each. The paper
-// plots bfs-ta; on this platform bfs-ta's naive rate stays below the
-// thermal threshold, so the committed results use sssp-twc, which shows
-// the paper's dynamics (see EXPERIMENTS.md).
-func Fig14Series(p Profile, workload string) (map[core.PolicyKind][]system.Sample, error) {
-	pols := []core.PolicyKind{core.NaiveOffloading, core.CoolPIMSW, core.CoolPIMHW}
-	g := p.Graph()
-	newW := newSized
-	jobs := make([]runner.Job[[]system.Sample], 0, len(pols))
-	for _, pol := range pols {
-		pol := pol
-		jobs = append(jobs, runner.Job[[]system.Sample]{
-			Key: matrixKey(workload, pol),
-			Run: func(context.Context) ([]system.Sample, error) {
-				res, err := runCell(newW, p, workload, pol, p.Sys, g)
-				if err != nil {
-					return nil, err
-				}
-				return res.Series, nil
-			},
-		})
-	}
-	results, err := runner.Run(context.Background(), runner.Config{Parallel: len(pols)}, jobs)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[core.PolicyKind][]system.Sample, len(pols))
-	for i, pol := range pols {
-		out[pol] = results[i].Value
-	}
-	return out, nil
-}
+// Fig14Workload is the workload Fig. 14 plots under naive, SW and HW
+// control. The paper plots bfs-ta; on this platform bfs-ta's naive rate
+// stays below the thermal threshold, so the committed results use
+// sssp-twc, which shows the paper's dynamics (see EXPERIMENTS.md).
+const Fig14Workload = "sssp-twc"
 
 // SortedPolicies returns the canonical presentation order restricted to
 // the keys present in a row.
@@ -507,11 +464,6 @@ func SortedPolicies(r Row) []core.PolicyKind {
 	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
 	return ks
 }
-
-// ThresholdRate is the safe offloading rate derived from the analytic
-// Fig. 5 sweep, exposed for comparison with the throttled rates of
-// Fig. 12.
-func ThresholdRate() (units.OpsPerNs, error) { return MaxSafePIMRate() }
 
 // ScaledConfig returns the evaluation platform with caches scaled to a
 // graph of the given RMAT scale, preserving the paper's

@@ -25,7 +25,7 @@ import (
 )
 
 // TestGraphConcurrentSingleInstance hammers Profile.Graph from many
-// goroutines (as parallel RunMatrix workers do) and checks every caller
+// goroutines (as parallel campaign workers do) and checks every caller
 // gets the same canonical instance even though generation now happens
 // outside the cache lock.
 func TestGraphConcurrentSingleInstance(t *testing.T) {
@@ -300,9 +300,9 @@ func TestMatrixConfigHashStableAndSensitive(t *testing.T) {
 	}
 }
 
-// TestFig14SeriesMatchesSerialRuns pins the parallelized Fig14Series:
-// each policy's series must be identical to a serial RunWorkload of the
-// same (workload, policy) pair.
+// TestFig14SeriesMatchesSerialRuns pins the series a parallel campaign
+// keeps: each Fig. 14 cell's series, derived cells included, must be
+// identical to a serial RunWorkload of the same (workload, policy) pair.
 func TestFig14SeriesMatchesSerialRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-system comparison run")
@@ -313,12 +313,25 @@ func TestFig14SeriesMatchesSerialRuns(t *testing.T) {
 	// tail window through the full Fig. 14 path.
 	p.Sys.SampleInterval = 73009 * units.Nanosecond
 	const workload = "dc"
-	got, err := Fig14Series(p, workload)
+	derived := 0
+	rows, err := RunMatrixOpts(context.Background(), p, MatrixOpts{
+		Workloads: []string{workload},
+		Policies:  fig14Policies,
+		Parallel:  3,
+		Progress: func(s string) {
+			if strings.HasSuffix(s, "(derived)") {
+				derived++
+			}
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if derived == 0 {
+		t.Fatal("no cell derived: the test no longer covers derived series")
+	}
 	g := p.Graph()
-	for _, pol := range []core.PolicyKind{core.NaiveOffloading, core.CoolPIMSW, core.CoolPIMHW} {
+	for _, pol := range fig14Policies {
 		w, err := kernels.NewSized(workload, p.Reps)
 		if err != nil {
 			t.Fatal(err)
@@ -336,16 +349,13 @@ func TestFig14SeriesMatchesSerialRuns(t *testing.T) {
 		if res.Runtime%p.Sys.SampleInterval == 0 {
 			t.Fatalf("%v: runtime %v is a multiple of the sample interval; test lost its awkward ratio", pol, res.Runtime)
 		}
-		series, ok := got[pol]
-		if !ok {
-			t.Fatalf("Fig14Series missing policy %v", pol)
-		}
+		series := rows[0].Results[pol].Series
 		if len(series) != len(want) {
-			t.Fatalf("%v: parallel series has %d samples, serial %d", pol, len(series), len(want))
+			t.Fatalf("%v: campaign series has %d samples, serial %d", pol, len(series), len(want))
 		}
 		for i := range series {
 			if series[i] != want[i] {
-				t.Fatalf("%v: sample %d differs: parallel %+v, serial %+v", pol, i, series[i], want[i])
+				t.Fatalf("%v: sample %d differs: campaign %+v, serial %+v", pol, i, series[i], want[i])
 			}
 		}
 	}
@@ -376,7 +386,10 @@ func TestMultiCubeMatrix(t *testing.T) {
 		t.Error("multi-cube network config not folded into the config hash")
 	}
 
-	rows, err := RunMatrix(p, []string{"dc"}, []core.PolicyKind{core.NaiveOffloading}, 1, nil)
+	rows, err := RunMatrixOpts(context.Background(), p, MatrixOpts{
+		Workloads: []string{"dc"},
+		Policies:  []core.PolicyKind{core.NaiveOffloading},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,9 +517,12 @@ func TestMatrixFailFastNaiveStopsSiblings(t *testing.T) {
 // TestMatrixResumeDerivesFromLedgeredNaive: a campaign resumed with
 // naive cells in the ledger and their siblings pending derives the
 // siblings from the ledgered results, byte-identical to a fresh
-// campaign's rows.
+// campaign's rows, time series included. It runs the real workloads: a
+// stub cell runs for 0 ps and records no samples.
 func TestMatrixResumeDerivesFromLedgeredNaive(t *testing.T) {
-	stubConstructors(t, nil, nil, 0, nil)
+	if testing.Short() {
+		t.Skip("full-system campaign")
+	}
 	p := TestProfile()
 	wls := []string{"dc", "pagerank"}
 	pols := []core.PolicyKind{core.NaiveOffloading, core.CoolPIMSW, core.CoolPIMHW, core.IdealThermal}
@@ -555,6 +571,10 @@ func TestMatrixResumeDerivesFromLedgeredNaive(t *testing.T) {
 	for i, row := range resumed {
 		for _, pol := range pols {
 			got, want := row.Results[pol], fresh[i].Results[pol]
+			if len(got.Series) == 0 || len(want.Series) == 0 {
+				t.Errorf("%s/%v: resumed series has %d samples, fresh %d; the comparison cannot see series",
+					row.Workload, pol, len(got.Series), len(want.Series))
+			}
 			if g, w := fmt.Sprintf("%+v", got), fmt.Sprintf("%+v", want); g != w {
 				t.Errorf("%s/%v: resumed %s, fresh %s", row.Workload, pol, g, w)
 			}

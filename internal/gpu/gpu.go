@@ -112,11 +112,11 @@ func (s Stats) DivergenceRatio() float64 {
 // Launch describes one kernel grid.
 type Launch struct {
 	Name string
-	// Kernel is the PIM-enabled entry point; NonPIM is the shadow
-	// non-PIM code the compiler generated from the Table III mapping.
-	// They must compute the same result.
+	// Kernel is the grid's one entry point. Each block runs it as a PIM
+	// or a non-PIM block: the policy decides at block launch, and every
+	// atomic of a non-PIM block executes as a host atomic at decode (the
+	// Table III mapping), computing the same result.
 	Kernel simt.KernelFunc
-	NonPIM simt.KernelFunc
 	Blocks int
 	// BlockDim is threads per block; must be a multiple of 32.
 	BlockDim int
@@ -132,13 +132,12 @@ type smState struct {
 }
 
 type blockState struct {
-	id       int
-	isPIM    bool
-	sm       int
-	slot     int
-	live     int // running warps
-	kernelFn simt.KernelFunc
-	span     telemetry.Span
+	id    int
+	isPIM bool
+	sm    int
+	slot  int
+	live  int // running warps
+	span  telemetry.Span
 }
 
 // GPU is the host processor model.
@@ -260,8 +259,8 @@ func (g *GPU) RunKernel(l *Launch) {
 	if l.Blocks <= 0 || l.BlockDim <= 0 || l.BlockDim%simt.WarpSize != 0 {
 		panic(fmt.Sprintf("gpu: bad launch geometry blocks=%d dim=%d", l.Blocks, l.BlockDim))
 	}
-	if l.Kernel == nil || l.NonPIM == nil {
-		panic("gpu: launch needs both PIM and non-PIM entry points")
+	if l.Kernel == nil {
+		panic("gpu: launch needs a kernel entry point")
 	}
 	g.launch = l
 	g.nextBlock = 0
@@ -331,26 +330,21 @@ func (g *GPU) startBlock(smID int) {
 	// to thousands of warp ops, so these bounded allocations amortize to
 	// noise while the per-OP path above and below stays provably free.
 	isPIM := g.policy.BlockLaunch() //coolpim:allow hotalloc policy decision is inherently dynamic; implementations are token-pool counter arithmetic, once per block
-	fn := g.launch.Kernel
-	if !isPIM {
-		fn = g.launch.NonPIM
-		g.stats.NonPIMBlocks++
-	} else {
-		g.stats.PIMBlocks++
-	}
-	g.spans.OffloadBlock(g.eng.Now(), isPIM, smID, g.nextBlock)
 	spanName := g.spanPIM
-	if !isPIM {
+	if isPIM {
+		g.stats.PIMBlocks++
+	} else {
+		g.stats.NonPIMBlocks++
 		spanName = g.spanNonPIM
 	}
+	g.spans.OffloadBlock(g.eng.Now(), isPIM, smID, g.nextBlock)
 	b := &blockState{ //coolpim:allow hotalloc one block descriptor per thread block
-		id:       g.nextBlock,
-		isPIM:    isPIM,
-		sm:       smID,
-		slot:     slot,
-		live:     g.warpsPerBlock(),
-		kernelFn: fn,
-		span:     g.spans.StartChild(g.eng.Now(), spanName, g.kernelSpan.ID()),
+		id:    g.nextBlock,
+		isPIM: isPIM,
+		sm:    smID,
+		slot:  slot,
+		live:  g.warpsPerBlock(),
+		span:  g.spans.StartChild(g.eng.Now(), spanName, g.kernelSpan.ID()),
 	}
 	g.nextBlock++
 
@@ -359,7 +353,7 @@ func (g *GPU) startBlock(smID int) {
 		if hasObs {
 			obs.ObserveWarpSlot(smID, slot*g.warpsPerBlock()+w) //coolpim:allow hotalloc occupancy observation is inherently dynamic and runs once per warp launch
 		}
-		run := simt.StartWarp(fn, simt.Ctx{ //coolpim:allow hotalloc starting the warp coroutine allocates its iter.Pull handoff once per warp
+		run := simt.StartWarp(g.launch.Kernel, simt.Ctx{ //coolpim:allow hotalloc starting the warp coroutine allocates its iter.Pull handoff once per warp
 			BlockID:     b.id,
 			WarpInBlock: w,
 			GlobalWarp:  b.id*g.warpsPerBlock() + w,

@@ -43,7 +43,7 @@ func (r *rig) runKernel(t *testing.T, l *Launch) units.Time {
 }
 
 func simpleLaunch(k simt.KernelFunc, blocks int) *Launch {
-	return &Launch{Name: "test", Kernel: k, NonPIM: k, Blocks: blocks, BlockDim: 128}
+	return &Launch{Name: "test", Kernel: k, Blocks: blocks, BlockDim: 128}
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -485,8 +485,8 @@ func TestOccupancyLimits(t *testing.T) {
 func TestLaunchValidation(t *testing.T) {
 	r := newRig(t, core.NewNonOffloading())
 	for name, l := range map[string]*Launch{
-		"zero blocks": {Kernel: func(*simt.Ctx) {}, NonPIM: func(*simt.Ctx) {}, Blocks: 0, BlockDim: 128},
-		"bad dim":     {Kernel: func(*simt.Ctx) {}, NonPIM: func(*simt.Ctx) {}, Blocks: 1, BlockDim: 100},
+		"zero blocks": {Kernel: func(*simt.Ctx) {}, Blocks: 0, BlockDim: 128},
+		"bad dim":     {Kernel: func(*simt.Ctx) {}, Blocks: 1, BlockDim: 100},
 		"nil kernel":  {Blocks: 1, BlockDim: 128},
 	} {
 		func() {
@@ -604,7 +604,7 @@ func TestMissPathZeroAllocs(t *testing.T) {
 					tc.op(c, addr)
 				}
 			}
-			g.RunKernel(&Launch{Name: "miss", Kernel: kernel, NonPIM: kernel, Blocks: 1, BlockDim: simt.WarpSize,
+			g.RunKernel(&Launch{Name: "miss", Kernel: kernel, Blocks: 1, BlockDim: simt.WarpSize,
 				OnComplete: func(units.Time) { done = true }})
 			window := units.FromNanoseconds(5000)
 			round := func() { eng.RunUntil(eng.Now() + window) }

@@ -201,7 +201,6 @@ func (w *BFS) buildLaunch() *gpu.Launch {
 	return &gpu.Launch{
 		Name:     fmt.Sprintf("%s.src%d.lvl%d", w.Name(), w.srcIdx, w.cur),
 		Kernel:   k,
-		NonPIM:   k,
 		Blocks:   blocks,
 		BlockDim: BlockDim,
 	}

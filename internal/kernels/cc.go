@@ -80,7 +80,6 @@ func (w *CC) NextLaunch() (*gpu.Launch, bool) {
 		return &gpu.Launch{
 			Name:     fmt.Sprintf("cc.r%d", w.round),
 			Kernel:   k,
-			NonPIM:   k,
 			Blocks:   gridBlocksStrided,
 			BlockDim: BlockDim,
 		}, true

@@ -59,7 +59,6 @@ func (w *DC) NextLaunch() (*gpu.Launch, bool) {
 	return &gpu.Launch{
 		Name:     fmt.Sprintf("dc.round%d", w.round),
 		Kernel:   k,
-		NonPIM:   k, // identical code; the atomic path is chosen at decode
 		Blocks:   blocksFor(w.dev.G.NumV),
 		BlockDim: BlockDim,
 	}, true

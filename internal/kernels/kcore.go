@@ -86,7 +86,6 @@ func (w *KCore) NextLaunch() (*gpu.Launch, bool) {
 		return &gpu.Launch{
 			Name:     fmt.Sprintf("kcore.r%d", w.round),
 			Kernel:   k,
-			NonPIM:   k,
 			Blocks:   blocksFor(w.dev.G.NumV),
 			BlockDim: BlockDim,
 		}, true

@@ -74,7 +74,6 @@ func (w *PageRank) NextLaunch() (*gpu.Launch, bool) {
 	return &gpu.Launch{
 		Name:     name,
 		Kernel:   k,
-		NonPIM:   k,
 		Blocks:   blocksFor(w.dev.G.NumV),
 		BlockDim: BlockDim,
 	}, true

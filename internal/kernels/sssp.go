@@ -160,7 +160,6 @@ func (w *SSSP) buildLaunch() *gpu.Launch {
 	return &gpu.Launch{
 		Name:     fmt.Sprintf("%s.src%d.r%d", w.Name(), w.srcIdx, w.round),
 		Kernel:   k,
-		NonPIM:   k,
 		Blocks:   blocks,
 		BlockDim: BlockDim,
 	}

@@ -83,18 +83,6 @@ func (s *Series) Len() int {
 	return len(s.times)
 }
 
-// Columns returns the column names in order.
-func (s *Series) Columns() []string {
-	if s == nil {
-		return nil
-	}
-	out := make([]string, len(s.cols))
-	for i, c := range s.cols {
-		out[i] = c.name
-	}
-	return out
-}
-
 // Value returns the recorded value of column name at sample i.
 func (s *Series) Value(i int, name string) (float64, bool) {
 	if s == nil || i < 0 || i >= len(s.rows) {

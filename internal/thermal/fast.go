@@ -57,10 +57,6 @@ const fastTol = 1e-5
 // it, so iterating past 1e-3 buys sweeps, not accuracy.
 const fastStepTol = 1e-3
 
-// DefaultFastTol returns the steady fast solver's default convergence
-// tolerance (per-node max update, °C) used when callers pass tol <= 0.
-func DefaultFastTol() float64 { return fastTol }
-
 // fastOmega is the SOR over-relaxation factor of the steady fast
 // solver. The stack's iteration matrix is dominated by the lateral
 // in-die Laplacian; from a cold start 1.9 is within a few sweeps of the
@@ -198,7 +194,7 @@ func (m *Model) relaxColor(lo, hi int, omega, bdiag float64, told []float64) flo
 // FastSolve relaxes the network to steady state for the current power
 // injection with red-black-ordered SOR — the fast-tier counterpart of
 // SolveSteady. tol is the per-node max-update convergence tolerance in
-// °C (tol <= 0 uses DefaultFastTol). It returns the number of sweeps,
+// °C (tol <= 0 uses fastTol). It returns the number of sweeps,
 // or -1 if the iteration did not converge; like SolveSteady, callers
 // must surface -1 as an error rather than read a half-converged field.
 //

@@ -78,9 +78,6 @@ func (w Watt) String() string { return fmt.Sprintf("%.3fW", float64(w)) }
 // Joule is energy in joules.
 type Joule float64
 
-// Picojoule converts a pJ figure into Joules.
-func Picojoule(pj float64) Joule { return Joule(pj * 1e-12) }
-
 // Over returns the average power of spending e over duration d.
 // A non-positive duration yields zero power.
 func (e Joule) Over(d Time) Watt {
@@ -126,9 +123,6 @@ func (r ThermalResistance) String() string { return fmt.Sprintf("%.2f°C/W", flo
 // Rise returns the steady-state temperature rise across the resistance
 // when conducting power p.
 func (r ThermalResistance) Rise(p Watt) Celsius { return Celsius(float64(r) * float64(p)) }
-
-// ThermalCapacitance is a lumped heat capacity in J/°C.
-type ThermalCapacitance float64
 
 // OpsPerNs is a PIM offloading rate in operations per nanosecond, the
 // unit used throughout the paper's Section III-C and Figures 5/12/14.
