@@ -60,6 +60,19 @@ func goldenCases() []goldenCase {
 		cfg.Stack.Ambient = 104 // shuts down within the first few thermal ticks
 		return cfg
 	}
+	// The heat trick: the small test graph crosses the 85 C warning
+	// threshold, so the controllers act, and under multi-level HW the
+	// cube passes the critical level.
+	heated := func() Config {
+		cfg := thrashCfg()
+		cfg.Stack.Ambient = 80
+		return cfg
+	}
+	multiLevel := func() Config {
+		cfg := heated()
+		cfg.MultiLevelHW = true
+		return cfg
+	}
 	// Instrumented multi-cube cases run the serial reference (shards=1):
 	// node 0's periodic diag snapshots read the other nodes' published
 	// views, which only the serial reference orders deterministically.
@@ -77,6 +90,8 @@ func goldenCases() []goldenCase {
 		goldenCase{name: "tel/warn26", wl: "dc", pol: core.CoolPIMHW, cfg: warm, g: testGraph, tel: true},
 		goldenCase{name: "tel/adaptive", wl: "dc", pol: core.CoolPIMSW, cfg: adaptive, g: testGraph, tel: true},
 		goldenCase{name: "tel/shutdown", wl: "dc", pol: core.NaiveOffloading, cfg: hot, g: testGraph, tel: true, race: true},
+		goldenCase{name: "tel/sw-hot", wl: "sssp-twc", pol: core.CoolPIMSW, cfg: heated, g: testGraph, tel: true},
+		goldenCase{name: "tel/multilevel", wl: "sssp-twc", pol: core.CoolPIMHW, cfg: multiLevel, g: testGraph, tel: true},
 		goldenCase{name: "mc/chain4", wl: "dc", pol: core.CoolPIMHW, cfg: mc(hmc.TopoChain, 4, 0, nil), g: mcGraph},
 		goldenCase{name: "mc/mesh4-adaptive", wl: "dc", pol: core.CoolPIMSW, cfg: mc(hmc.TopoMesh, 4, 0, func(c *Config) {
 			c.ThermalMode = ThermalAdaptive
@@ -147,6 +162,13 @@ var goldenDigests = map[string]string{
 	"tel/cool series":                  "2760b13e522a6d942adc9a4a79f97cc3549c428d07b53403e2e70971a19661f3",
 	"tel/cool spans":                   "10cb2846a28717605fff7842c0b1e2374177bc45b1a5fe0164861140e16361bd",
 	"tel/cool verify":                  "<nil>",
+	"tel/multilevel chrome":            "c9061010cc317e20d3c4424c2e9783df5c25acfc516e8297b584e50aae0bce03",
+	"tel/multilevel diag":              "5781958025f3f2b309bcc9af17e606a1f3f426a1051a11c6a1a0931f6b70356a",
+	"tel/multilevel prom":              "49c11e195a89d271b400e5dd61270911e1cd7a2596ef1d1e401c1a58928e2cbd",
+	"tel/multilevel result":            "64dcbf1847afce98fc8e7fe25c07dcf1669662c6aa94654158231b39f010ce6d",
+	"tel/multilevel series":            "4c83ac11d77777a3bd236b6de506db0f6069ef9952d08bcbda6847fc81ffa165",
+	"tel/multilevel spans":             "86338466ffa76e67349b9958d8a0d30afdac6cf4df3e42c984055bdd268d9ee6",
+	"tel/multilevel verify":            "<nil>",
 	"tel/shutdown chrome":              "8be468d5ea998d20820a022d0c8af71a6aff9dbef140c1a9c9ef934aeb0cb52d",
 	"tel/shutdown diag":                "883e5a42341e4304be9968d1f6c87cee5098afc5e45eb990b0881a356c988e05",
 	"tel/shutdown prom":                "b64c28f21f27a6bd5bb018639331c6f7983071bb6642672aa6f8dfe3e83c1acb",
@@ -154,6 +176,13 @@ var goldenDigests = map[string]string{
 	"tel/shutdown series":              "dafea92e891f47a855157d6b9927cae32c774e9f2b4ff40e7728efc85d582dba",
 	"tel/shutdown spans":               "5b713d18f9b5806fe34863e533eb42e2b88a0974b6cd210868b79958e4c1a241",
 	"tel/shutdown verify":              "<nil>",
+	"tel/sw-hot chrome":                "445653a16ef6b4865dfc67ff2b5bb28cd2868270e11669d33e40dae90b927ec8",
+	"tel/sw-hot diag":                  "bad463096d30c5196ba189ce3c6fb13360d49d4388fd9df2dbc94ff04813db79",
+	"tel/sw-hot prom":                  "2ecd9f8a573b55e7f7984b954a00851546adf4b8ee4fd02ed83016899bb85d26",
+	"tel/sw-hot result":                "27aa8d5a57e78e2953524f5710b21afab0d76c370711b6059b4ff62f58e9da5c",
+	"tel/sw-hot series":                "49883d8d9ea6b9df1489e02e47fedda0b2a62a6d97d1eef42596e302ec2aa4d2",
+	"tel/sw-hot spans":                 "789480adab7145536e8bfa9fc7477b47b4ba1b1b160eeed9637d5eea21a21f43",
+	"tel/sw-hot verify":                "<nil>",
 	"tel/warn26 chrome":                "15aab161d62c3b46118c6456f8c6b3ef2d4ad33275911e909b472387f499ec0e",
 	"tel/warn26 diag":                  "ab955824c9cb8eefed028923d3e6d1604f6640349015ba933f612ef3fcdce8a8",
 	"tel/warn26 prom":                  "483a74467e2707f242827b784283ee37fd4cd507bad2bce0c11c45e0d617d2a7",
