@@ -126,6 +126,37 @@ func TestThrottlingReactsToHeat(t *testing.T) {
 	}
 }
 
+// TestMultiLevelHWAvertsShutdown makes the footnote-4 claim executable.
+// On sssp-twc with the inlet air at 80 °C, plain CoolPIM(HW) steps once
+// per settle window and the cube shuts down. The multi-level variant
+// answers the critical warnings with its emergency step, and the run
+// completes.
+func TestMultiLevelHWAvertsShutdown(t *testing.T) {
+	if raceEnabled {
+		t.Skip("two heated sssp-twc runs; kept out of the race subset, as the heated golden cases are")
+	}
+	cfg := thrashCfg()
+	cfg.Stack.Ambient = 80
+	plain := mustRun(t, "sssp-twc", core.CoolPIMHW, cfg)
+	if !plain.Shutdown {
+		t.Fatalf("plain CoolPIM(HW) peaked at %v and did not shut down; the fixture no longer tests the claim", plain.PeakDRAM)
+	}
+	cfg.MultiLevelHW = true
+	multi := mustRun(t, "sssp-twc", core.CoolPIMHW, cfg)
+	if multi.Shutdown {
+		t.Errorf("multi-level CoolPIM(HW) shut down at %v (peak %v)", multi.Runtime, multi.PeakDRAM)
+	}
+	if multi.CriticalWarnings == 0 {
+		t.Error("multi-level run recorded no critical warnings")
+	}
+	if multi.ControlUpdates <= plain.ControlUpdates {
+		t.Errorf("multi-level applied %d control updates, plain HW %d: want more", multi.ControlUpdates, plain.ControlUpdates)
+	}
+	if multi.PeakDRAM > plain.PeakDRAM {
+		t.Errorf("multi-level peak %v above plain HW's %v", multi.PeakDRAM, plain.PeakDRAM)
+	}
+}
+
 // TestShutdownOnExtremeHeat: with the inlet air at 104 °C the first
 // thermal ticks push DRAM past the 105 °C shutdown limit, on a single
 // cube and on a 2-cube chain alike, and the run ends there.
