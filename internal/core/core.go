@@ -4,20 +4,24 @@
 // response tails):
 //
 //   - SW-DynT throttles at CUDA-block granularity through a PIM token
-//     pool (PTP) in the GPU runtime. Blocks that obtain a token launch
-//     the PIM-enabled kernel; blocks that don't launch the pre-generated
-//     shadow non-PIM kernel. A thermal interrupt (delivered with the
-//     software throttle delay, ~0.1 ms) shrinks the pool:
+//     pool (PTP) in the GPU runtime. Blocks that obtain a token run
+//     PIM-enabled; every atomic of a block that doesn't executes as a
+//     regular CUDA atomic, as the paper's pre-generated non-PIM kernel
+//     would issue it. A thermal interrupt (delivered with the software
+//     throttle delay, ~0.1 ms) shrinks the pool:
 //     PTP = min(PTP − CF, #issuedTokens). The initial pool size comes
 //     from the Eq. 1 static analysis plus a small margin.
 //
 //   - HW-DynT throttles at warp granularity through a per-SM PIM Control
-//     Unit (PCU). All blocks run the PIM kernel; at decode, warps whose
+//     Unit (PCU). All blocks run PIM-enabled; at decode, warps whose
 //     slot index is not PIM-enabled have their PIM instructions
 //     translated to regular CUDA atomics (Table III). Warnings reach the
 //     PCU after only ~0.1 µs, and "delayed control updates" suppress
 //     further reductions until the temperature has settled (~Tthermal),
-//     preventing over-throttling.
+//     preventing over-throttling. Given a warning-level source, it also
+//     implements the two-level warning of Section IV footnote 4.
+//
+// SWDynT and HWDynT are the CoolPIM(SW) and CoolPIM(HW) policies.
 package core
 
 import (
@@ -232,7 +236,8 @@ func (g *warningGate) lockout(now units.Time) {
 	}
 }
 
-// SWDynT is the software-based dynamic throttling mechanism.
+// SWDynT is the software-based dynamic throttling mechanism, and the
+// CoolPIM(SW) policy.
 type SWDynT struct {
 	cfg  Config
 	eng  *sim.Engine
@@ -257,9 +262,25 @@ func NewSWDynT(eng *sim.Engine, cfg Config, initialPTP int) *SWDynT {
 	}
 }
 
-// Pool exposes the token pool (the thread-block manager acquires and
-// releases through it).
-func (s *SWDynT) Pool() *TokenPool { return s.pool }
+// Kind implements Policy.
+func (s *SWDynT) Kind() PolicyKind { return CoolPIMSW }
+
+// BlockLaunch implements Policy: a block runs PIM-enabled if it obtains
+// a token.
+func (s *SWDynT) BlockLaunch() bool { return s.pool.TryAcquire() }
+
+// BlockComplete implements Policy: a PIM-enabled block returns its
+// token.
+func (s *SWDynT) BlockComplete(wasPIM bool) {
+	if wasPIM {
+		s.pool.Release()
+	}
+}
+
+// WarpPIMEnabled implements Policy: within a PIM-enabled block every
+// warp offloads (the software mechanism controls only the block
+// granularity).
+func (s *SWDynT) WarpPIMEnabled(int, int) bool { return true }
 
 // OnThermalWarning handles a warning observed in a response at now. The
 // actual pool reduction executes after the software throttle delay
@@ -279,8 +300,14 @@ func (s *SWDynT) OnThermalWarning(now units.Time) {
 	})
 }
 
-// Warnings returns (warnings observed, control updates applied).
-func (s *SWDynT) Warnings() (seen, applied uint64) { return s.gate.warnings, s.gate.updates }
+// PoolSize returns the token pool's size.
+func (s *SWDynT) PoolSize() int { return s.pool.Size() }
+
+// Warnings returns (warnings observed, control updates applied,
+// critical warnings); the software mechanism has no critical level.
+func (s *SWDynT) Warnings() (seen, applied, critical uint64) {
+	return s.gate.warnings, s.gate.updates, 0
+}
 
 // PCU is the per-SM PIM Control Unit of HW-DynT: it tracks how many warp
 // slots of its SM are PIM-enabled, and the highest warp slot it has seen
@@ -311,38 +338,87 @@ func (p *PCU) step(cf int) {
 	p.limit = l
 }
 
-// HWDynT is the hardware-based dynamic throttling mechanism: one PCU per
-// SM, fast warning reaction, delayed control updates.
+// WarningLevel classifies a thermal warning.
+//
+// Section IV footnote 4: "The current HMC 2.0 specification defines a
+// single thermal error state, but it can trivially define multiple error
+// states as multiple unused error status bits are available in the
+// field." HW-DynT given a warning-level source treats a second error
+// state as critical.
+type WarningLevel int
+
+// Warning levels.
+const (
+	// WarnNormal is the standard >85 °C ERRSTAT warning.
+	WarnNormal WarningLevel = iota
+	// WarnCritical is the second error state: the cube is one phase away
+	// from shutdown.
+	WarnCritical
+)
+
+// The critical-warning reaction. A cube racing toward shutdown cannot
+// afford to wait out Tthermal, so a critical warning applies a larger
+// reduction behind its own short settle window.
+const (
+	// CriticalFactor is the PCU reduction (warps per SM) applied on a
+	// critical warning, several times DefaultConfig's HWControlFactor.
+	CriticalFactor = 48
+	// CriticalSettle is the lockout after an emergency step, just long
+	// enough to let the intensity reduction reach the cube.
+	CriticalSettle = 200 * units.Microsecond
+)
+
+// HWDynT is the hardware-based dynamic throttling mechanism, and the
+// CoolPIM(HW) policy: one PCU per SM, fast warning reaction, delayed
+// control updates.
 type HWDynT struct {
 	cfg  Config
 	eng  *sim.Engine
 	pcus []PCU
 	gate warningGate
-	// Spans, if set, records one "throttle.react.hw" span per accepted
-	// warning, from warning delivery to the applied control update, and
-	// a pool.resize instant (with the aggregate PIM-enabled warp count
-	// across all PCUs) for every control update.
+	// level, if set, classifies each warning; critGate gates the
+	// critical ones.
+	level    func() WarningLevel
+	critGate warningGate
+	// Spans, if set, records one "throttle.react.hw" (normal) or
+	// "throttle.react.critical" span per accepted warning, from warning
+	// delivery to the applied control update, and a pool.resize instant
+	// (with the aggregate PIM-enabled warp count across all PCUs, reason
+	// "warning" or "critical") for every control update.
 	Spans *telemetry.SpanTracer
 }
 
 // NewHWDynT builds the hardware mechanism. Every PCU starts with all
 // warp slots PIM-enabled (no initialization analysis is needed thanks to
-// the fast reaction).
-func NewHWDynT(eng *sim.Engine, cfg Config, numSMs, warpsPerSM int) *HWDynT {
+// the fast reaction). level reports the severity of a warning at
+// delivery; nil means the single ERRSTAT state, every warning normal.
+func NewHWDynT(eng *sim.Engine, cfg Config, numSMs, warpsPerSM int, level func() WarningLevel) *HWDynT {
 	if numSMs <= 0 || warpsPerSM <= 0 {
 		panic(fmt.Sprintf("core: HWDynT with %d SMs × %d warps", numSMs, warpsPerSM))
 	}
 	h := &HWDynT{
-		cfg:  cfg,
-		eng:  eng,
-		pcus: make([]PCU, numSMs),
-		gate: warningGate{delay: cfg.HWThrottleDelay, settle: cfg.SettleTime},
+		cfg:      cfg,
+		eng:      eng,
+		pcus:     make([]PCU, numSMs),
+		gate:     warningGate{delay: cfg.HWThrottleDelay, settle: cfg.SettleTime},
+		level:    level,
+		critGate: warningGate{delay: cfg.HWThrottleDelay, settle: CriticalSettle},
 	}
 	for i := range h.pcus {
 		h.pcus[i].limit = warpsPerSM
 	}
 	return h
 }
+
+// Kind implements Policy.
+func (h *HWDynT) Kind() PolicyKind { return CoolPIMHW }
+
+// BlockLaunch implements Policy: all blocks run PIM-enabled; throttling
+// happens at decode via the PCUs.
+func (h *HWDynT) BlockLaunch() bool { return true }
+
+// BlockComplete implements Policy.
+func (h *HWDynT) BlockComplete(bool) {}
 
 // WarpPIMEnabled reports whether the given warp slot of an SM may
 // offload (the decode-stage translation check).
@@ -360,37 +436,50 @@ func (h *HWDynT) ObserveWarpSlot(sm, warpSlot int) {
 	}
 }
 
-// Limit returns an SM's current PIM-enabled warp count.
-func (h *HWDynT) Limit(sm int) int { return h.pcus[sm].Limit() }
-
-// totalLimit returns the PIM-enabled warp count summed over all SMs.
-func totalLimit(pcus []PCU) int {
+// PoolSize returns the PIM-enabled warp count summed over all SMs.
+func (h *HWDynT) PoolSize() int {
 	total := 0
-	for i := range pcus {
-		total += pcus[i].Limit()
+	for i := range h.pcus {
+		total += h.pcus[i].Limit()
 	}
 	return total
 }
 
 // OnThermalWarning handles a warning at now: after the (short) hardware
 // throttle delay every PCU reduces its PIM-enabled warp count by CF;
-// subsequent warnings are ignored until the settle window closes.
+// subsequent warnings are ignored until the settle window closes. A
+// critical warning instead reduces by CriticalFactor behind its own
+// CriticalSettle window, inside the normal window too, and then locks
+// the normal window out.
 func (h *HWDynT) OnThermalWarning(now units.Time) {
-	applyAt, ok := h.gate.offer(now)
+	gate, cf, name, reason := &h.gate, h.cfg.HWControlFactor, "throttle.react.hw", "warning"
+	critical := h.level != nil && h.level() == WarnCritical
+	if critical {
+		gate, cf, name, reason = &h.critGate, CriticalFactor, "throttle.react.critical", "critical"
+	}
+	applyAt, ok := gate.offer(now)
 	if !ok {
 		return
 	}
-	sp := h.Spans.StartSpan(now, h.Spans.Name("throttle.react.hw"))
+	sp := h.Spans.StartSpan(now, h.Spans.Name(name))
 	h.eng.AtNamed(applyAt, "throttle", func(at units.Time) {
-		before := totalLimit(h.pcus)
+		before := h.PoolSize()
 		for i := range h.pcus {
-			h.pcus[i].step(h.cfg.HWControlFactor)
+			h.pcus[i].step(cf)
 		}
-		h.gate.applied(at)
-		h.Spans.PoolResize(at, "hw-pcu", before, totalLimit(h.pcus), "warning")
+		gate.applied(at)
+		if critical {
+			// An emergency step satisfies the normal loop too.
+			h.gate.lockout(at)
+		}
+		h.Spans.PoolResize(at, "hw-pcu", before, h.PoolSize(), reason)
 		sp.End(at)
 	})
 }
 
-// Warnings returns (warnings observed, control updates applied).
-func (h *HWDynT) Warnings() (seen, applied uint64) { return h.gate.warnings, h.gate.updates }
+// Warnings returns (warnings observed, control updates applied,
+// critical warnings observed). The first two count both levels.
+func (h *HWDynT) Warnings() (seen, applied, critical uint64) {
+	critical = h.critGate.warnings
+	return h.gate.warnings + critical, h.gate.updates + h.critGate.updates, critical
+}

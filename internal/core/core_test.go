@@ -184,17 +184,17 @@ func TestSWDynTWarningReducesAfterDelay(t *testing.T) {
 	cfg.ControlFactor = 4
 	sw := NewSWDynT(eng, cfg, 12)
 	for i := 0; i < 12; i++ { // blocks in flight hold the tokens
-		sw.Pool().TryAcquire()
+		sw.BlockLaunch()
 	}
 	sw.OnThermalWarning(0)
 	// The reduction happens only after SWThrottleDelay.
 	eng.RunUntil(cfg.SWThrottleDelay - 1)
-	if sw.Pool().Size() != 12 {
-		t.Errorf("pool reduced before throttle delay: %d", sw.Pool().Size())
+	if sw.PoolSize() != 12 {
+		t.Errorf("pool reduced before throttle delay: %d", sw.PoolSize())
 	}
 	eng.RunUntil(cfg.SWThrottleDelay)
-	if sw.Pool().Size() != 8 {
-		t.Errorf("pool = %d after warning, want 12-CF=8", sw.Pool().Size())
+	if sw.PoolSize() != 8 {
+		t.Errorf("pool = %d after warning, want 12-CF=8", sw.PoolSize())
 	}
 }
 
@@ -204,7 +204,7 @@ func TestSWDynTWarningStormDeduplicated(t *testing.T) {
 	cfg.ControlFactor = 4
 	sw := NewSWDynT(eng, cfg, 20)
 	for i := 0; i < 20; i++ {
-		sw.Pool().TryAcquire()
+		sw.BlockLaunch()
 	}
 	// 1000 warnings in the first 50 µs (every response is flagged while
 	// hot) must coalesce into a single control step.
@@ -214,10 +214,10 @@ func TestSWDynTWarningStormDeduplicated(t *testing.T) {
 		})
 	}
 	eng.RunUntil(cfg.SWThrottleDelay + 60*units.Microsecond)
-	if sw.Pool().Size() != 20-cfg.ControlFactor {
-		t.Errorf("pool = %d, want exactly one reduction to %d", sw.Pool().Size(), 20-cfg.ControlFactor)
+	if sw.PoolSize() != 20-cfg.ControlFactor {
+		t.Errorf("pool = %d, want exactly one reduction to %d", sw.PoolSize(), 20-cfg.ControlFactor)
 	}
-	seen, applied := sw.Warnings()
+	seen, applied, _ := sw.Warnings()
 	if seen != 1000 || applied != 1 {
 		t.Errorf("warnings seen=%d applied=%d", seen, applied)
 	}
@@ -229,31 +229,34 @@ func TestSWDynTSecondStepAfterSettle(t *testing.T) {
 	cfg.ControlFactor = 4
 	sw := NewSWDynT(eng, cfg, 20)
 	for i := 0; i < 20; i++ {
-		sw.Pool().TryAcquire()
+		sw.BlockLaunch()
 	}
 	sw.OnThermalWarning(0)
 	eng.RunUntil(cfg.SWThrottleDelay)
 	// Warning during the settle window: ignored.
 	sw.OnThermalWarning(eng.Now())
 	eng.RunUntil(eng.Now() + cfg.SettleTime/2)
-	if sw.Pool().Size() != 16 {
-		t.Errorf("pool = %d during settle, want 16", sw.Pool().Size())
+	if sw.PoolSize() != 16 {
+		t.Errorf("pool = %d during settle, want 16", sw.PoolSize())
 	}
 	// Warning after the settle window: applied.
 	after := cfg.SWThrottleDelay + cfg.SettleTime + units.Microsecond
 	eng.At(after, func(now units.Time) { sw.OnThermalWarning(now) })
 	eng.RunUntil(after + cfg.SWThrottleDelay)
-	if sw.Pool().Size() != 12 {
-		t.Errorf("pool = %d after settle, want 12", sw.Pool().Size())
+	if sw.PoolSize() != 12 {
+		t.Errorf("pool = %d after settle, want 12", sw.PoolSize())
 	}
 }
 
+// pcuLimit returns SM sm's PIM-enabled warp count.
+func pcuLimit(h *HWDynT, sm int) int { return h.pcus[sm].Limit() }
+
 func TestHWDynTStartsAtMaximum(t *testing.T) {
 	eng := sim.New()
-	h := NewHWDynT(eng, DefaultConfig(), 16, 32)
+	h := NewHWDynT(eng, DefaultConfig(), 16, 32, nil)
 	for sm := 0; sm < 16; sm++ {
-		if h.Limit(sm) != 32 {
-			t.Fatalf("SM %d limit = %d, want 32", sm, h.Limit(sm))
+		if pcuLimit(h, sm) != 32 {
+			t.Fatalf("SM %d limit = %d, want 32", sm, pcuLimit(h, sm))
 		}
 		if !h.WarpPIMEnabled(sm, 31) {
 			t.Fatalf("warp 31 not enabled at start")
@@ -265,12 +268,12 @@ func TestHWDynTFastReaction(t *testing.T) {
 	eng := sim.New()
 	cfg := DefaultConfig()
 	cfg.HWControlFactor = 4
-	h := NewHWDynT(eng, cfg, 4, 16)
+	h := NewHWDynT(eng, cfg, 4, 16, nil)
 	h.OnThermalWarning(0)
 	eng.RunUntil(cfg.HWThrottleDelay)
 	for sm := 0; sm < 4; sm++ {
-		if h.Limit(sm) != 16-cfg.HWControlFactor {
-			t.Errorf("SM %d limit = %d, want %d", sm, h.Limit(sm), 16-cfg.HWControlFactor)
+		if pcuLimit(h, sm) != 16-cfg.HWControlFactor {
+			t.Errorf("SM %d limit = %d, want %d", sm, pcuLimit(h, sm), 16-cfg.HWControlFactor)
 		}
 	}
 	if h.WarpPIMEnabled(0, 15) || !h.WarpPIMEnabled(0, 11) {
@@ -284,22 +287,22 @@ func TestHWDynTDelayedControlUpdates(t *testing.T) {
 	eng := sim.New()
 	cfg := DefaultConfig()
 	cfg.HWControlFactor = 4
-	h := NewHWDynT(eng, cfg, 1, 32)
+	h := NewHWDynT(eng, cfg, 1, 32, nil)
 	for i := 0; i < 150; i++ {
 		eng.At(units.Time(i)*10*units.Microsecond, func(now units.Time) {
 			h.OnThermalWarning(now)
 		})
 	}
 	eng.RunUntil(990 * units.Microsecond) // within first settle window
-	if h.Limit(0) != 32-cfg.HWControlFactor {
-		t.Errorf("limit = %d, want one reduction", h.Limit(0))
+	if pcuLimit(h, 0) != 32-cfg.HWControlFactor {
+		t.Errorf("limit = %d, want one reduction", pcuLimit(h, 0))
 	}
 	eng.Run()
 	// After the settle window closes (~1 ms), the first subsequent
 	// warning applies a second reduction; the rest fall inside the next
 	// settle window and are dropped.
-	if h.Limit(0) != 32-2*cfg.HWControlFactor {
-		t.Errorf("limit = %d, want two reductions total", h.Limit(0))
+	if pcuLimit(h, 0) != 32-2*cfg.HWControlFactor {
+		t.Errorf("limit = %d, want two reductions total", pcuLimit(h, 0))
 	}
 }
 
@@ -307,14 +310,14 @@ func TestHWDynTFloorsAtZero(t *testing.T) {
 	eng := sim.New()
 	cfg := DefaultConfig()
 	cfg.SettleTime = units.Microsecond
-	h := NewHWDynT(eng, cfg, 1, 4)
+	h := NewHWDynT(eng, cfg, 1, 4, nil)
 	for i := 0; i < 10; i++ {
 		at := units.Time(i) * 10 * units.Microsecond
 		eng.At(at, func(now units.Time) { h.OnThermalWarning(now) })
 	}
 	eng.Run()
-	if h.Limit(0) != 0 {
-		t.Errorf("limit = %d, want floor 0", h.Limit(0))
+	if pcuLimit(h, 0) != 0 {
+		t.Errorf("limit = %d, want floor 0", pcuLimit(h, 0))
 	}
 	if h.WarpPIMEnabled(0, 0) {
 		t.Error("warp 0 enabled at zero limit")
@@ -327,7 +330,7 @@ func TestHWDynTPanicsOnBadGeometry(t *testing.T) {
 			t.Error("bad geometry accepted")
 		}
 	}()
-	NewHWDynT(sim.New(), DefaultConfig(), 0, 32)
+	NewHWDynT(sim.New(), DefaultConfig(), 0, 32, nil)
 }
 
 func TestPolicyKinds(t *testing.T) {
@@ -372,8 +375,7 @@ func TestStaticPolicies(t *testing.T) {
 
 func TestSWPolicyTokenFlow(t *testing.T) {
 	eng := sim.New()
-	sw := NewSWDynT(eng, DefaultConfig(), 2)
-	p := NewCoolPIMSW(sw)
+	var p Policy = NewSWDynT(eng, DefaultConfig(), 2)
 	if p.Kind() != CoolPIMSW {
 		t.Error("kind wrong")
 	}
@@ -395,8 +397,8 @@ func TestHWPolicyDelegation(t *testing.T) {
 	eng := sim.New()
 	cfg := DefaultConfig()
 	cfg.HWControlFactor = 4
-	hw := NewHWDynT(eng, cfg, 2, 8)
-	p := NewCoolPIMHW(hw)
+	hw := NewHWDynT(eng, cfg, 2, 8, nil)
+	var p Policy = hw
 	if p.Kind() != CoolPIMHW || !p.BlockLaunch() {
 		t.Error("HW policy basics wrong")
 	}
@@ -405,4 +407,136 @@ func TestHWPolicyDelegation(t *testing.T) {
 	if p.WarpPIMEnabled(1, 7) || !p.WarpPIMEnabled(1, 3) {
 		t.Error("HW policy not reflecting PCU state")
 	}
+	if got := hw.PoolSize(); got != 2*4 {
+		t.Errorf("pool size = %d, want 2 SMs x 4 warps", got)
+	}
+}
+
+// levelOf returns a warning-level source that always reports l.
+func levelOf(l WarningLevel) func() WarningLevel { return func() WarningLevel { return l } }
+
+func TestMultiLevelNormalWarningsBehaveLikeHWDynT(t *testing.T) {
+	eng := sim.New()
+	cfg := DefaultConfig()
+	h := NewHWDynT(eng, cfg, 4, 64, levelOf(WarnNormal))
+	h.OnThermalWarning(0)
+	eng.Run()
+	for sm := 0; sm < 4; sm++ {
+		if pcuLimit(h, sm) != 64-cfg.HWControlFactor {
+			t.Errorf("SM %d limit = %d", sm, pcuLimit(h, sm))
+		}
+	}
+}
+
+func TestMultiLevelCriticalAppliesEmergencyFactor(t *testing.T) {
+	eng := sim.New()
+	h := NewHWDynT(eng, DefaultConfig(), 2, 64, levelOf(WarnCritical))
+	h.OnThermalWarning(0)
+	eng.Run()
+	if pcuLimit(h, 0) != 64-CriticalFactor {
+		t.Errorf("limit = %d, want %d", pcuLimit(h, 0), 64-CriticalFactor)
+	}
+	_, applied, critical := h.Warnings()
+	if applied != 1 || critical != 1 {
+		t.Errorf("applied=%d critical=%d", applied, critical)
+	}
+}
+
+func TestMultiLevelCriticalBypassesSettle(t *testing.T) {
+	// A critical warning inside the normal settle window still acts
+	// (after only the short critical settle).
+	eng := sim.New()
+	cfg := DefaultConfig()
+	level := WarnNormal
+	h := NewHWDynT(eng, cfg, 1, 64, func() WarningLevel { return level })
+	h.OnThermalWarning(0)
+	eng.RunUntil(cfg.HWThrottleDelay)
+	after := pcuLimit(h, 0)
+	if after != 64-cfg.HWControlFactor {
+		t.Fatalf("normal step missing: %d", after)
+	}
+	// Within the 1 ms normal settle, escalate.
+	level = WarnCritical
+	eng.At(100*units.Microsecond, func(now units.Time) { h.OnThermalWarning(now) })
+	eng.RunUntil(150 * units.Microsecond)
+	if pcuLimit(h, 0) != after-CriticalFactor {
+		t.Errorf("critical step inside settle window: limit = %d, want %d",
+			pcuLimit(h, 0), after-CriticalFactor)
+	}
+}
+
+func TestMultiLevelCriticalStormDeduplicated(t *testing.T) {
+	eng := sim.New()
+	h := NewHWDynT(eng, DefaultConfig(), 1, 256, levelOf(WarnCritical))
+	for i := 0; i < 50; i++ {
+		eng.At(units.Time(i)*units.Microsecond, func(now units.Time) {
+			h.OnThermalWarning(now)
+		})
+	}
+	eng.RunUntil(60 * units.Microsecond)
+	// All 50 critical warnings fall within one CriticalSettle window:
+	// exactly one emergency step.
+	if pcuLimit(h, 0) != 256-CriticalFactor {
+		t.Errorf("limit = %d, want one emergency step", pcuLimit(h, 0))
+	}
+}
+
+func TestMultiLevelFloorsAtZero(t *testing.T) {
+	eng := sim.New()
+	h := NewHWDynT(eng, DefaultConfig(), 1, 16, levelOf(WarnCritical))
+	h.OnThermalWarning(0)
+	eng.Run()
+	if pcuLimit(h, 0) != 0 {
+		t.Errorf("limit = %d, want 0", pcuLimit(h, 0))
+	}
+	if h.WarpPIMEnabled(0, 0) {
+		t.Error("warp enabled at zero limit")
+	}
+}
+
+func TestMultiLevelPolicyClassification(t *testing.T) {
+	eng := sim.New()
+	cfg := DefaultConfig()
+	level := WarnNormal
+	h := NewHWDynT(eng, cfg, 1, 64, func() WarningLevel { return level })
+	var p Policy = h
+	if p.Kind() != CoolPIMHW || !p.BlockLaunch() || !p.WarpPIMEnabled(0, 63) {
+		t.Fatal("policy basics wrong")
+	}
+	p.OnThermalWarning(0)
+	eng.Run()
+	if pcuLimit(h, 0) != 64-cfg.HWControlFactor {
+		t.Errorf("normal classification: limit = %d", pcuLimit(h, 0))
+	}
+	level = WarnCritical
+	eng.At(eng.Now()+2*units.Millisecond, func(now units.Time) { p.OnThermalWarning(now) })
+	eng.Run()
+	if pcuLimit(h, 0) != 64-cfg.HWControlFactor-CriticalFactor {
+		t.Errorf("critical classification: limit = %d", pcuLimit(h, 0))
+	}
+}
+
+// TestMultiLevelNilLevelFunc: without a level source every warning is
+// the single ERRSTAT state.
+func TestMultiLevelNilLevelFunc(t *testing.T) {
+	eng := sim.New()
+	cfg := DefaultConfig()
+	h := NewHWDynT(eng, cfg, 1, 64, nil)
+	h.OnThermalWarning(0) // must not panic
+	eng.Run()
+	if pcuLimit(h, 0) != 64-cfg.HWControlFactor {
+		t.Errorf("limit = %d, want one normal step", pcuLimit(h, 0))
+	}
+	if _, _, critical := h.Warnings(); critical != 0 {
+		t.Errorf("%d critical warnings without a level source", critical)
+	}
+}
+
+func TestMultiLevelBadGeometryPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("bad geometry accepted")
+		}
+	}()
+	NewHWDynT(sim.New(), DefaultConfig(), 1, 0, levelOf(WarnCritical))
 }

@@ -78,15 +78,17 @@ func (k PolicyKind) ThermalEffectsDisabled() bool { return k == IdealThermal }
 
 // Policy is the interface the GPU model throttles through. The three
 // decision points mirror the paper's mechanisms: block launch (SW-DynT
-// selects the PIM or shadow kernel), decode-time warp translation
-// (HW-DynT's PCU check), and warning delivery.
+// marks the block PIM-enabled or not), decode-time warp translation
+// (HW-DynT's PCU check), and warning delivery. SWDynT and HWDynT
+// implement it; the uncontrolled configurations are static policies.
 //
 // Policies may additionally implement OccupancyObserver to learn which
 // warp slots the thread-block manager actually occupies.
 type Policy interface {
 	Kind() PolicyKind
 	// BlockLaunch is consulted when the thread-block manager launches a
-	// block; true selects the PIM-enabled kernel entry point.
+	// block; true runs the block PIM-enabled, false executes every
+	// atomic of the block as a host atomic.
 	BlockLaunch() bool
 	// BlockComplete is notified when a block retires; wasPIM echoes the
 	// BlockLaunch decision so SW-DynT can return its token.
@@ -119,57 +121,8 @@ func NewNaiveOffloading() Policy { return &staticPolicy{kind: NaiveOffloading, p
 // NewIdealThermal returns the unlimited-cooling always-offload policy.
 func NewIdealThermal() Policy { return &staticPolicy{kind: IdealThermal, pim: true} }
 
-// swPolicy adapts SW-DynT to the Policy interface.
-type swPolicy struct {
-	dynt *SWDynT
-}
-
-// NewCoolPIMSW wraps a SW-DynT controller as a Policy.
-func NewCoolPIMSW(dynt *SWDynT) Policy { return &swPolicy{dynt: dynt} }
-
-func (p *swPolicy) Kind() PolicyKind { return CoolPIMSW }
-
-func (p *swPolicy) BlockLaunch() bool { return p.dynt.Pool().TryAcquire() }
-
-func (p *swPolicy) BlockComplete(wasPIM bool) {
-	if wasPIM {
-		p.dynt.Pool().Release()
-	}
-}
-
-// WarpPIMEnabled: within a PIM-enabled block every warp offloads (the
-// software mechanism controls only the block granularity).
-func (p *swPolicy) WarpPIMEnabled(int, int) bool { return true }
-
-func (p *swPolicy) OnThermalWarning(now units.Time) { p.dynt.OnThermalWarning(now) }
-
 // OccupancyObserver is implemented by policies whose throttling state
-// depends on real warp-slot occupancy (the hardware PCU mechanisms).
+// depends on real warp-slot occupancy (HW-DynT's PCUs).
 type OccupancyObserver interface {
 	ObserveWarpSlot(sm, warpSlot int)
 }
-
-// hwPolicy adapts HW-DynT to the Policy interface.
-type hwPolicy struct {
-	dynt *HWDynT
-}
-
-// ObserveWarpSlot implements OccupancyObserver.
-func (p *hwPolicy) ObserveWarpSlot(sm, warpSlot int) { p.dynt.ObserveWarpSlot(sm, warpSlot) }
-
-// NewCoolPIMHW wraps a HW-DynT controller as a Policy.
-func NewCoolPIMHW(dynt *HWDynT) Policy { return &hwPolicy{dynt: dynt} }
-
-func (p *hwPolicy) Kind() PolicyKind { return CoolPIMHW }
-
-// BlockLaunch: all blocks run the PIM kernel; throttling happens at
-// decode via the PCUs.
-func (p *hwPolicy) BlockLaunch() bool { return true }
-
-func (p *hwPolicy) BlockComplete(bool) {}
-
-func (p *hwPolicy) WarpPIMEnabled(sm, warpSlot int) bool {
-	return p.dynt.WarpPIMEnabled(sm, warpSlot)
-}
-
-func (p *hwPolicy) OnThermalWarning(now units.Time) { p.dynt.OnThermalWarning(now) }

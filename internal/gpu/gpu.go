@@ -1,9 +1,10 @@
 // Package gpu models the host GPU of the evaluation platform (Table IV):
 // 16 SMs at 1.4 GHz running 32-thread warps, per-SM L1D and a shared L2,
 // a per-warp coalescer, a thread-block manager wired to the throttling
-// policy (SW-DynT's token pool decides each block's kernel entry point;
-// HW-DynT's PCUs gate PIM translation per warp slot), and the memory
-// path into the HMC with GraphPIM-style uncacheable PIM-region handling.
+// policy (SW-DynT's token pool decides whether each block runs
+// PIM-enabled; HW-DynT's PCUs gate PIM translation per warp slot), and
+// the memory path into the HMC with GraphPIM-style uncacheable
+// PIM-region handling.
 //
 // Execution is event-driven at warp-operation granularity: warps are
 // coroutines that suspend on memory operations and resume when the
@@ -159,14 +160,14 @@ type GPU struct {
 	sms []*smState
 	l2  *cache.Cache
 
-	// PIMOffloadActive marks the PIM region as an active offloading
-	// target (set for every offloading configuration). Following the
+	// pimOffload marks the PIM region as an active offloading target:
+	// set by New for every policy but Non-Offloading. Following the
 	// paper's PEI-style ISA approach, the region stays cacheable at the
 	// L2 — coherence with in-memory atomics is maintained by
 	// invalidating the accessed block on each PIM instruction — but its
 	// lines bypass the (non-coherent) per-SM L1s, as volatile GPU
 	// accesses do.
-	PIMOffloadActive bool
+	pimOffload bool
 
 	// Span wiring (SetSpans): one "gpu.kernel" span per launch, one
 	// "gpu.block.pim"/"gpu.block.nonpim" child span per thread block, and
@@ -211,14 +212,15 @@ func New(eng *sim.Engine, space *mem.Space, cube *hmc.Cube, policy core.Policy, 
 		panic(err)
 	}
 	g := &GPU{
-		cfg:    cfg,
-		eng:    eng,
-		label:  eng.Label("gpu"),
-		space:  space,
-		cube:   cube,
-		policy: policy,
-		l2:     cache.New(cfg.L2),
-		cycle:  cfg.CycleTime(),
+		cfg:        cfg,
+		eng:        eng,
+		label:      eng.Label("gpu"),
+		space:      space,
+		cube:       cube,
+		policy:     policy,
+		l2:         cache.New(cfg.L2),
+		cycle:      cfg.CycleTime(),
+		pimOffload: policy.Kind() != core.NonOffloading,
 	}
 	g.observeCb = func(resp flit.Response, _ units.Time) { g.observe(resp) }
 	for i := 0; i < cfg.NumSMs; i++ {
@@ -838,7 +840,7 @@ func (g *GPU) l2AtomicAccess(line uint64, issueAt units.Time, posted bool, done 
 // retired — it reflects link-credit backpressure for uncacheable
 // accesses and is just the issue time for cache-accepted ones.
 func (g *GPU) lineAccess(smID int, line uint64, write bool, issueAt units.Time, done func(at units.Time)) (acceptedAt units.Time) {
-	if g.PIMOffloadActive && g.space.InPIMRegion(line) {
+	if g.pimOffload && g.space.InPIMRegion(line) {
 		// Volatile path: skip the non-coherent L1, access the L2.
 		g.stats.UncachedLines++
 		if g.l2.Access(line, write) {

@@ -189,14 +189,15 @@ func TestAtomicPolicyRouting(t *testing.T) {
 	for _, tc := range []struct {
 		policy  core.Policy
 		offload bool
-		pimFlag bool
 	}{
-		{core.NewNonOffloading(), false, false},
-		{core.NewNaiveOffloading(), true, true},
-		{core.NewIdealThermal(), true, true},
+		{core.NewNonOffloading(), false},
+		{core.NewNaiveOffloading(), true},
+		{core.NewIdealThermal(), true},
 	} {
 		r := newRig(t, tc.policy)
-		r.gpu.PIMOffloadActive = tc.pimFlag
+		if r.gpu.pimOffload != tc.offload {
+			t.Errorf("%v: PIM-region offload flag = %v", tc.policy.Kind(), r.gpu.pimOffload)
+		}
 		buf := r.space.Alloc("ctrs", 4096, true)
 		r.runKernel(t, simpleLaunch(atomicKernel(buf, false), 4))
 		s := r.gpu.Stats()
@@ -236,7 +237,6 @@ func TestPIMAggregationSameAddress(t *testing.T) {
 	// All 32 lanes add to ONE address with no return: the warp-level
 	// aggregator must emit a single combined packet.
 	r := newRig(t, core.NewNaiveOffloading())
-	r.gpu.PIMOffloadActive = true
 	buf := r.space.Alloc("ctr", 64, true)
 	r.runKernel(t, simpleLaunch(func(c *simt.Ctx) {
 		if c.BlockID != 0 || c.WarpInBlock != 0 {
@@ -258,7 +258,6 @@ func TestPIMAggregationSameAddress(t *testing.T) {
 
 func TestPIMWithReturnNotAggregated(t *testing.T) {
 	r := newRig(t, core.NewNaiveOffloading())
-	r.gpu.PIMOffloadActive = true
 	buf := r.space.Alloc("ctr", 64, true)
 	var olds [simt.WarpSize]uint32
 	r.runKernel(t, simpleLaunch(func(c *simt.Ctx) {
@@ -286,7 +285,6 @@ func TestPIMWithReturnNotAggregated(t *testing.T) {
 
 func TestAtomicSubEncodesAsAdd(t *testing.T) {
 	r := newRig(t, core.NewNaiveOffloading())
-	r.gpu.PIMOffloadActive = true
 	buf := r.space.Alloc("ctr", 64, true)
 	r.space.Store32(buf.Addr(0), 100)
 	r.runKernel(t, simpleLaunch(func(c *simt.Ctx) {
@@ -310,9 +308,7 @@ func TestSWPolicyBlockSplit(t *testing.T) {
 	eng := sim.New()
 	space := mem.NewSpace(1 << 20)
 	cube := hmc.New(eng, space, hmc.DefaultConfig())
-	sw := core.NewSWDynT(eng, core.DefaultConfig(), 2)
-	g := New(eng, space, cube, core.NewCoolPIMSW(sw), DefaultConfig())
-	g.PIMOffloadActive = true
+	g := New(eng, space, cube, core.NewSWDynT(eng, core.DefaultConfig(), 2), DefaultConfig())
 	buf := space.Alloc("ctrs", 4096, true)
 
 	var done bool
@@ -344,7 +340,7 @@ func TestHWPolicyWarpGating(t *testing.T) {
 	space := mem.NewSpace(1 << 20)
 	cube := hmc.New(eng, space, hmc.DefaultConfig())
 	cfg := core.DefaultConfig()
-	hw := core.NewHWDynT(eng, cfg, DefaultConfig().NumSMs, DefaultConfig().MaxWarpsPerSM)
+	hw := core.NewHWDynT(eng, cfg, DefaultConfig().NumSMs, DefaultConfig().MaxWarpsPerSM, nil)
 	// Pre-throttle every PCU to zero: all atomics must take the host path.
 	cfg2 := cfg
 	cfg2.SettleTime = units.Microsecond
@@ -352,8 +348,7 @@ func TestHWPolicyWarpGating(t *testing.T) {
 		hw.OnThermalWarning(eng.Now())
 		eng.RunUntil(eng.Now() + 2*units.Millisecond)
 	}
-	g := New(eng, space, cube, core.NewCoolPIMHW(hw), DefaultConfig())
-	g.PIMOffloadActive = true
+	g := New(eng, space, cube, hw, DefaultConfig())
 	buf := space.Alloc("ctrs", 4096, true)
 	var done bool
 	l := simpleLaunch(atomicKernel(buf, false), 4)
@@ -447,8 +442,7 @@ func TestThermalWarningForwarding(t *testing.T) {
 	cube.SetTemperature(0, 90) // hot: every response carries the warning
 	cfg := core.DefaultConfig()
 	sw := core.NewSWDynT(eng, cfg, 64)
-	g := New(eng, space, cube, core.NewCoolPIMSW(sw), DefaultConfig())
-	g.PIMOffloadActive = true
+	g := New(eng, space, cube, sw, DefaultConfig())
 	buf := space.Alloc("ctrs", 4096, true)
 	var done bool
 	l := simpleLaunch(atomicKernel(buf, false), 8)
@@ -458,7 +452,7 @@ func TestThermalWarningForwarding(t *testing.T) {
 	if !done {
 		t.Fatal("kernel incomplete")
 	}
-	if seen, _ := sw.Warnings(); seen == 0 {
+	if seen, _, _ := sw.Warnings(); seen == 0 {
 		t.Error("no warnings reached the policy despite a hot cube")
 	}
 }
@@ -502,7 +496,6 @@ func TestLaunchValidation(t *testing.T) {
 
 func TestPIMRegionBypassesL1(t *testing.T) {
 	r := newRig(t, core.NewNaiveOffloading())
-	r.gpu.PIMOffloadActive = true
 	buf := r.space.Alloc("props", 4096, true)
 	r.runKernel(t, simpleLaunch(func(c *simt.Ctx) {
 		if c.BlockID != 0 || c.WarpInBlock != 0 {
@@ -529,7 +522,6 @@ func TestPIMRegionBypassesL1(t *testing.T) {
 // packet — dropping it silently compares against zero and never swaps.
 func TestPIMNoReturnCASCarriesCompare(t *testing.T) {
 	r := newRig(t, core.NewNaiveOffloading())
-	r.gpu.PIMOffloadActive = true
 	buf := r.space.Alloc("lv", 64, true)
 	const inf = ^uint32(0)
 	r.space.Store32(buf.Addr(0), inf)
@@ -591,7 +583,6 @@ func TestMissPathZeroAllocs(t *testing.T) {
 			cfg.L1 = cache.Config{SizeBytes: 1 << 10, LineBytes: 64, Ways: 4}
 			cfg.L2 = cache.Config{SizeBytes: 8 << 10, LineBytes: 64, Ways: 16}
 			g := New(eng, space, cube, tc.policy, cfg)
-			g.PIMOffloadActive = tc.pim
 			buf := space.Alloc("lines", 16<<10, tc.pim) // 64 KB: 1,024 lines
 
 			stop, done := false, false

@@ -163,9 +163,7 @@ type nodeState struct {
 	w       kernels.Workload
 	cube    *hmc.Cube
 	dev     *gpu.GPU
-	sw      *core.SWDynT
-	hw      *core.HWDynT
-	mhw     *core.MultiLevelHWDynT
+	ctl     controller // SW-DynT or HW-DynT; nil for the static policies
 	coupler *thermalCoupler
 
 	// Node 0's instruments; nil on the other nodes and without telemetry.
@@ -203,17 +201,11 @@ func (n *nodeState) build(kind core.PolicyKind, g *graph.Graph, cl *sim.Cluster,
 		net.AttachNode(n.id, n.cube, space)
 	}
 	model := thermal.New(cfg.Stack, cfg.Cooling)
-	pol, err := n.buildPolicy(kind, func() core.WarningLevel {
-		if model.PeakDRAM() > dram.ExtendedLimit {
-			return core.WarnCritical
-		}
-		return core.WarnNormal
-	})
+	pol, err := n.buildPolicy(kind, model)
 	if err != nil {
 		return err
 	}
 	n.dev = gpu.New(n.eng, space, n.cube, pol, cfg.GPU)
-	n.dev.PIMOffloadActive = kind != core.NonOffloading
 	if net != nil {
 		n.dev.SetNetwork(net, n.id)
 	}
@@ -234,12 +226,22 @@ func (n *nodeState) build(kind core.PolicyKind, g *graph.Graph, cl *sim.Cluster,
 	return nil
 }
 
-// buildPolicy constructs the node's throttling policy and, for the
-// dynamic ones, its mechanism, attached to the node's instruments.
-// warnLevel feeds the multi-level HW extension's critical state.
-func (n *nodeState) buildPolicy(kind core.PolicyKind, warnLevel func() core.WarningLevel) (core.Policy, error) {
+// controller is a dynamic throttling policy, SW-DynT or HW-DynT, whose
+// pool and warning counts the node reports.
+type controller interface {
+	core.Policy
+	PoolSize() int
+	Warnings() (seen, applied, critical uint64)
+}
+
+// buildPolicy constructs the node's throttling policy, attached to the
+// node's instruments. Under MultiLevelHW, HW-DynT classifies a warning
+// as critical while model's peak DRAM temperature is past the extended
+// range.
+func (n *nodeState) buildPolicy(kind core.PolicyKind, model *thermal.Model) (core.Policy, error) {
 	cfg := n.cfg
 	n.res.InitialPoolSize = -1
+	var mechanism string
 	switch kind {
 	case core.NonOffloading:
 		return core.NewNonOffloading(), nil
@@ -249,33 +251,28 @@ func (n *nodeState) buildPolicy(kind core.PolicyKind, warnLevel func() core.Warn
 		return core.NewIdealThermal(), nil
 	case core.CoolPIMSW:
 		pool, _ := swInitialPool(cfg, n.w.Profile())
-		n.res.InitialPoolSize = pool
-		n.sw = core.NewSWDynT(n.eng, cfg.Throttle, pool)
-		n.sw.Spans = n.spans
-		n.spans.PoolInit(0, "sw-ptp", pool)
-		return core.NewCoolPIMSW(n.sw), nil
+		sw := core.NewSWDynT(n.eng, cfg.Throttle, pool)
+		sw.Spans = n.spans
+		n.ctl, mechanism = sw, "sw-ptp"
 	case core.CoolPIMHW:
-		pool := hwInitialPool(cfg)
-		n.res.InitialPoolSize = pool
-		var pol core.Policy
+		var level func() core.WarningLevel
 		if cfg.MultiLevelHW {
-			ml := cfg.MultiLevel
-			if ml.CriticalFactor == 0 {
-				ml = core.DefaultMultiLevelConfig()
-				ml.Config = cfg.Throttle
+			level = func() core.WarningLevel {
+				if model.PeakDRAM() > dram.ExtendedLimit {
+					return core.WarnCritical
+				}
+				return core.WarnNormal
 			}
-			n.mhw = core.NewMultiLevelHWDynT(n.eng, ml, cfg.GPU.NumSMs, cfg.GPU.MaxWarpsPerSM)
-			n.mhw.Spans = n.spans
-			pol = core.NewCoolPIMHWMultiLevel(n.mhw, warnLevel)
-		} else {
-			n.hw = core.NewHWDynT(n.eng, cfg.Throttle, cfg.GPU.NumSMs, cfg.GPU.MaxWarpsPerSM)
-			n.hw.Spans = n.spans
-			pol = core.NewCoolPIMHW(n.hw)
 		}
-		n.spans.PoolInit(0, "hw-pcu", pool)
-		return pol, nil
+		hw := core.NewHWDynT(n.eng, cfg.Throttle, cfg.GPU.NumSMs, cfg.GPU.MaxWarpsPerSM, level)
+		hw.Spans = n.spans
+		n.ctl, mechanism = hw, "hw-pcu"
+	default:
+		return nil, fmt.Errorf("system: unknown policy %v", kind)
 	}
-	return nil, fmt.Errorf("system: unknown policy %v", kind)
+	n.res.InitialPoolSize = n.ctl.PoolSize()
+	n.spans.PoolInit(0, mechanism, n.res.InitialPoolSize)
+	return n.ctl, nil
 }
 
 // swInitialPool is SW-DynT's Eq. 1 initial PTP size for a workload,
@@ -285,10 +282,6 @@ func swInitialPool(cfg *Config, prof kernels.Profile) (pool, maxBlocks int) {
 	return core.InitialPTPSize(cfg.Throttle, cfg.PIMPeakRate,
 		prof.PIMIntensity, maxBlocks, prof.DivergenceRatio), maxBlocks
 }
-
-// hwInitialPool is HW-DynT's initial PIM-enabled warp count: every warp
-// slot of every SM.
-func hwInitialPool(cfg *Config) int { return cfg.GPU.NumSMs * cfg.GPU.MaxWarpsPerSM }
 
 // DeriveInert returns the run of policy kind relabelled from naive, the
 // naive-offloading run of the same workload (profile prof) under cfg,
@@ -321,7 +314,7 @@ func DeriveInert(naive *Result, kind core.PolicyKind, cfg Config, prof kernels.P
 		if !noWarning || kernels.BlockDim/simt.WarpSize > cfg.GPU.MaxWarpsPerSM {
 			return nil, false
 		}
-		pool = hwInitialPool(&cfg)
+		pool = cfg.GPU.NumSMs * cfg.GPU.MaxWarpsPerSM // every warp slot of every SM
 	case core.CoolPIMSW:
 		var maxBlocks int
 		pool, maxBlocks = swInitialPool(&cfg, prof)
@@ -376,34 +369,10 @@ func withPool(series []Sample, pool int) []Sample {
 // poolSize is SW-DynT's PTP size or HW-DynT's total PIM-enabled warp
 // count; -1 for static policies.
 func (n *nodeState) poolSize() int {
-	var limit func(sm int) int
-	switch {
-	case n.sw != nil:
-		return n.sw.Pool().Size()
-	case n.hw != nil:
-		limit = n.hw.Limit
-	case n.mhw != nil:
-		limit = n.mhw.Limit
-	default:
+	if n.ctl == nil {
 		return -1
 	}
-	total := 0
-	for sm := 0; sm < n.cfg.GPU.NumSMs; sm++ {
-		total += limit(sm)
-	}
-	return total
-}
-
-func (n *nodeState) warnStats() (seen, applied, critical uint64) {
-	switch {
-	case n.sw != nil:
-		seen, applied = n.sw.Warnings()
-	case n.hw != nil:
-		seen, applied = n.hw.Warnings()
-	case n.mhw != nil:
-		seen, applied, critical = n.mhw.Warnings()
-	}
-	return
+	return n.ctl.PoolSize()
 }
 
 // start schedules the node's thermal tick, Result.Series sampler and
@@ -572,7 +541,9 @@ type nodeView struct {
 func (n *nodeState) liveView() nodeView {
 	v := nodeView{hmc: n.cube.Counters(), gpu: n.dev.Stats(), thermal: n.coupler.stats(),
 		peak: n.res.PeakDRAM, pool: n.poolSize()}
-	v.seen, v.applied, v.critical = n.warnStats()
+	if n.ctl != nil {
+		v.seen, v.applied, v.critical = n.ctl.Warnings()
+	}
 	return v
 }
 

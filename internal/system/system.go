@@ -82,12 +82,10 @@ type Config struct {
 
 	// MultiLevelHW enables the paper's footnote-4 extension for the
 	// CoolPIMHW policy: a second (critical) thermal error state above
-	// 95 °C that applies an emergency PCU reduction and bypasses the
-	// delayed-control-update window.
+	// 95 °C that applies an emergency PCU reduction
+	// (core.CriticalFactor) and bypasses the delayed-control-update
+	// window.
 	MultiLevelHW bool
-	// MultiLevel carries the extension parameters (used only when
-	// MultiLevelHW is set; zero value falls back to defaults).
-	MultiLevel core.MultiLevelConfig
 }
 
 // DefaultConfig returns the paper's evaluation configuration.
