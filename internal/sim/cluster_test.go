@@ -67,6 +67,53 @@ func TestClusterBoundaryDelivery(t *testing.T) {
 	}
 }
 
+// TestClusterDeliveryOrder pins the order in which a destination runs
+// cross-domain messages, independently of any other driver: messages
+// that tie on a timestamp run in (source, send) order, after every
+// event the destination already held for that time, and a message sent
+// in a later window runs after all of them. Domains 3, 2 and 1 send in
+// that order of simulated time, so source order is not send-time order.
+func TestClusterDeliveryOrder(t *testing.T) {
+	want := []string{
+		"1#1@150", "1#3@150", "2#1@150", "2#3@150", "3#1@150", "3#3@150",
+		"local@200",
+		"1#0@200", "1#2@200", "2#0@200", "2#2@200", "3#0@200", "3#2@200",
+		"1#late@200",
+	}
+	for _, procs := range []int{1, 4} {
+		for _, shards := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("procs=%d/shards=%d", procs, shards), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				c, _ := NewCluster(10, 4)
+				c.SetShards(shards)
+				var ran []string // only domain 0's events append
+				c.Domain(0).At(200, func(now units.Time) {
+					ran = append(ran, fmt.Sprintf("local@%d", now))
+				})
+				for i, src := range []int{3, 2, 1} {
+					c.Domain(src).At(units.Time(100+i), func(units.Time) {
+						for k, at := range []units.Time{200, 150, 200, 150} {
+							tag := fmt.Sprintf("%d#%d", src, k)
+							c.Send(src, 0, at, func(now units.Time) {
+								ran = append(ran, fmt.Sprintf("%s@%d", tag, now))
+							})
+						}
+					})
+				}
+				c.Domain(1).At(150, func(units.Time) {
+					c.Send(1, 0, 200, func(now units.Time) {
+						ran = append(ran, fmt.Sprintf("1#late@%d", now))
+					})
+				})
+				c.RunUntil(1000)
+				if !reflect.DeepEqual(ran, want) {
+					t.Fatalf("domain 0 ran\n %v\nwant\n %v", ran, want)
+				}
+			})
+		}
+	}
+}
+
 // TestClusterHaltDrain pins the shard-drain semantics of Halt: the
 // window in which Halt is raised completes on every domain (a domain
 // that also halts its own engine stops immediately), later events stay
