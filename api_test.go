@@ -62,15 +62,9 @@ var testOnlyAPI = []string{
 	"internal/mem.Space.Buffers",
 	"internal/mem.Space.PIMRegion",
 	"internal/mem.Space.ReadU32",
-	"internal/sim.Cluster.Halted",
-	"internal/sim.Cluster.Pending",
-	"internal/sim.Cluster.Shards",
 	"internal/sim.Engine.After",
 	"internal/sim.Engine.Every",
-	"internal/sim.Engine.Halted",
-	"internal/sim.Engine.NextEventTime",
 	"internal/sim.Engine.Run",
-	"internal/sim.Engine.Steps",
 	"internal/simt.Ctx.Load1",
 	"internal/simt.Ctx.TotalThreads",
 	"internal/simt.FirstN",

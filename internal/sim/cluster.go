@@ -2,7 +2,7 @@ package sim
 
 import (
 	"fmt"
-	"slices"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -12,47 +12,55 @@ import (
 // Cluster coordinates several Engines ("domains") under a conservative
 // time-window barrier, the classic conservative-parallel DES scheme:
 // simulated time advances in windows [T, T+L) where T is the earliest
-// pending event across all domains and L is the lookahead (the minimum
-// latency of any cross-domain interaction, here the inter-cube link
-// latency). Within a window every domain executes its own events on its
-// own engine — serially or on parallel shard workers — and all
-// cross-domain communication is buffered in per-domain outboxes. At the
-// window boundary the outboxes are merged in a canonical order and
-// delivered, so the schedule each destination engine sees is
-// independent of how domains are assigned to workers.
+// pending event or undelivered message across all domains and L is the
+// lookahead (the minimum latency of any cross-domain interaction, here
+// the inter-cube link latency). Within a window every domain executes
+// its own events on its own engine, on the worker that owns it, and all
+// cross-domain sends are buffered in per-(source, destination)
+// outboxes. At the start of the next window each worker schedules the
+// messages sent to its domains, then runs them.
 //
-// Determinism: within a domain the engine's exact (at, seq) tie-break
-// orders events as always. Across domains, every message carries its
-// (at, src, seq) key and the barrier merge sorts by (dst, at, src, seq)
-// before scheduling, so destination sequence numbers — and therefore
-// same-timestamp tie-breaks — are assigned identically for every shard
-// count, including the serial reference driver. The differential tests
-// in cluster_test.go and system/multicube_test.go pin byte-identity of
-// serial vs sharded execution.
+// Determinism: a destination engine runs events by (at, seq), where seq
+// is its scheduling order. One window's messages are scheduled before
+// anything the next window schedules, in ascending source id and each
+// source's in send order, so messages that tie on a timestamp run in
+// (source, send) order, after every event the destination already held
+// for that time. That is the order a sort by (at, src, send) would
+// give, and it does not depend on how domains are assigned to workers:
+// every shard count runs every event in the same order. The tests in
+// cluster_test.go and system/multicube_test.go pin the order itself and
+// the byte-identity of every shard count.
 type Cluster struct {
 	lookahead units.Time
 	engines   []*Engine
 	xlabel    []Label // per-domain pre-interned "xshard" delivery label
 	shards    int
 
-	out     [][]xmsg // per-source outbox, filled during a window
-	sendSeq []uint64 // per-source monotonic message counter
-	merged  []xmsg   // barrier merge scratch, reused across windows
+	// out[p][src*n+dst] holds src's sends to dst during the windows of
+	// parity p; the other parity holds the previous window's sends until
+	// dst's worker schedules them. A worker writes only its own sources'
+	// boxes of the current parity and empties only its own destinations'
+	// boxes of the other one.
+	out [2][]outbox
+	cur int // parity of the window being run
 
 	// halted is the cluster-wide stop flag. It may be raised from any
 	// domain's event (possibly on a shard worker goroutine), so it is
-	// atomic; the drivers only observe it at window boundaries, which
+	// atomic; the driver only observes it at window boundaries, which
 	// keeps the stopping point deterministic.
 	halted atomic.Bool
 }
 
+// outbox is one (source, destination) message buffer.
+type outbox struct {
+	msgs []xmsg
+	min  units.Time // earliest msgs[i].at while msgs is non-empty
+}
+
 // xmsg is one buffered cross-domain event.
 type xmsg struct {
-	at  units.Time
-	src int32
-	dst int32
-	seq uint64
-	ev  Event
+	at units.Time
+	ev Event
 }
 
 // CausalityError is the panic value raised when a cross-domain send
@@ -87,8 +95,9 @@ func NewCluster(lookahead units.Time, domains int) (*Cluster, error) {
 		lookahead: lookahead,
 		engines:   make([]*Engine, domains),
 		xlabel:    make([]Label, domains),
-		out:       make([][]xmsg, domains),
-		sendSeq:   make([]uint64, domains),
+	}
+	for p := range c.out {
+		c.out[p] = make([]outbox, domains*domains)
 	}
 	for i := range c.engines {
 		e := New()
@@ -108,12 +117,12 @@ func (c *Cluster) Domain(i int) *Engine { return c.engines[i] }
 // Lookahead returns the cluster lookahead.
 func (c *Cluster) Lookahead() units.Time { return c.lookahead }
 
-// SetShards fixes how many worker shards execute windows: 1 selects the
-// serial reference driver (domains executed in ascending id order on
-// the calling goroutine), n > 1 a parallel driver with min(n, domains)
-// workers, and 0 (the default) auto-sizes to one worker per domain.
-// Results are byte-identical for every value — the shard count is a
-// wall-clock knob only.
+// SetShards fixes how many workers execute windows: domain d belongs to
+// worker d mod w, w = min(n, domains), and worker 0 is the goroutine
+// that calls RunUntil, so 1 runs every domain there, in ascending id
+// order, with no other goroutine. 0 (the default) auto-sizes to one
+// worker per domain. Results are byte-identical for every value — the
+// shard count is a wall-clock knob only.
 func (c *Cluster) SetShards(n int) {
 	if n < 0 {
 		n = 0
@@ -121,16 +130,14 @@ func (c *Cluster) SetShards(n int) {
 	c.shards = n
 }
 
-// Shards returns the configured shard count (0 = auto).
-func (c *Cluster) Shards() int { return c.shards }
-
 // Send schedules ev on domain dst at absolute time at. It must be
 // called from within an event executing on domain src (components hold
 // their own domain id), and at must respect the lookahead: at least the
 // sender's current time plus the cluster lookahead. Violations panic
-// with *CausalityError. Delivery happens at the next window barrier in
-// canonical (at, src, seq) merge order, so results do not depend on the
-// shard assignment of src and dst.
+// with *CausalityError. The message is scheduled on dst at the start of
+// the next window, after the messages of lower source ids and of
+// earlier sends by src, so results do not depend on the shard
+// assignment of src and dst.
 //
 //coolpim:hotpath
 func (c *Cluster) Send(src, dst int, at units.Time, ev Event) {
@@ -138,8 +145,11 @@ func (c *Cluster) Send(src, dst int, at units.Time, ev Event) {
 	if at < e.now+c.lookahead {
 		panic(&CausalityError{At: at, Now: e.now, Lookahead: c.lookahead, Src: src, Dst: dst})
 	}
-	c.sendSeq[src]++
-	c.out[src] = append(c.out[src], xmsg{at: at, src: int32(src), dst: int32(dst), seq: c.sendSeq[src], ev: ev}) //coolpim:allow hotalloc outbox append; capacity is retained across windows, growth is bounded by peak per-window cross traffic
+	b := &c.out[c.cur][src*len(c.engines)+dst]
+	if len(b.msgs) == 0 || at < b.min {
+		b.min = at
+	}
+	b.msgs = append(b.msgs, xmsg{at: at, ev: ev}) //coolpim:allow hotalloc outbox append; capacity is retained across windows, growth is bounded by peak per-window cross traffic
 }
 
 // Halt stops the cluster at the current window boundary: every domain
@@ -148,29 +158,25 @@ func (c *Cluster) Send(src, dst int, at units.Time, ev Event) {
 // from any domain's event, including on shard workers.
 func (c *Cluster) Halt() { c.halted.Store(true) }
 
-// Halted reports whether the cluster has been halted.
-func (c *Cluster) Halted() bool { return c.halted.Load() }
-
-// Pending returns the total number of queued events across domains.
-func (c *Cluster) Pending() int {
-	n := 0
-	for _, e := range c.engines {
-		n += e.Pending()
-	}
-	return n
-}
-
-// nextTime returns the earliest pending event time across non-halted
-// domains.
+// nextTime returns the earliest time a non-halted domain has pending: a
+// queued event, or a message the last window sent it.
 func (c *Cluster) nextTime() (units.Time, bool) {
 	var best units.Time
 	found := false
-	for _, e := range c.engines {
-		if e.halted || e.queue.len() == 0 {
+	out := c.out[c.cur]
+	for d, e := range c.engines {
+		if e.halted {
 			continue
 		}
-		if at := e.queue.minAt(); !found || at < best {
-			best, found = at, true
+		if e.queue.len() > 0 {
+			if at := e.queue.minAt(); !found || at < best {
+				best, found = at, true
+			}
+		}
+		for i := d; i < len(out); i += len(c.engines) {
+			if b := &out[i]; len(b.msgs) > 0 && (!found || b.min < best) {
+				best, found = b.min, true
+			}
 		}
 	}
 	return best, found
@@ -188,49 +194,48 @@ func (c *Cluster) windowLimit(T, t units.Time) units.Time {
 	return limit
 }
 
-// deliver is the window barrier's merge step: it drains every outbox,
-// sorts the messages by the canonical (dst, at, src, seq) key — a total
-// order, since (src, seq) is unique — and schedules them on their
-// destination engines in that order. Destination seq numbers are
-// therefore assigned canonically, making same-timestamp tie-breaks at
-// the destination independent of shard count and worker interleaving.
-func (c *Cluster) deliver() {
-	m := c.merged[:0]
-	for s := range c.out {
-		m = append(m, c.out[s]...)
-		c.out[s] = c.out[s][:0]
+// deliver schedules the messages in dst's parity-p outboxes on its
+// engine, source by source in ascending id, each source's in send
+// order, and empties the boxes.
+func (c *Cluster) deliver(dst, p int) {
+	e := c.engines[dst]
+	label := uint16(c.xlabel[dst])
+	out := c.out[p]
+	for i := dst; i < len(out); i += len(c.engines) {
+		b := &out[i]
+		for j := range b.msgs {
+			m := &b.msgs[j]
+			e.atID(m.at, label, m.ev)
+			m.ev = nil // do not pin delivered events in the buffer
+		}
+		b.msgs = b.msgs[:0]
 	}
-	if len(m) > 1 {
-		slices.SortFunc(m, func(a, b xmsg) int {
-			switch {
-			case a.dst != b.dst:
-				return int(a.dst) - int(b.dst)
-			case a.at != b.at:
-				if a.at < b.at {
-					return -1
-				}
-				return 1
-			case a.src != b.src:
-				return int(a.src) - int(b.src)
-			case a.seq < b.seq:
-				return -1
-			default:
-				return 1
-			}
-		})
+}
+
+// runWindow runs one window on worker w of workers: each domain the
+// worker owns schedules the messages the previous window sent it, then
+// executes its events up to limit.
+func (c *Cluster) runWindow(w, workers int, limit units.Time) {
+	for d := w; d < len(c.engines); d += workers {
+		c.deliver(d, c.cur^1)
+		e := c.engines[d]
+		for e.step(limit) {
+		}
 	}
-	for i := range m {
-		msg := &m[i]
-		e := c.engines[msg.dst]
-		e.atID(msg.at, uint16(c.xlabel[msg.dst]), msg.ev)
-		msg.ev = nil // do not pin delivered events in the scratch buffer
-	}
-	c.merged = m[:0]
 }
 
 // RunUntil executes events with timestamps <= t across all domains,
 // window by window, then advances every non-halted engine's clock to t
 // (mirroring Engine.RunUntil). It returns the latest domain time.
+//
+// The calling goroutine is worker 0 and the coordinator; workers 1..w-1
+// are goroutines that live for the call. The channel send publishing
+// each window's limit and the WaitGroup completion form the
+// happens-before edges that make outbox and engine hand-offs race-free.
+// With more than one worker, the caller and every worker hold their OS
+// threads for the call, so a domain's queue and in-flight state stay in
+// one core's caches. Before returning, RunUntil schedules the last
+// window's messages, so every pending event is in a queue.
 func (c *Cluster) RunUntil(t units.Time) units.Time {
 	for _, e := range c.engines {
 		if ro, ok := e.obs.(RunObserver); ok {
@@ -241,10 +246,48 @@ func (c *Cluster) RunUntil(t units.Time) units.Time {
 	if workers < 1 || workers > len(c.engines) {
 		workers = len(c.engines)
 	}
+	chans := make([]chan units.Time, workers-1)
+	var lifetime, window sync.WaitGroup
 	if workers > 1 {
-		c.runParallel(t, workers)
-	} else {
-		c.runSerial(t)
+		runtime.LockOSThread()
+		defer runtime.UnlockOSThread()
+	}
+	for i := range chans {
+		ch := make(chan units.Time, 1)
+		chans[i] = ch
+		w := i + 1
+		lifetime.Add(1)
+		//coolpim:allow determinism shard worker: executes whole windows of domains it exclusively owns; all cross-domain effects are buffered and scheduled in source order at the next window, so event interleaving is provably schedule-independent
+		go func() {
+			defer lifetime.Done()
+			runtime.LockOSThread()
+			defer runtime.UnlockOSThread()
+			for limit := range ch {
+				c.runWindow(w, workers, limit)
+				window.Done()
+			}
+		}()
+	}
+	for !c.halted.Load() {
+		T, ok := c.nextTime()
+		if !ok || T > t {
+			break
+		}
+		limit := c.windowLimit(T, t)
+		c.cur ^= 1
+		window.Add(len(chans))
+		for _, ch := range chans {
+			ch <- limit
+		}
+		c.runWindow(0, workers, limit)
+		window.Wait()
+	}
+	for _, ch := range chans {
+		close(ch)
+	}
+	lifetime.Wait()
+	for d := range c.engines {
+		c.deliver(d, c.cur)
 	}
 	if !c.halted.Load() {
 		for _, e := range c.engines {
@@ -263,76 +306,4 @@ func (c *Cluster) RunUntil(t units.Time) units.Time {
 		}
 	}
 	return end
-}
-
-// runSerial is the retained serial reference driver: identical window
-// and merge semantics, domains executed in ascending id order on the
-// calling goroutine. The differential tests compare its results byte
-// for byte against runParallel's.
-func (c *Cluster) runSerial(t units.Time) {
-	for !c.halted.Load() {
-		T, ok := c.nextTime()
-		if !ok || T > t {
-			return
-		}
-		limit := c.windowLimit(T, t)
-		for _, e := range c.engines {
-			for e.step(limit) {
-			}
-		}
-		c.deliver()
-	}
-}
-
-// runParallel executes windows on `workers` shard goroutines, domain d
-// assigned to worker d mod workers; the caller doubles as worker 0. The
-// channel send publishing each window's limit and the WaitGroup
-// completion form the happens-before edges that make outbox and engine
-// state hand-offs race-free, and the merge at each barrier makes the
-// results byte-identical to runSerial's.
-func (c *Cluster) runParallel(t units.Time, workers int) {
-	aux := workers - 1
-	chans := make([]chan units.Time, aux)
-	var lifetime sync.WaitGroup
-	var window sync.WaitGroup
-	for w := 0; w < aux; w++ {
-		ch := make(chan units.Time, 1)
-		chans[w] = ch
-		wid := w + 1
-		lifetime.Add(1)
-		//coolpim:allow determinism shard worker: executes whole windows of domains it exclusively owns; all cross-domain effects are buffered and merged in canonical order at the barrier, so event interleaving is provably schedule-independent
-		go func() {
-			defer lifetime.Done()
-			for limit := range ch {
-				for d := wid; d < len(c.engines); d += workers {
-					e := c.engines[d]
-					for e.step(limit) {
-					}
-				}
-				window.Done()
-			}
-		}()
-	}
-	for !c.halted.Load() {
-		T, ok := c.nextTime()
-		if !ok || T > t {
-			break
-		}
-		limit := c.windowLimit(T, t)
-		window.Add(aux)
-		for _, ch := range chans {
-			ch <- limit
-		}
-		for d := 0; d < len(c.engines); d += workers {
-			e := c.engines[d]
-			for e.step(limit) {
-			}
-		}
-		window.Wait()
-		c.deliver()
-	}
-	for _, ch := range chans {
-		close(ch)
-	}
-	lifetime.Wait()
 }

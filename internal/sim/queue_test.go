@@ -221,9 +221,15 @@ func (m *engineModel) schedule(at units.Time) {
 
 func (m *engineModel) runUntil(limit units.Time) { m.e.RunUntil(limit) }
 func (m *engineModel) run()                      { m.e.Run() }
-func (m *engineModel) next() (units.Time, bool)  { return m.e.NextEventTime() }
-func (m *engineModel) pending() int              { return m.e.Pending() }
+func (m *engineModel) pending() int              { return m.e.queue.len() }
 func (m *engineModel) clock() units.Time         { return m.e.Now() }
+
+func (m *engineModel) next() (units.Time, bool) {
+	if m.e.queue.len() == 0 {
+		return 0, false
+	}
+	return m.e.queue.minAt(), true
+}
 
 // diffTrace replays tr through the engine and the reference heap and
 // returns a description of the first divergence, or "".
@@ -378,9 +384,9 @@ func wantSplit(t *testing.T, e *Engine, ring, heap int) {
 	}
 }
 
-// TestNextEventTimePendingMidRun probes the introspection API from
-// inside an executing event, with pending work in the cursor bucket, on
-// both sides of a bucket edge and past the ring's horizon.
+// TestNextEventTimePendingMidRun probes the queue's count and earliest
+// time from inside an executing event, with pending work in the cursor
+// bucket, on both sides of a bucket edge and past the ring's horizon.
 func TestNextEventTimePendingMidRun(t *testing.T) {
 	e := New()
 	checked := false
@@ -390,12 +396,12 @@ func TestNextEventTimePendingMidRun(t *testing.T) {
 		e.At(bucketWidth-1, func(units.Time) {}) // last ps of the cursor bucket
 		e.At(bucketWidth, func(units.Time) {})   // first ps of the next one
 		e.At(horizon, func(units.Time) {})       // one ps past the ring
-		if got := e.Pending(); got != 6 {
-			t.Errorf("Pending() mid-run = %d, want 6 (4 ring + 1 heap + 1 pre-scheduled)", got)
+		if got := e.queue.len(); got != 6 {
+			t.Errorf("pending mid-run = %d, want 6 (4 ring + 1 heap + 1 pre-scheduled)", got)
 		}
 		wantSplit(t, e, 5, 1)
-		if at, ok := e.NextEventTime(); !ok || at != 10 {
-			t.Errorf("NextEventTime() mid-run = %v,%v want 10,true", at, ok)
+		if at := e.queue.minAt(); at != 10 {
+			t.Errorf("earliest pending mid-run = %v, want 10", at)
 		}
 		checked = true
 	})
@@ -404,8 +410,8 @@ func TestNextEventTimePendingMidRun(t *testing.T) {
 	if !checked {
 		t.Fatal("probe event never ran")
 	}
-	if e.Pending() != 0 {
-		t.Errorf("Pending() after drain = %d, want 0", e.Pending())
+	if e.queue.len() != 0 {
+		t.Errorf("pending after drain = %d, want 0", e.queue.len())
 	}
 }
 
@@ -428,12 +434,12 @@ func TestHaltWithBucketedEventsPending(t *testing.T) {
 	if ran != 2 {
 		t.Errorf("ran %d events after Halt at 2", ran)
 	}
-	if e.Pending() != 6 {
-		t.Errorf("Pending() after halt = %d, want 6 (5 ring + 1 heap)", e.Pending())
+	if e.queue.len() != 6 {
+		t.Errorf("pending after halt = %d, want 6 (5 ring + 1 heap)", e.queue.len())
 	}
 	wantSplit(t, e, 5, 1)
-	if at, ok := e.NextEventTime(); !ok || at != 10 {
-		t.Errorf("NextEventTime() after halt = %v,%v want 10,true", at, ok)
+	if at := e.queue.minAt(); at != 10 {
+		t.Errorf("earliest pending after halt = %v, want 10", at)
 	}
 }
 

@@ -77,9 +77,6 @@ func New() *Engine { return &Engine{} }
 // Now returns the current simulated time.
 func (e *Engine) Now() units.Time { return e.now }
 
-// Steps returns the number of events executed so far.
-func (e *Engine) Steps() uint64 { return e.nSteps }
-
 // SetObserver attaches (or, with nil, detaches) a profiling observer.
 func (e *Engine) SetObserver(o Observer) { e.obs = o }
 
@@ -257,9 +254,6 @@ func (e *Engine) everyID(period units.Time, label uint16, fn func(now units.Time
 // finishes. Pending events remain queued.
 func (e *Engine) Halt() { e.halted = true }
 
-// Halted reports whether Halt has been called.
-func (e *Engine) Halted() bool { return e.halted }
-
 // step executes the next event. It reports false when the queue is empty
 // or the engine is halted.
 //
@@ -321,16 +315,4 @@ func (e *Engine) RunUntil(t units.Time) units.Time {
 		ro.RunEnded(e.now)
 	}
 	return e.now
-}
-
-// Pending returns the number of queued events.
-func (e *Engine) Pending() int { return e.queue.len() }
-
-// NextEventTime returns the timestamp of the earliest queued event and
-// whether one exists.
-func (e *Engine) NextEventTime() (units.Time, bool) {
-	if e.queue.len() == 0 {
-		return 0, false
-	}
-	return e.queue.minAt(), true
 }

@@ -13,8 +13,8 @@ func TestEmptyEngine(t *testing.T) {
 	if got := e.Run(); got != 0 {
 		t.Errorf("empty Run() ended at %v, want 0", got)
 	}
-	if e.Pending() != 0 || e.Steps() != 0 {
-		t.Errorf("empty engine has pending=%d steps=%d", e.Pending(), e.Steps())
+	if e.queue.len() != 0 || e.nSteps != 0 {
+		t.Errorf("empty engine has pending=%d steps=%d", e.queue.len(), e.nSteps)
 	}
 }
 
@@ -111,8 +111,8 @@ func TestRunUntil(t *testing.T) {
 	if e.Now() != 25 {
 		t.Errorf("clock at %v after RunUntil(25)", e.Now())
 	}
-	if e.Pending() != 2 {
-		t.Errorf("pending = %d, want 2", e.Pending())
+	if e.queue.len() != 2 {
+		t.Errorf("pending = %d, want 2", e.queue.len())
 	}
 	e.RunUntil(100)
 	if len(fired) != 4 {
@@ -148,11 +148,11 @@ func TestHalt(t *testing.T) {
 	if count != 3 {
 		t.Errorf("ran %d events after Halt at 3", count)
 	}
-	if !e.Halted() {
-		t.Error("Halted() = false after Halt")
+	if !e.halted {
+		t.Error("halted = false after Halt")
 	}
-	if e.Pending() != 7 {
-		t.Errorf("pending = %d, want 7", e.Pending())
+	if e.queue.len() != 7 {
+		t.Errorf("pending = %d, want 7", e.queue.len())
 	}
 }
 
@@ -187,12 +187,12 @@ func TestEveryNonPositivePanics(t *testing.T) {
 
 func TestNextEventTime(t *testing.T) {
 	e := New()
-	if _, ok := e.NextEventTime(); ok {
-		t.Error("NextEventTime on empty queue reported an event")
+	if n := e.queue.len(); n != 0 {
+		t.Errorf("empty queue holds %d events", n)
 	}
 	e.At(42, func(units.Time) {})
-	if at, ok := e.NextEventTime(); !ok || at != 42 {
-		t.Errorf("NextEventTime = %v,%v want 42,true", at, ok)
+	if n, at := e.queue.len(), e.queue.minAt(); n != 1 || at != 42 {
+		t.Errorf("queue holds %d events, earliest at %v; want 1 at 42", n, at)
 	}
 }
 
@@ -223,8 +223,8 @@ func TestRandomScheduleIsTimeSorted(t *testing.T) {
 		if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
 			t.Fatalf("events ran out of time order: %v", got)
 		}
-		if e.Steps() != uint64(n) {
-			t.Fatalf("Steps() = %d, want %d", e.Steps(), n)
+		if e.nSteps != uint64(n) {
+			t.Fatalf("steps = %d, want %d", e.nSteps, n)
 		}
 	}
 }
