@@ -34,6 +34,7 @@ import (
 	"strconv"
 	"strings"
 	"text/tabwriter"
+	"unicode/utf8"
 )
 
 // Benchmark is one benchmark's record: a single result line as parsed,
@@ -129,6 +130,9 @@ func parse(sc *bufio.Scanner) (*Snapshot, error) {
 			continue
 		case strings.HasPrefix(line, "goos:"), strings.HasPrefix(line, "goarch:"),
 			strings.HasPrefix(line, "pkg:"), strings.HasPrefix(line, "cpu:"):
+			if !utf8.ValidString(line) {
+				return nil, fmt.Errorf("%q: not UTF-8", line)
+			}
 			k, v, _ := strings.Cut(line, ":")
 			snap.Meta[k] = strings.TrimSpace(v)
 			continue
@@ -159,8 +163,7 @@ func fold(lines []Benchmark) []Benchmark {
 	out := make([]Benchmark, 0, len(order))
 	for _, name := range order {
 		rs := runs[name]
-		f := Benchmark{Name: name, Runs: len(rs), Metrics: map[string]float64{},
-			Min: map[string]float64{}, Max: map[string]float64{}}
+		f := Benchmark{Name: name, Runs: len(rs), Metrics: map[string]float64{}}
 		iters := make([]float64, len(rs))
 		for i, r := range rs {
 			iters[i] = float64(r.Iterations)
@@ -170,6 +173,9 @@ func fold(lines []Benchmark) []Benchmark {
 			for unit := range r.Metrics {
 				f.Metrics[unit] = 0 // the union of the runs' units
 			}
+		}
+		if len(f.Metrics) > 0 { // without metrics they stay nil, as the file omits them
+			f.Min, f.Max = map[string]float64{}, map[string]float64{}
 		}
 		for unit := range f.Metrics {
 			var vs []float64
@@ -188,14 +194,16 @@ func fold(lines []Benchmark) []Benchmark {
 }
 
 // median returns the middle value of vs (the mean of the two middle
-// values for an even count). It sorts vs in place.
+// values for an even count, halved before the sum so that two finite
+// values near the float64 limit cannot sum to infinity). It sorts vs in
+// place.
 func median(vs []float64) float64 {
 	slices.Sort(vs)
 	n := len(vs)
 	if n%2 == 1 {
 		return vs[n/2]
 	}
-	return (vs[n/2-1] + vs[n/2]) / 2
+	return vs[n/2-1]/2 + vs[n/2]/2
 }
 
 // spread returns a metric's min-max range; a schema-1 record has none
@@ -275,6 +283,9 @@ func delta(ov, nv float64) string {
 //
 //	BenchmarkEventEngine-8   9371869   123.4 ns/op   0 B/op   0 allocs/op
 func parseBenchLine(line string) (Benchmark, error) {
+	if !utf8.ValidString(line) { // JSON would replace the invalid bytes
+		return Benchmark{}, fmt.Errorf("not UTF-8")
+	}
 	fields := strings.Fields(line)
 	if len(fields) < 2 {
 		return Benchmark{}, fmt.Errorf("too few fields")
@@ -300,6 +311,9 @@ func parseBenchLine(line string) (Benchmark, error) {
 		v, err := strconv.ParseFloat(rest[i], 64)
 		if err != nil {
 			return Benchmark{}, fmt.Errorf("metric %s: %w", rest[i+1], err)
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return Benchmark{}, fmt.Errorf("metric %s: non-finite value %s", rest[i+1], rest[i])
 		}
 		b.Metrics[rest[i+1]] = v
 	}

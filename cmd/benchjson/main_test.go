@@ -2,6 +2,8 @@ package main
 
 import (
 	"bufio"
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -52,6 +54,11 @@ func TestParseRejectsMalformed(t *testing.T) {
 	for _, bad := range []string{
 		"BenchmarkX 12 34", // dangling value without unit
 		"BenchmarkX notanumber 1 ns/op",
+		"BenchmarkX-2 100 NaN ns/op", // JSON has no NaN or infinities
+		"BenchmarkX-2 100 Inf ns/op",
+		"BenchmarkX-2 100 1 ns/op -inf B/op",
+		"BenchmarkX-2 100 1 \xff/op", // JSON would replace the byte
+		"goos: \xfe",
 	} {
 		if _, err := parse(bufio.NewScanner(strings.NewReader(bad))); err == nil {
 			t.Errorf("parse(%q) succeeded, want error", bad)
@@ -131,4 +138,28 @@ func TestReportFlagsOutsideSpread(t *testing.T) {
 	if !strings.Contains(out, "1 metric(s) moved outside the observed spread") {
 		t.Errorf("summary line missing:\n%s", out)
 	}
+}
+
+// FuzzParse feeds arbitrary text to parse. It must never panic, and
+// whatever it accepts must survive the snapshot file: the snapshot
+// marshals as benchjson writes it, and those bytes unmarshal to an
+// equal snapshot. Seeds live in testdata/fuzz/FuzzParse.
+func FuzzParse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in string) {
+		snap, err := parse(bufio.NewScanner(strings.NewReader(in)))
+		if err != nil {
+			return
+		}
+		buf, err := json.MarshalIndent(snap, "", "  ")
+		if err != nil {
+			t.Fatalf("accepted input does not marshal: %v", err)
+		}
+		var back Snapshot
+		if err := json.Unmarshal(buf, &back); err != nil {
+			t.Fatalf("snapshot does not unmarshal: %v\n%s", err, buf)
+		}
+		if !reflect.DeepEqual(&back, snap) {
+			t.Fatalf("round trip changed the snapshot:\n got %+v\nwant %+v", back, *snap)
+		}
+	})
 }
