@@ -342,11 +342,13 @@ func TestHWPolicyWarpGating(t *testing.T) {
 	cfg := core.DefaultConfig()
 	hw := core.NewHWDynT(eng, cfg, DefaultConfig().NumSMs, DefaultConfig().MaxWarpsPerSM, nil)
 	// Pre-throttle every PCU to zero: all atomics must take the host path.
-	cfg2 := cfg
-	cfg2.SettleTime = units.Microsecond
+	// Each 2 ms gap outlasts the settle window, so every warning applies.
 	for i := 0; i < 10; i++ {
 		hw.OnThermalWarning(eng.Now())
 		eng.RunUntil(eng.Now() + 2*units.Millisecond)
+	}
+	if n := hw.PoolSize(); n != 0 {
+		t.Fatalf("pre-throttled pool holds %d warps, want 0", n)
 	}
 	g := New(eng, space, cube, hw, DefaultConfig())
 	buf := space.Alloc("ctrs", 4096, true)
@@ -365,7 +367,6 @@ func TestHWPolicyWarpGating(t *testing.T) {
 	if s.HostLaneOps != 512 {
 		t.Errorf("host lanes = %d, want 512", s.HostLaneOps)
 	}
-	_ = cfg2
 }
 
 func TestAsyncLoadOverlap(t *testing.T) {
