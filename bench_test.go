@@ -516,10 +516,10 @@ func BenchmarkBFSReference(b *testing.B) {
 // BenchmarkShardedEngine measures the conservative-parallel cluster on
 // synthetic traffic: each of 4 domains runs a self-rescheduling local
 // event chain and sends a cross-shard message every 16th event. The
-// serial sub-bench is the retained reference driver (shards=1), the
-// sharded one the parallel barrier scheme (one worker per domain);
-// results are byte-identical between the two by construction, so the
-// pair isolates the engine overhead/scaling. On a single-core host the
+// serial sub-bench runs every domain on the calling goroutine
+// (shards=1), the sharded one one worker per domain; results are
+// byte-identical between the two by construction, so the pair isolates
+// the barrier's hand-off cost. On a single-core host the
 // sharded variant only measures barrier overhead — see DESIGN.md §12.
 func BenchmarkShardedEngine(b *testing.B) {
 	const domains = 4
@@ -560,9 +560,9 @@ func BenchmarkShardedEngine(b *testing.B) {
 }
 
 // BenchmarkMultiCubeSystem runs the full 4-cube chain platform (one dc
-// workload replica per cube, CoolPIM-HW policy) end to end, serial
-// reference vs sharded. The scaling curve in DESIGN.md §12 comes from
-// this benchmark at GOMAXPROCS >= 4.
+// workload replica per cube, CoolPIM-HW policy) end to end, on one shard
+// and on one shard per cube. The numbers in DESIGN.md §12 come from
+// perfbench's multicube-net workload, not from this benchmark.
 func BenchmarkMultiCubeSystem(b *testing.B) {
 	g := graph.GenRMAT(11, 8, graph.LDBCLikeParams(), 7)
 	cfg := experiments.ScaledConfig(11)

@@ -69,8 +69,9 @@ type NetworkConfig struct {
 	// 4 KiB pages).
 	InterleaveShift uint
 	// Shards is the engine shard count: 0 auto-sizes to one worker per
-	// cube, 1 forces the serial reference driver, n>1 uses min(n, cubes)
-	// parallel workers. Results are byte-identical for every value.
+	// cube, 1 runs every cube on the calling goroutine, n>1 uses
+	// min(n, cubes) parallel workers. Results are byte-identical for
+	// every value.
 	Shards int
 }
 

@@ -49,10 +49,10 @@ func mcFingerprint(res *Result) string {
 	return fmt.Sprintf("%+v", cp)
 }
 
-// TestMultiCubeSerialShardedByteIdentical is the tentpole's acceptance
-// test at the system level: the sharded parallel engine must produce
-// results byte-identical to the retained serial reference (shards=1)
-// across topologies, shard counts and GOMAXPROCS settings.
+// TestMultiCubeSerialShardedByteIdentical is the system-level
+// differential test: parallel shards must produce results
+// byte-identical to the serial run (shards=1, every cube on the calling
+// goroutine) across topologies, shard counts and GOMAXPROCS settings.
 func TestMultiCubeSerialShardedByteIdentical(t *testing.T) {
 	// Full matrix on the 4-cube chain; under the race detector a single
 	// parallel configuration (see raceEnabled).
