@@ -116,8 +116,9 @@ func TestClusterDeliveryOrder(t *testing.T) {
 
 // TestClusterHaltDrain pins the shard-drain semantics of Halt: the
 // window in which Halt is raised completes on every domain (a domain
-// that also halts its own engine stops immediately), later events stay
-// queued, and clocks are not advanced to the run bound.
+// that also halts its own engine stops immediately), later events and
+// the messages that window sent stay queued on their domains, and
+// clocks are not advanced to the run bound.
 func TestClusterHaltDrain(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -129,6 +130,7 @@ func TestClusterHaltDrain(t *testing.T) {
 			var ran [2][]string
 			c.Domain(0).At(50, func(now units.Time) {
 				ran[0] = append(ran[0], "halter")
+				c.Send(0, 1, now+L, func(units.Time) { ran[1] = append(ran[1], "message") })
 				c.Halt()
 				c.Domain(0).Halt()
 			})
@@ -146,12 +148,8 @@ func TestClusterHaltDrain(t *testing.T) {
 			if !c.halted.Load() {
 				t.Fatal("cluster not halted")
 			}
-			pending := 0
-			for _, e := range c.engines {
-				pending += e.queue.len()
-			}
-			if pending == 0 {
-				t.Fatal("later events should stay queued after halt")
+			if n0, n1 := c.engines[0].queue.len(), c.engines[1].queue.len(); n0 != 1 || n1 != 2 {
+				t.Fatalf("domains hold %d and %d events after halt, want 1 and 2", n0, n1)
 			}
 			if end >= 10_000 {
 				t.Fatalf("clock advanced to run bound after halt: %v", end)
