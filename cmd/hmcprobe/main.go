@@ -34,7 +34,7 @@ func main() {
 	cubes := flag.Int("cubes", 1, "probe a multi-cube network with this many cubes instead of the thermal sweep")
 	topology := flag.String("topology", "chain", "inter-cube link topology: "+strings.Join(hmc.TopologyNames(), ", "))
 	linkLatency := flag.Duration("link-latency", 0, "per-hop inter-cube link latency, simulated time (0 = built-in default)")
-	shards := flag.Int("shards", 0, "engine shards: 0 = one per cube, 1 = serial reference")
+	shards := flag.Int("shards", 0, "engine shards: 0 = one per cube, 1 = every cube on the calling goroutine")
 	reqs := flag.Int("reqs", 4096, "requests submitted per cube in the network probe")
 	flag.Parse()
 

@@ -115,7 +115,7 @@ func (b *Binder) Network(fs *flag.FlagSet) {
 	fs.IntVar(&b.cubes, "cubes", 1, "number of HMC cubes per run (>1 networks them, one workload replica per cube)")
 	fs.StringVar(&b.topology, "topology", "chain", "inter-cube link topology: "+strings.Join(hmc.TopologyNames(), ", "))
 	fs.DurationVar(&b.linkLatency, "link-latency", 0, "per-hop inter-cube link latency, simulated time (0 = built-in default)")
-	fs.IntVar(&b.shards, "shards", 0, "engine shards for multi-cube runs: 0 = one per cube, 1 = serial reference")
+	fs.IntVar(&b.shards, "shards", 0, "engine shards for multi-cube runs: 0 = one per cube, 1 = every cube on the calling goroutine")
 }
 
 // Runner registers the campaign execution knobs: -parallel, -timeout,

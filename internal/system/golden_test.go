@@ -73,9 +73,9 @@ func goldenCases() []goldenCase {
 		cfg.MultiLevelHW = true
 		return cfg
 	}
-	// Instrumented multi-cube cases run the serial reference (shards=1):
-	// node 0's periodic diag snapshots read the other nodes' published
-	// views, which only the serial reference orders deterministically.
+	// Instrumented multi-cube cases run on one shard (shards=1): node
+	// 0's periodic diag snapshots read the other nodes' published views,
+	// which only one shard orders deterministically.
 	mc := func(topo hmc.Topology, cubes, shards int, mutate func(*Config)) func() Config {
 		return func() Config {
 			cfg := mcConfig(topo, cubes, shards)
