@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -12,20 +11,19 @@ import (
 // Cluster coordinates several Engines ("domains") under a conservative
 // time-window barrier, the classic conservative-parallel DES scheme:
 // simulated time advances in windows [T, T+L) where T is the earliest
-// pending event or undelivered message across all domains and L is the
-// lookahead (the minimum latency of any cross-domain interaction, here
-// the inter-cube link latency). Within a window every domain executes
-// its own events on its own engine, on the worker that owns it, and all
-// cross-domain sends are buffered in per-(source, destination)
-// outboxes. At the start of the next window each worker schedules the
-// messages sent to its domains, then runs them.
+// pending event across all domains and L is the lookahead (the minimum
+// latency of any cross-domain interaction, here the inter-cube link
+// latency). Within a window every domain executes its own events on its
+// own engine, on the worker that owns it, and all cross-domain sends are
+// buffered in per-(source, destination) outboxes. At the barrier the
+// coordinator schedules each destination's messages on its engine.
 //
 // Determinism: a destination engine runs events by (at, seq), where seq
-// is its scheduling order. One window's messages are scheduled before
-// anything the next window schedules, in ascending source id and each
-// source's in send order, so messages that tie on a timestamp run in
-// (source, send) order, after every event the destination already held
-// for that time. That is the order a sort by (at, src, send) would
+// is its scheduling order. The barrier schedules a window's messages
+// before anything the next window schedules, in ascending source id and
+// each source's in send order, so messages that tie on a timestamp run
+// in (source, send) order, after every event the destination already
+// held for that time. That is the order a sort by (at, src, send) would
 // give, and it does not depend on how domains are assigned to workers:
 // every shard count runs every event in the same order. The tests in
 // cluster_test.go and system/multicube_test.go pin the order itself and
@@ -36,25 +34,16 @@ type Cluster struct {
 	xlabel    []Label // per-domain pre-interned "xshard" delivery label
 	shards    int
 
-	// out[p][src*n+dst] holds src's sends to dst during the windows of
-	// parity p; the other parity holds the previous window's sends until
-	// dst's worker schedules them. A worker writes only its own sources'
-	// boxes of the current parity and empties only its own destinations'
-	// boxes of the other one.
-	out [2][]outbox
-	cur int // parity of the window being run
+	// out[src*n+dst] holds src's sends to dst during the current window.
+	// Only src's worker appends to it; the coordinator empties it at the
+	// barrier.
+	out [][]xmsg
 
 	// halted is the cluster-wide stop flag. It may be raised from any
 	// domain's event (possibly on a shard worker goroutine), so it is
 	// atomic; the driver only observes it at window boundaries, which
 	// keeps the stopping point deterministic.
 	halted atomic.Bool
-}
-
-// outbox is one (source, destination) message buffer.
-type outbox struct {
-	msgs []xmsg
-	min  units.Time // earliest msgs[i].at while msgs is non-empty
 }
 
 // xmsg is one buffered cross-domain event.
@@ -96,9 +85,7 @@ func NewCluster(lookahead units.Time, domains int) (*Cluster, error) {
 		engines:   make([]*Engine, domains),
 		xlabel:    make([]Label, domains),
 	}
-	for p := range c.out {
-		c.out[p] = make([]outbox, domains*domains)
-	}
+	c.out = make([][]xmsg, domains*domains)
 	for i := range c.engines {
 		e := New()
 		c.engines[i] = e
@@ -134,10 +121,10 @@ func (c *Cluster) SetShards(n int) {
 // called from within an event executing on domain src (components hold
 // their own domain id), and at must respect the lookahead: at least the
 // sender's current time plus the cluster lookahead. Violations panic
-// with *CausalityError. The message is scheduled on dst at the start of
-// the next window, after the messages of lower source ids and of
-// earlier sends by src, so results do not depend on the shard
-// assignment of src and dst.
+// with *CausalityError. The message is scheduled on dst at the window's
+// barrier, after the messages of lower source ids and of earlier sends
+// by src, so results do not depend on the shard assignment of src and
+// dst.
 //
 //coolpim:hotpath
 func (c *Cluster) Send(src, dst int, at units.Time, ev Event) {
@@ -145,11 +132,8 @@ func (c *Cluster) Send(src, dst int, at units.Time, ev Event) {
 	if at < e.now+c.lookahead {
 		panic(&CausalityError{At: at, Now: e.now, Lookahead: c.lookahead, Src: src, Dst: dst})
 	}
-	b := &c.out[c.cur][src*len(c.engines)+dst]
-	if len(b.msgs) == 0 || at < b.min {
-		b.min = at
-	}
-	b.msgs = append(b.msgs, xmsg{at: at, ev: ev}) //coolpim:allow hotalloc outbox append; capacity is retained across windows, growth is bounded by peak per-window cross traffic
+	b := &c.out[src*len(c.engines)+dst]
+	*b = append(*b, xmsg{at: at, ev: ev}) //coolpim:allow hotalloc outbox append; capacity is retained across windows, growth is bounded by peak per-window cross traffic
 }
 
 // Halt stops the cluster at the current window boundary: every domain
@@ -158,25 +142,17 @@ func (c *Cluster) Send(src, dst int, at units.Time, ev Event) {
 // from any domain's event, including on shard workers.
 func (c *Cluster) Halt() { c.halted.Store(true) }
 
-// nextTime returns the earliest time a non-halted domain has pending: a
-// queued event, or a message the last window sent it.
+// nextTime returns the earliest pending event time across non-halted
+// domains.
 func (c *Cluster) nextTime() (units.Time, bool) {
 	var best units.Time
 	found := false
-	out := c.out[c.cur]
-	for d, e := range c.engines {
-		if e.halted {
+	for _, e := range c.engines {
+		if e.halted || e.queue.len() == 0 {
 			continue
 		}
-		if e.queue.len() > 0 {
-			if at := e.queue.minAt(); !found || at < best {
-				best, found = at, true
-			}
-		}
-		for i := d; i < len(out); i += len(c.engines) {
-			if b := &out[i]; len(b.msgs) > 0 && (!found || b.min < best) {
-				best, found = b.min, true
-			}
+		if at := e.queue.minAt(); !found || at < best {
+			best, found = at, true
 		}
 	}
 	return best, found
@@ -194,30 +170,29 @@ func (c *Cluster) windowLimit(T, t units.Time) units.Time {
 	return limit
 }
 
-// deliver schedules the messages in dst's parity-p outboxes on its
-// engine, source by source in ascending id, each source's in send
-// order, and empties the boxes.
-func (c *Cluster) deliver(dst, p int) {
-	e := c.engines[dst]
-	label := uint16(c.xlabel[dst])
-	out := c.out[p]
-	for i := dst; i < len(out); i += len(c.engines) {
-		b := &out[i]
-		for j := range b.msgs {
-			m := &b.msgs[j]
-			e.atID(m.at, label, m.ev)
-			m.ev = nil // do not pin delivered events in the buffer
+// deliver is the window barrier: it schedules every buffered message on
+// its destination's engine, for each destination source by source in
+// ascending id, each source's in send order, and empties the outboxes.
+// No sort is needed: the engine orders different timestamps itself.
+func (c *Cluster) deliver() {
+	n := len(c.engines)
+	for dst, e := range c.engines {
+		label := uint16(c.xlabel[dst])
+		for i := dst; i < len(c.out); i += n {
+			b := c.out[i]
+			for j := range b {
+				e.atID(b[j].at, label, b[j].ev)
+				b[j].ev = nil // do not pin delivered events in the buffer
+			}
+			c.out[i] = b[:0]
 		}
-		b.msgs = b.msgs[:0]
 	}
 }
 
 // runWindow runs one window on worker w of workers: each domain the
-// worker owns schedules the messages the previous window sent it, then
-// executes its events up to limit.
+// worker owns executes its events up to limit.
 func (c *Cluster) runWindow(w, workers int, limit units.Time) {
 	for d := w; d < len(c.engines); d += workers {
-		c.deliver(d, c.cur^1)
 		e := c.engines[d]
 		for e.step(limit) {
 		}
@@ -232,10 +207,6 @@ func (c *Cluster) runWindow(w, workers int, limit units.Time) {
 // are goroutines that live for the call. The channel send publishing
 // each window's limit and the WaitGroup completion form the
 // happens-before edges that make outbox and engine hand-offs race-free.
-// With more than one worker, the caller and every worker hold their OS
-// threads for the call, so a domain's queue and in-flight state stay in
-// one core's caches. Before returning, RunUntil schedules the last
-// window's messages, so every pending event is in a queue.
 func (c *Cluster) RunUntil(t units.Time) units.Time {
 	for _, e := range c.engines {
 		if ro, ok := e.obs.(RunObserver); ok {
@@ -248,20 +219,22 @@ func (c *Cluster) RunUntil(t units.Time) units.Time {
 	}
 	chans := make([]chan units.Time, workers-1)
 	var lifetime, window sync.WaitGroup
-	if workers > 1 {
-		runtime.LockOSThread()
-		defer runtime.UnlockOSThread()
-	}
+	// Stop the workers on every return path, a panic in one of worker
+	// 0's events included, so none is left blocked.
+	defer func() {
+		for _, ch := range chans {
+			close(ch)
+		}
+		lifetime.Wait()
+	}()
 	for i := range chans {
 		ch := make(chan units.Time, 1)
 		chans[i] = ch
 		w := i + 1
 		lifetime.Add(1)
-		//coolpim:allow determinism shard worker: executes whole windows of domains it exclusively owns; all cross-domain effects are buffered and scheduled in source order at the next window, so event interleaving is provably schedule-independent
+		//coolpim:allow determinism shard worker: executes whole windows of domains it exclusively owns; all cross-domain effects are buffered and scheduled in source order at the barrier, so event interleaving is provably schedule-independent
 		go func() {
 			defer lifetime.Done()
-			runtime.LockOSThread()
-			defer runtime.UnlockOSThread()
 			for limit := range ch {
 				c.runWindow(w, workers, limit)
 				window.Done()
@@ -274,20 +247,13 @@ func (c *Cluster) RunUntil(t units.Time) units.Time {
 			break
 		}
 		limit := c.windowLimit(T, t)
-		c.cur ^= 1
 		window.Add(len(chans))
 		for _, ch := range chans {
 			ch <- limit
 		}
 		c.runWindow(0, workers, limit)
 		window.Wait()
-	}
-	for _, ch := range chans {
-		close(ch)
-	}
-	lifetime.Wait()
-	for d := range c.engines {
-		c.deliver(d, c.cur)
+		c.deliver()
 	}
 	if !c.halted.Load() {
 		for _, e := range c.engines {

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
 	"coolpim/internal/units"
 )
@@ -158,6 +159,34 @@ func TestClusterHaltDrain(t *testing.T) {
 	}
 }
 
+// TestClusterPanicStopsWorkers checks that a panic in an event on the
+// calling goroutine (worker 0) unwinds RunUntil without leaving the
+// other workers blocked: a runner recovers such panics and may retry,
+// so a leak would pile up goroutines.
+func TestClusterPanicStopsWorkers(t *testing.T) {
+	before := runtime.NumGoroutine()
+	c, _ := NewCluster(10, 4)
+	c.SetShards(4)
+	for d := 1; d < 4; d++ {
+		c.Domain(d).At(100, func(units.Time) {})
+	}
+	c.Domain(0).At(100, func(now units.Time) { c.Send(0, 1, now, func(units.Time) {}) })
+	func() {
+		defer func() {
+			if _, ok := recover().(*CausalityError); !ok {
+				t.Fatal("RunUntil did not panic with *CausalityError")
+			}
+		}()
+		c.RunUntil(1000)
+	}()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left after the panic, %d before the run", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // clusterTrace is one domain's deterministic execution log.
 type clusterTrace struct {
 	entries []string
@@ -229,7 +258,7 @@ func TestClusterDeterministicAcrossShards(t *testing.T) {
 			for _, shards := range []int{0, 2, 3, domains} {
 				traces, steps, nows := runSynthetic(domains, shards, 42, 4000)
 				if !reflect.DeepEqual(traces, refTraces) {
-					t.Fatalf("domains=%d shards=%d procs=%d: traces diverge from serial reference", domains, shards, procs)
+					t.Fatalf("domains=%d shards=%d procs=%d: traces diverge from one shard", domains, shards, procs)
 				}
 				if !reflect.DeepEqual(steps, refSteps) || !reflect.DeepEqual(nows, refNows) {
 					t.Fatalf("domains=%d shards=%d procs=%d: steps/clocks diverge: %v/%v vs %v/%v",
@@ -242,14 +271,14 @@ func TestClusterDeterministicAcrossShards(t *testing.T) {
 }
 
 // TestClusterSeedSweep re-runs the differential comparison across seeds
-// so the canonical merge order is exercised under many same-timestamp
+// so source-order delivery is exercised under many same-timestamp
 // collision patterns.
 func TestClusterSeedSweep(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		refTraces, _, _ := runSynthetic(3, 1, seed, 3000)
 		traces, _, _ := runSynthetic(3, 3, seed, 3000)
 		if !reflect.DeepEqual(traces, refTraces) {
-			t.Fatalf("seed %d: parallel traces diverge from serial reference", seed)
+			t.Fatalf("seed %d: parallel traces diverge from one shard", seed)
 		}
 	}
 }
