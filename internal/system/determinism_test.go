@@ -1,10 +1,13 @@
 package system
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"coolpim/internal/core"
+	"coolpim/internal/graph"
+	"coolpim/internal/hmc"
 	"coolpim/internal/kernels"
 	"coolpim/internal/telemetry"
 )
@@ -68,16 +71,59 @@ func TestTelemetryDeterminism(t *testing.T) {
 }
 
 // TestTelemetryMatchesUninstrumentedRun pins that attaching the
-// observability layer does not perturb the simulation: the instrumented
-// and bare runs must report identical physics.
+// observability layer does not perturb the simulation: a run with every
+// instrument attached, periodic diag snapshots included, and a bare run
+// of the same configuration must report the same Result, time series
+// and per-cube results included. The cases cover a cool single cube,
+// the adaptive thermal tier (whose fresh peak readings flush coalesced
+// windows), a thermal shutdown and a two-cube chain.
 func TestTelemetryMatchesUninstrumentedRun(t *testing.T) {
-	resTel, _, _, _ := telemetryRun(t, core.CoolPIMSW)
-	resBare := mustRun(t, "pagerank", core.CoolPIMSW, thrashCfg())
-	if resTel.Runtime != resBare.Runtime || resTel.PIMOps != resBare.PIMOps ||
-		resTel.PeakDRAM != resBare.PeakDRAM || resTel.ExtDataBytes != resBare.ExtDataBytes {
-		t.Errorf("telemetry perturbed the run:\nwith:    %v/%d/%v\nwithout: %v/%d/%v",
-			resTel.Runtime, resTel.PIMOps, resTel.PeakDRAM,
-			resBare.Runtime, resBare.PIMOps, resBare.PeakDRAM)
+	adaptive := func() Config {
+		cfg := thrashCfg()
+		cfg.ThermalMode = ThermalAdaptive
+		return cfg
+	}
+	hot := func() Config {
+		cfg := thrashCfg()
+		cfg.Stack.Ambient = 104 // shuts down within the first few thermal ticks
+		return cfg
+	}
+	chain2 := func() Config { return mcConfig(hmc.TopoChain, 2, 1) }
+	for _, c := range []struct {
+		name string
+		wl   string
+		pol  core.PolicyKind
+		cfg  func() Config
+		g    *graph.Graph
+		race bool // also run under the race detector
+	}{
+		{"pagerank/sw", "pagerank", core.CoolPIMSW, thrashCfg, testGraph, true},
+		{"dc/sw-adaptive", "dc", core.CoolPIMSW, adaptive, testGraph, false},
+		{"dc/naive-shutdown", "dc", core.NaiveOffloading, hot, testGraph, false},
+		{"dc/hw-chain2", "dc", core.CoolPIMHW, chain2, mcGraph, false},
+	} {
+		if raceEnabled && !c.race {
+			continue
+		}
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			fingerprint := func(tel *telemetry.Telemetry) string {
+				cfg := c.cfg()
+				cfg.Telemetry = tel
+				res, err := Run(c.wl, c.pol, cfg, c.g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cp := *res
+				cp.VerifyErr = nil
+				return fmt.Sprintf("%+v", cp)
+			}
+			tel := telemetry.New()
+			tel.Sink = &diagCapture{}
+			if with, without := fingerprint(tel), fingerprint(nil); with != without {
+				t.Errorf("telemetry perturbed the run:\nwith:    %s\nwithout: %s", with, without)
+			}
+		})
 	}
 }
 
