@@ -75,7 +75,6 @@ var testOnlyAPI = []string{
 	"internal/telemetry.FlightRecorder.Seq",
 	"internal/telemetry.Histogram.Count",
 	"internal/telemetry.Histogram.Sum",
-	"internal/telemetry.Series.Value",
 	"internal/thermal.Model.AddCellPower",
 	"internal/thermal.Model.Config",
 	"internal/thermal.Model.Cooling",

@@ -2,16 +2,20 @@
 // platform under a chosen offloading policy and prints the run's
 // statistics — the single-experiment front end to the full system model.
 //
+// -series-out writes the run's time series as CSV: one row per sample
+// window, the last ending at the run's end or shutdown, merged across
+// the cubes of a multi-cube run. It switches no telemetry on, and the
+// file is the same with or without the telemetry flags.
+//
 // With any of the telemetry flags set the run records the observability
 // layer's outputs: -spans-out writes the run's one event stream as JSONL
 // (the hierarchical span tree plus, beside it, one typed zero-duration
 // instant per control-loop event: thermal warnings, derating phase
 // changes, token-pool resizes, offload decisions, link backpressure),
 // -trace-chrome renders the same stream as Chrome/Perfetto trace_event
-// JSON (open in https://ui.perfetto.dev), -series-out writes the aligned
-// time series as CSV, and -metrics-out dumps the metrics registry in
-// Prometheus text format. A human-readable telemetry summary table is
-// printed after the run statistics.
+// JSON (open in https://ui.perfetto.dev), and -metrics-out dumps the
+// metrics registry in Prometheus text format. A human-readable
+// telemetry summary table is printed after the run statistics.
 //
 // The live observability plane adds -flight-out (flight-recorder ring
 // dump; also written on panic or SIGQUIT) and -diag-addr, which serves
@@ -57,18 +61,13 @@ func main() {
 	binder.Thermal(flag.CommandLine)
 	binder.Network(flag.CommandLine)
 	metricsOut := flag.String("metrics-out", "", "write the metrics registry in Prometheus text format to this file")
-	seriesOut := flag.String("series-out", "", "write the telemetry time series as CSV to this file")
-	sampleEvery := flag.Duration("sample-every", 100*time.Microsecond, "telemetry time-series sampling period (simulated time)")
+	seriesOut := flag.String("series-out", "", "write the run's time series as CSV to this file")
 	spansOut := flag.String("spans-out", "", "write the event stream (spans and instants) as JSONL to this file")
 	traceChrome := flag.String("trace-chrome", "", "write a Chrome/Perfetto trace_event JSON file (open in ui.perfetto.dev)")
 	flightOut := flag.String("flight-out", "", "write the flight-recorder ring to this file (also dumped on panic or SIGQUIT)")
 	diagAddr := flag.String("diag-addr", "", "serve live diagnostics over HTTP on this address (e.g. 127.0.0.1:8787 or 127.0.0.1:0)")
 	diagHold := flag.Duration("diag-hold", 0, "keep the diagnostics server up this long after the run completes")
 	flag.Parse()
-
-	if *sampleEvery <= 0 {
-		fatalf("-sample-every must be positive (got %v)", *sampleEvery)
-	}
 
 	spec, err := binder.Spec()
 	if err != nil {
@@ -87,11 +86,10 @@ func main() {
 	cool := cfg.Cooling
 
 	var tel *telemetry.Telemetry
-	if *metricsOut != "" || *seriesOut != "" || *spansOut != "" ||
+	if *metricsOut != "" || *spansOut != "" ||
 		*traceChrome != "" || *flightOut != "" || *diagAddr != "" {
 		tel = telemetry.New()
 		cfg.Telemetry = tel
-		cfg.TelemetrySample = units.FromNanoseconds(float64(sampleEvery.Nanoseconds()))
 		tel.Spans.SetWallClock(func() int64 { return time.Now().UnixNano() })
 		tel.RunID = fmt.Sprintf("%s/%s", workload, policy)
 	}
@@ -163,11 +161,11 @@ func main() {
 	}
 	printResult(res)
 
+	writeExport(*seriesOut, "series", func(w io.Writer) error { return system.WriteSeriesCSV(w, res.Series) })
 	if tel.Enabled() {
 		fmt.Println("\ntelemetry summary:")
 		tel.WriteSummary(os.Stdout)
 		writeExport(*metricsOut, "metrics", tel.Registry.WritePrometheus)
-		writeExport(*seriesOut, "series", tel.Series.WriteCSV)
 		writeExport(*spansOut, "spans", tel.Spans.WriteJSONL)
 		writeExport(*traceChrome, "chrome trace", func(w io.Writer) error {
 			return telemetry.WriteChromeTrace(w, tel.Spans.Export())

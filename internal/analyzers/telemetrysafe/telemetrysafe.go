@@ -39,7 +39,6 @@ const telemetryPkg = "coolpim/internal/telemetry"
 // panics loudly, and counters are only handed out non-nil.
 var instruments = map[string]bool{
 	"Telemetry":      true,
-	"Series":         true,
 	"Histogram":      true,
 	"EngineProfile":  true,
 	"SpanTracer":     true,

@@ -339,7 +339,7 @@ func (c *thermalCoupler) settle() {
 }
 
 // observe flushes any pending window and returns the freshly solved
-// peak DRAM temperature. The time-series samplers call this instead of
+// peak DRAM temperature. The time-series sampler calls this instead of
 // reading the model directly so every *plotted* temperature is a real
 // solved value at (or within one tick of) the sample instant — without
 // it, a sample landing mid-window reports a peak up to a full horizon
@@ -348,14 +348,6 @@ func (c *thermalCoupler) settle() {
 // sparse (one per SampleInterval ≈ one horizon), so the extra flushes
 // cost at most one solve per sample and the window state resets
 // exactly as a horizon flush would. Exact mode reads straight through.
-//
-// Caveat: because observing flushes, an adaptive-mode telemetry series
-// sampled at a non-default cadence adds flush boundaries and thus
-// perturbs the trajectory within the epsilon contract (deterministic
-// for a fixed config; at the default cadence the always-on Result
-// sampler flushes first at every coincident instant, so telemetry
-// observes a settled window and perturbs nothing). The exact tier is
-// never affected.
 func (c *thermalCoupler) observe() units.Celsius {
 	if c.mode != ThermalAdaptive {
 		return c.model.PeakDRAM()

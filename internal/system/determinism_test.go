@@ -34,7 +34,7 @@ func telemetryRun(t *testing.T, pol core.PolicyKind) (*Result, string, string, s
 	if err := cfg.Telemetry.Registry.WritePrometheus(&metrics); err != nil {
 		t.Fatal(err)
 	}
-	if err := cfg.Telemetry.Series.WriteCSV(&series); err != nil {
+	if err := WriteSeriesCSV(&series, res.Series); err != nil {
 		t.Fatal(err)
 	}
 	return res, trace.String(), metrics.String(), series.String()

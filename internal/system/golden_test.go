@@ -128,14 +128,14 @@ var goldenDigests = map[string]string{
 	"mc/tel-chain2 diag":               "a9420cb9cff05328cac5f87a459eba028131eb807dac644ee3ae0327ce77cca4",
 	"mc/tel-chain2 prom":               "1d7120ab2006a99543a4c2a449a23e18051e0986d530fe4e240f83095012552d",
 	"mc/tel-chain2 result":             "8f0ef35d8849e74514c1a77d84dd59f52fde388fb0bc77fd971f88ef5efa8980",
-	"mc/tel-chain2 series":             "099d01eeead9e7bc62f95d240733ef98711627c1de925c8db0a584a74f970a3f",
+	"mc/tel-chain2 series":             "874f6da73a6a3f36e61c34c06d66b59a3093a6c762d6d7d56fe00f6ccb602c50",
 	"mc/tel-chain2 spans":              "527d539a28954eff290b69849b0d06a720c64fa21c7ce5a7961330be51fe50af",
 	"mc/tel-chain2 verify":             "<nil>",
 	"mc/tel-shutdown2 chrome":          "4c065b7723c54694698bbbee8404239739cca6f9977e32c83e3047526e069cd0",
 	"mc/tel-shutdown2 diag":            "e410dca21a46cd70d5f28108e8a079fca108fbf4a89c3644ed08c42f4f390e8b",
 	"mc/tel-shutdown2 prom":            "f0a7581ffd1d278dda0dc037d626b470fb8efbaad5ad73768858e19a17a19a04",
 	"mc/tel-shutdown2 result":          "514a1611fcd98b35f022b4d713bbd80a600354ac55bc07930cff88751c174182",
-	"mc/tel-shutdown2 series":          "dafea92e891f47a855157d6b9927cae32c774e9f2b4ff40e7728efc85d582dba",
+	"mc/tel-shutdown2 series":          "7a9e114155514cd8212e4a04d898c1cbfef3bc5c48eb767398544c3861ffbd51",
 	"mc/tel-shutdown2 spans":           "3cc54979618aabbeebf3b0423ff0ef575bb3c02240dc100b4e095efecdc48941",
 	"mc/tel-shutdown2 verify":          "<nil>",
 	"pagerank/CoolPIM(HW) result":      "c172a74cfcf9810731a56f080cfb2a82626cfb508f3ed7ad13c5514f59869057",
@@ -148,46 +148,46 @@ var goldenDigests = map[string]string{
 	"pagerank/Naive-Offloading verify": "<nil>",
 	"pagerank/Non-Offloading result":   "66be7165e3702fc4d437f1d74d08e2cd69c27d7d53281881fd3feeb5a656e299",
 	"pagerank/Non-Offloading verify":   "<nil>",
-	"tel/adaptive chrome":              "dd2433e905c67c609bbd0e67002918e74a96309995dff35e7f78b60c692e6ff1",
-	"tel/adaptive diag":                "2c8ad21bd862cf29fa4cfb2cc650f4b181b124ce68911b3f88ab8727af855e63",
+	"tel/adaptive chrome":              "57f8a346ade83535f8ca9f856f7d773a94b74a370e2ffc2b153a829c4397b57e",
+	"tel/adaptive diag":                "6da0eb51f1e52945a3ac42e12a3a1ffe9310ec6dbbab09f708dcfc8c0fe44e2b",
 	"tel/adaptive prom":                "7da6abbb92494acbf3a2cf66fee9b0fc6a6b5da7bfc13c8cb26b592f5cccc18d",
 	"tel/adaptive result":              "4a60df497f535f0476a6fda8a699732478ec2937859c3a094a9203d7a23bfc38",
-	"tel/adaptive series":              "bf2392cef0fd8514eb094d351bd93c4a95be8de65e27d69969d50e305077ad91",
-	"tel/adaptive spans":               "bf53ca5b13122ad4ed222cc06b78b78f7a955a39a9b86c48708148104d85970a",
+	"tel/adaptive series":              "58d4ec7d84418c0292014fb8bb4aae846db58506698fc0a38adab4fd1dfd6d21",
+	"tel/adaptive spans":               "57c21c46e8aac2d24f33ab04d0d1cb0630f360a5dcc03d1c1c86ca45276be2a6",
 	"tel/adaptive verify":              "<nil>",
 	"tel/cool chrome":                  "0f7289bb02dc6348edc7e872ae72bf8ea5a20e18eb897a14fac11745674735fd",
 	"tel/cool diag":                    "27ea82352284f38fbb70c4aaa58fe0a6cb0b305536ebde0f24528728bd5b02c2",
 	"tel/cool prom":                    "aefa39018bdf6c9adc8632055f82c7b2a92f4b90f3da9befd11fc275fbc8f363",
 	"tel/cool result":                  "9658bfa88b3e3e54796082f57cf43bad4d914df3588e2b4dfa23bb9affe46c0b",
-	"tel/cool series":                  "2760b13e522a6d942adc9a4a79f97cc3549c428d07b53403e2e70971a19661f3",
+	"tel/cool series":                  "97cded9eb30ca8f48ce5c6422fd65d271db85830c3e175b4740c322544940338",
 	"tel/cool spans":                   "10cb2846a28717605fff7842c0b1e2374177bc45b1a5fe0164861140e16361bd",
 	"tel/cool verify":                  "<nil>",
 	"tel/multilevel chrome":            "c9061010cc317e20d3c4424c2e9783df5c25acfc516e8297b584e50aae0bce03",
 	"tel/multilevel diag":              "5781958025f3f2b309bcc9af17e606a1f3f426a1051a11c6a1a0931f6b70356a",
 	"tel/multilevel prom":              "49c11e195a89d271b400e5dd61270911e1cd7a2596ef1d1e401c1a58928e2cbd",
 	"tel/multilevel result":            "64dcbf1847afce98fc8e7fe25c07dcf1669662c6aa94654158231b39f010ce6d",
-	"tel/multilevel series":            "4c83ac11d77777a3bd236b6de506db0f6069ef9952d08bcbda6847fc81ffa165",
+	"tel/multilevel series":            "90bf439105bc61a0c083fdc0cfc1138b95990051eaf7faed45e76271cf560e5b",
 	"tel/multilevel spans":             "86338466ffa76e67349b9958d8a0d30afdac6cf4df3e42c984055bdd268d9ee6",
 	"tel/multilevel verify":            "<nil>",
 	"tel/shutdown chrome":              "8be468d5ea998d20820a022d0c8af71a6aff9dbef140c1a9c9ef934aeb0cb52d",
 	"tel/shutdown diag":                "883e5a42341e4304be9968d1f6c87cee5098afc5e45eb990b0881a356c988e05",
 	"tel/shutdown prom":                "b64c28f21f27a6bd5bb018639331c6f7983071bb6642672aa6f8dfe3e83c1acb",
 	"tel/shutdown result":              "dd38250c4195adc38735273396b51fdb294fc0ca9c741521b61783cf1940f1b5",
-	"tel/shutdown series":              "dafea92e891f47a855157d6b9927cae32c774e9f2b4ff40e7728efc85d582dba",
+	"tel/shutdown series":              "4ddcfe210375b3bc5849f8ba99430aecc2b7225c38ac5c8e16720300d295198f",
 	"tel/shutdown spans":               "5b713d18f9b5806fe34863e533eb42e2b88a0974b6cd210868b79958e4c1a241",
 	"tel/shutdown verify":              "<nil>",
 	"tel/sw-hot chrome":                "445653a16ef6b4865dfc67ff2b5bb28cd2868270e11669d33e40dae90b927ec8",
 	"tel/sw-hot diag":                  "bad463096d30c5196ba189ce3c6fb13360d49d4388fd9df2dbc94ff04813db79",
 	"tel/sw-hot prom":                  "2ecd9f8a573b55e7f7984b954a00851546adf4b8ee4fd02ed83016899bb85d26",
 	"tel/sw-hot result":                "27aa8d5a57e78e2953524f5710b21afab0d76c370711b6059b4ff62f58e9da5c",
-	"tel/sw-hot series":                "49883d8d9ea6b9df1489e02e47fedda0b2a62a6d97d1eef42596e302ec2aa4d2",
+	"tel/sw-hot series":                "4d2ddc9faf080945607e88e2459ac97e51050c3805ce16a9fddde9c96681468e",
 	"tel/sw-hot spans":                 "789480adab7145536e8bfa9fc7477b47b4ba1b1b160eeed9637d5eea21a21f43",
 	"tel/sw-hot verify":                "<nil>",
 	"tel/warn26 chrome":                "15aab161d62c3b46118c6456f8c6b3ef2d4ad33275911e909b472387f499ec0e",
 	"tel/warn26 diag":                  "ab955824c9cb8eefed028923d3e6d1604f6640349015ba933f612ef3fcdce8a8",
 	"tel/warn26 prom":                  "483a74467e2707f242827b784283ee37fd4cd507bad2bce0c11c45e0d617d2a7",
 	"tel/warn26 result":                "b45c749787295fd95fe7bd065e542463a35f92fd3f69015cfb464d49a762e019",
-	"tel/warn26 series":                "0648edeeb9d049c44ce36985948117cbdfc0eb8e1628995749b95460d49ef1f1",
+	"tel/warn26 series":                "c542411fb5101ee3e4a4ec2f16e5b448c21beb5eed8b1a339a4678b6b623bc0d",
 	"tel/warn26 spans":                 "c836d99d2ac46003c83b4a8599e956b66983d14d27924a07807df711939ae41a",
 	"tel/warn26 verify":                "<nil>",
 }
@@ -217,7 +217,7 @@ func runGolden(t *testing.T, c goldenCase) map[string]string {
 				return telemetry.WriteSpansJSONL(w, slices.DeleteFunc(slices.Clone(records), telemetry.SpanExport.Instant))
 			},
 			"prom":   tel.Registry.WritePrometheus,
-			"series": tel.Series.WriteCSV,
+			"series": func(w io.Writer) error { return WriteSeriesCSV(w, res.Series) },
 			"chrome": func(w io.Writer) error { return telemetry.WriteChromeTrace(w, records) },
 		} {
 			var sb strings.Builder

@@ -376,8 +376,7 @@ func (n *nodeState) poolSize() int {
 }
 
 // start schedules the node's thermal tick, Result.Series sampler and
-// (node 0) telemetry series and diag publication, then its first
-// kernel launch.
+// (node 0) diag publication, then its first kernel launch.
 func (n *nodeState) start(tel *telemetry.Telemetry) {
 	cfg := n.cfg
 	n.eng.EveryNamed(cfg.ThermalTick, "thermal", func(now units.Time) bool {
@@ -395,8 +394,19 @@ func (n *nodeState) start(tel *telemetry.Telemetry) {
 		n.sample(now, cfg.SampleInterval)
 		return true
 	})
-	if n.id == 0 && tel.Enabled() {
-		n.startTelemetry(tel)
+	if n.id == 0 && tel.Enabled() && tel.Sink != nil {
+		// The "diag" ticker's events do not perturb determinism: they
+		// only read state, and the relative (at, seq) order of all other
+		// events is unchanged — the race-enabled byte-identity test in
+		// diagserver pins this.
+		publishEvery := tel.PublishEvery
+		if publishEvery <= 0 {
+			publishEvery = cfg.SampleInterval
+		}
+		n.eng.EveryNamed(publishEvery, "diag", func(now units.Time) bool {
+			tel.Publish(now)
+			return !n.finished
+		})
 	}
 	n.eng.AfterNamed(0, "driver", n.runNext)
 }
@@ -462,48 +472,6 @@ func (n *nodeState) runNext(units.Time) {
 		n.eng.AfterNamed(n.cfg.LaunchOverhead, "driver", n.runNext)
 	}
 	n.dev.RunKernel(l)
-}
-
-// startTelemetry adds node 0's live series — windowed offload rate and
-// external bandwidth, fresh peak temperature and pool size on the
-// telemetry cadence — and its periodic diag snapshot publication.
-func (n *nodeState) startTelemetry(tel *telemetry.Telemetry) {
-	cfg := n.cfg
-	sampleEvery := cfg.TelemetrySample
-	if sampleEvery <= 0 {
-		sampleEvery = cfg.SampleInterval
-	}
-	var prev, d hmc.Counters
-	// The first column computes the window delta the others share;
-	// columns are evaluated in registration order.
-	tel.Series.AddColumn("pim_rate_ops_per_ns", func(units.Time) float64 {
-		ctr := n.cube.Counters()
-		d = deltaCounters(ctr, prev)
-		prev = ctr
-		return float64(d.PIMOps) / sampleEvery.Nanoseconds()
-	})
-	tel.Series.AddColumn("ext_bw_gbps", func(units.Time) float64 {
-		return float64(d.ExtDataBytes) / sampleEvery.Seconds() / 1e9
-	})
-	tel.Series.AddColumn("peak_dram_c", func(units.Time) float64 {
-		return float64(n.coupler.observe()) // fresh, as in sample
-	})
-	tel.Series.AddColumn("pool_size", func(units.Time) float64 { return float64(n.poolSize()) })
-	tel.Series.Start(n.eng, sampleEvery, func() bool { return n.finished })
-	// The extra "diag" ticker events do not perturb determinism: they
-	// only read state, and the relative (at, seq) order of all other
-	// events is unchanged — the race-enabled byte-identity test in
-	// diagserver pins this.
-	if tel.Sink != nil {
-		publishEvery := tel.PublishEvery
-		if publishEvery <= 0 {
-			publishEvery = cfg.SampleInterval
-		}
-		n.eng.EveryNamed(publishEvery, "diag", func(now units.Time) bool {
-			tel.Publish(now)
-			return !n.finished
-		})
-	}
 }
 
 // finish assembles the node's end-of-run result.

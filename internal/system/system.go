@@ -8,6 +8,8 @@ package system
 
 import (
 	"fmt"
+	"io"
+	"strconv"
 
 	"coolpim/internal/cache"
 	"coolpim/internal/core"
@@ -72,13 +74,10 @@ type Config struct {
 
 	// Telemetry, when non-nil, enables the observability layer for the
 	// run: the cube, GPU and throttling mechanism emit trace events, the
-	// registry exposes live metrics, the Series sampler records aligned
-	// time series, and the engine profiles per-component handler time.
-	// Nil (the default) disables all of it at zero hot-path cost.
+	// registry exposes live metrics, and the engine profiles
+	// per-component handler time. Nil (the default) disables all of it
+	// at zero hot-path cost; Result.Series is recorded either way.
 	Telemetry *telemetry.Telemetry
-	// TelemetrySample is the telemetry Series sampling period
-	// (0 → SampleInterval).
-	TelemetrySample units.Time
 
 	// MultiLevelHW enables the paper's footnote-4 extension for the
 	// CoolPIMHW policy: a second (critical) thermal error state above
@@ -110,7 +109,7 @@ func DefaultConfig() Config {
 	}
 }
 
-// Sample is one time-series point.
+// Sample is one time-series point: the window of the run ending At.
 type Sample struct {
 	At       units.Time
 	PIMRate  units.OpsPerNs // windowed offloading rate
@@ -119,6 +118,27 @@ type Sample struct {
 	// PoolSize is SW-DynT's PTP size (or the HW-DynT total PIM-enabled
 	// warp count), -1 for static policies.
 	PoolSize int
+}
+
+// WriteSeriesCSV writes a run's time series as CSV, one row per sample:
+// the window's end in milliseconds (six decimals), then its PIM rate in
+// op/ns, external bandwidth in GB/s and peak DRAM temperature in °C as
+// shortest round-trip floats, then the pool size. An empty series
+// writes the header alone.
+func WriteSeriesCSV(w io.Writer, s []Sample) error {
+	b := []byte("t_ms,pim_rate_ops_per_ns,ext_bw_gbps,peak_dram_c,pool_size\n")
+	for _, p := range s {
+		b = strconv.AppendFloat(b, p.At.Milliseconds(), 'f', 6, 64)
+		for _, v := range [...]float64{float64(p.PIMRate), p.ExtBW.GBps(), float64(p.PeakDRAM)} {
+			b = append(b, ',')
+			b = strconv.AppendFloat(b, v, 'g', -1, 64)
+		}
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(p.PoolSize), 10)
+		b = append(b, '\n')
+	}
+	_, err := w.Write(b)
+	return err
 }
 
 // Result holds everything a run produces.

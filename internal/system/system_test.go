@@ -1,7 +1,10 @@
 package system
 
 import (
+	"fmt"
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 
 	"coolpim/internal/core"
@@ -266,6 +269,73 @@ func TestSamplerFlushesTailWindow(t *testing.T) {
 	}
 	if diff := math.Abs(bytes - float64(res.ExtDataBytes)); diff > 0.5 {
 		t.Errorf("windowed bandwidth reconstructs %.2f bytes, run total %d", bytes, res.ExtDataBytes)
+	}
+}
+
+// TestWriteSeriesCSV pins the -series-out format — the header, the
+// window end in milliseconds to six decimals, shortest round-trip
+// floats, external bandwidth in GB/s, a -1 pool for static policies and
+// the header alone for an empty series — and that a run's last row is
+// its final window: stamped at Runtime, and on a thermal shutdown the
+// shutdown window itself, past the shutdown limit.
+func TestWriteSeriesCSV(t *testing.T) {
+	const header = "t_ms,pim_rate_ops_per_ns,ext_bw_gbps,peak_dram_c,pool_size\n"
+	csv := func(series []Sample) string {
+		t.Helper()
+		var sb strings.Builder
+		if err := WriteSeriesCSV(&sb, series); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+	if got := csv(nil); got != header {
+		t.Errorf("empty series wrote %q, want the header alone", got)
+	}
+	got := csv([]Sample{
+		{At: 100 * units.Microsecond, PIMRate: 1.33578, ExtBW: 33.22336e9, PeakDRAM: 34.22324644347631, PoolSize: 1024},
+		{At: 140966789 * units.Picosecond, PIMRate: 0.1, ExtBW: 2.5e9, PeakDRAM: 40, PoolSize: -1},
+	})
+	want := header +
+		"0.100000,1.33578,33.22336,34.22324644347631,1024\n" +
+		"0.140967,0.1,2.5,40,-1\n"
+	if got != want {
+		t.Errorf("CSV:\n%s\nwant:\n%s", got, want)
+	}
+
+	// lastRow returns a run's CSV rows and the fields of its last one.
+	lastRow := func(res *Result) ([]string, []string) {
+		t.Helper()
+		rows := strings.Split(strings.TrimSuffix(csv(res.Series), "\n"), "\n")[1:]
+		if len(rows) == 0 {
+			t.Fatalf("%s/%v: no series rows", res.Workload, res.Policy)
+		}
+		return rows, strings.Split(rows[len(rows)-1], ",")
+	}
+	res := mustRun(t, "dc", core.CoolPIMHW, thrashCfg())
+	if _, last := lastRow(res); last[0] != fmt.Sprintf("%.6f", res.Runtime.Milliseconds()) {
+		t.Errorf("last row stamped %s ms, runtime %v", last[0], res.Runtime)
+	}
+
+	hot := thrashCfg()
+	hot.Stack.Ambient = 104
+	res, err := Run("dc", core.NaiveOffloading, hot, testGraph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Shutdown {
+		t.Fatalf("no shutdown at peak %v", res.PeakDRAM)
+	}
+	rows, last := lastRow(res)
+	if last[0] != fmt.Sprintf("%.6f", res.Runtime.Milliseconds()) {
+		t.Errorf("shutdown run's last row stamped %s ms, shutdown at %v", last[0], res.Runtime)
+	}
+	if peak, err := strconv.ParseFloat(last[3], 64); err != nil || peak < float64(dram.ShutdownLimit) {
+		t.Errorf("shutdown window peaks at %s, want at least %v", last[3], dram.ShutdownLimit)
+	}
+	for _, r := range rows {
+		if !strings.HasSuffix(r, ",-1") {
+			t.Errorf("naive row %q: pool is not -1", r)
+		}
 	}
 }
 

@@ -11,8 +11,6 @@
 //     PIM offload accept/reject, link FLIT backpressure — the Fig.
 //     8/14-style view, exported as one JSONL file and as Chrome
 //     trace_event JSON;
-//   - a Series sampler driven by sim.Engine.Every that records aligned
-//     per-component time series and exports them as CSV;
 //   - an EngineProfile implementing sim.Observer, aggregating event
 //     counts and wall-clock handler time per component label;
 //   - a FlightRecorder ring of the most recent records for crash dumps.
@@ -22,11 +20,12 @@
 // predictable branch with no allocation, so the simulation hot path is
 // unaffected when telemetry is disabled (see the package benchmarks).
 // All recorded data is a pure function of the simulation, so two runs
-// with identical seeds produce byte-identical span, series and metrics
-// exports — the determinism regression test in internal/system relies
-// on this. Wall-clock profiling data is kept out of those exporters for
-// the same reason (it only appears in the human-readable summary and
-// the live snapshots).
+// with identical seeds produce byte-identical span and metrics exports
+// — the determinism regression test in internal/system relies on this.
+// Wall-clock profiling data is kept out of those exporters for the same
+// reason (it only appears in the human-readable summary and the live
+// snapshots). The run's time series is not recorded here: every run
+// carries it as system.Result.Series.
 package telemetry
 
 import (
@@ -38,12 +37,10 @@ import (
 )
 
 // Telemetry bundles the observability subsystem of one simulation run:
-// one registry, one event stream, one time-series sampler and one engine
-// profile. A nil *Telemetry means "disabled" throughout the codebase.
+// one registry, one event stream and one engine profile. A nil *Telemetry means "disabled" throughout the codebase.
 // A Telemetry must not be shared between concurrent runs.
 type Telemetry struct {
 	Registry *Registry
-	Series   *Series
 	Spans    *SpanTracer
 	profile  *EngineProfile
 
@@ -67,7 +64,6 @@ type Telemetry struct {
 func New() *Telemetry {
 	t := &Telemetry{
 		Registry: NewRegistry(),
-		Series:   NewSeries(),
 		Spans:    NewSpanTracer(),
 		profile:  NewEngineProfile(),
 	}

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"coolpim/internal/sim"
 	"coolpim/internal/units"
 )
 
@@ -312,60 +311,6 @@ func TestNilTracerZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("nil-tracer emits allocated %.1f times per run, want 0", allocs)
 	}
-}
-
-func TestSeriesCadence(t *testing.T) {
-	eng := sim.New()
-	s := NewSeries()
-	var ticks int
-	s.AddColumn("x", func(now units.Time) float64 {
-		ticks++
-		return now.Nanoseconds()
-	})
-	stopAt := 10 * units.Microsecond
-	s.Start(eng, units.Microsecond, func() bool { return eng.Now() >= stopAt })
-	eng.RunUntil(100 * units.Microsecond)
-	// Samples at 1us..10us inclusive: stop is evaluated after recording,
-	// so the 10us sample still lands.
-	if s.Len() != 10 {
-		t.Fatalf("Len = %d, want 10 samples", s.Len())
-	}
-	if ticks != 10 {
-		t.Fatalf("column evaluated %d times, want 10", ticks)
-	}
-	for i := 0; i < s.Len(); i++ {
-		want := float64((i + 1) * 1000) // period in ns
-		if got, ok := s.Value(i, "x"); !ok || got != want {
-			t.Errorf("sample %d = %g (ok=%v), want %g", i, got, ok, want)
-		}
-	}
-}
-
-func TestSeriesCSV(t *testing.T) {
-	s := NewSeries()
-	s.AddColumn("a", func(units.Time) float64 { return 1.5 })
-	s.AddColumn("b", func(units.Time) float64 { return -2 })
-	s.Record(units.Millisecond)
-	var sb strings.Builder
-	if err := s.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	want := "t_ms,a,b\n1.000000,1.5,-2\n"
-	if sb.String() != want {
-		t.Fatalf("CSV = %q, want %q", sb.String(), want)
-	}
-}
-
-func TestSeriesAddColumnAfterRecordPanics(t *testing.T) {
-	s := NewSeries()
-	s.AddColumn("a", func(units.Time) float64 { return 0 })
-	s.Record(0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AddColumn after Record did not panic")
-		}
-	}()
-	s.AddColumn("b", func(units.Time) float64 { return 0 })
 }
 
 func TestEngineProfileAggregates(t *testing.T) {

@@ -4,7 +4,9 @@
 # Runs a short simulation with the diagnostics HTTP server attached and
 # held open, fetches /metrics, /healthz and /spans while it is up, and
 # validates the run's Chrome trace export as trace_event JSON against
-# the converted JSONL stream of spans and instants. Uses
+# the converted JSONL stream of spans and instants. A second, bare run
+# of the same workload writes only -series-out: its CSV must equal the
+# instrumented run's, and it must print no telemetry summary. Uses
 # cmd/coolpim-trace as the HTTP client and the JSON validator so the
 # test needs nothing beyond the Go toolchain.
 #
@@ -23,7 +25,7 @@ $GO build -o bin/coolpim-trace ./cmd/coolpim-trace
 bin/coolpim-sim -workload dc -policy coolpim-hw -scale 12 -reps 1 \
     -diag-addr 127.0.0.1:0 -diag-hold 60s \
     -spans-out "$OUT/spans.jsonl" -trace-chrome "$OUT/trace.json" \
-    -flight-out "$OUT/ring.flight.jsonl" \
+    -flight-out "$OUT/ring.flight.jsonl" -series-out "$OUT/series.csv" \
     >"$OUT/sim.log" 2>&1 &
 SIM_PID=$!
 trap 'kill $SIM_PID 2>/dev/null || true' EXIT INT TERM
@@ -71,5 +73,18 @@ bin/coolpim-trace -spans "$OUT/spans.jsonl" -out "$OUT/trace2.json"
 cmp "$OUT/trace.json" "$OUT/trace2.json" \
     || { echo "obs-smoke: converter disagrees with the sim's own Chrome export"; exit 1; }
 [ -s "$OUT/ring.flight.jsonl" ] || { echo "obs-smoke: empty flight ring dump"; exit 1; }
+
+# The time series is the run's own, whatever else is instrumented.
+bin/coolpim-sim -workload dc -policy coolpim-hw -scale 12 -reps 1 \
+    -series-out "$OUT/series-bare.csv" >"$OUT/sim-bare.log" 2>&1 \
+    || { echo "obs-smoke: bare run failed"; cat "$OUT/sim-bare.log"; exit 1; }
+[ "$(head -n 1 "$OUT/series.csv")" = "t_ms,pim_rate_ops_per_ns,ext_bw_gbps,peak_dram_c,pool_size" ] \
+    || { echo "obs-smoke: unexpected series header"; head -n 1 "$OUT/series.csv"; exit 1; }
+[ "$(wc -l <"$OUT/series.csv")" -ge 2 ] || { echo "obs-smoke: series has no rows"; exit 1; }
+cmp "$OUT/series.csv" "$OUT/series-bare.csv" \
+    || { echo "obs-smoke: the series differs between the instrumented and bare runs"; exit 1; }
+if grep -q 'telemetry summary' "$OUT/sim-bare.log"; then
+    echo "obs-smoke: -series-out alone switched telemetry on"; exit 1
+fi
 
 echo "obs-smoke OK"
