@@ -56,7 +56,6 @@ var testOnlyAPI = []string{
 	"internal/hmc.Network.Config",
 	"internal/hmc.Network.Cubes",
 	"internal/hmc.Network.Hops",
-	"internal/kernels.ExtraNames",
 	"internal/mem.AtomicNone",
 	"internal/mem.Buffer.Contains",
 	"internal/mem.Space.Buffers",

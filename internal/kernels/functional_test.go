@@ -131,7 +131,7 @@ func chainGraph(n int) *graph.Graph {
 
 func TestAllWorkloadsFunctional(t *testing.T) {
 	for gname, g := range testGraphs() {
-		for _, wname := range append(Names(), ExtraNames()...) {
+		for _, wname := range Names() {
 			t.Run(wname+"/"+gname, func(t *testing.T) {
 				w, err := New(wname)
 				if err != nil {

@@ -54,10 +54,6 @@ func Names() []string {
 	}
 }
 
-// ExtraNames lists workloads implemented beyond the paper's evaluation
-// set (GraphBIG kernels the paper does not plot).
-func ExtraNames() []string { return []string{"cc"} }
-
 // New constructs a fresh workload by name with default parameters
 // (sized for unit tests and quick runs).
 func New(name string) (Workload, error) { return NewSized(name, 2) }
@@ -94,8 +90,6 @@ func NewSized(name string, reps int) (Workload, error) {
 		return NewSSSP(VariantTopoWarp, reps), nil
 	case "sssp-dtc":
 		return NewSSSP(VariantDataThread, reps), nil
-	case "cc":
-		return NewCC(reps), nil
 	}
 	return nil, fmt.Errorf("kernels: unknown workload %q", name)
 }

@@ -375,7 +375,7 @@ func TestResultHelpers(t *testing.T) {
 // GPU's PIM/host atomic paths are functionally exact.
 func TestAllWorkloadsVerifyOnSystem(t *testing.T) {
 	cfg := thrashCfg()
-	for _, wl := range append(kernels.Names(), kernels.ExtraNames()...) {
+	for _, wl := range kernels.Names() {
 		wl := wl
 		t.Run(wl, func(t *testing.T) {
 			mustRun(t, wl, core.NaiveOffloading, cfg)
