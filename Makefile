@@ -92,8 +92,12 @@ bench-smoke:
 # results_fig14.txt in lockstep with the simulator (and, since the
 # stencil kernel is pinned bit-identical to the reference model, with
 # the thermal arithmetic itself). Fig. 14 alone runs a 3-cell matrix:
-# the sssp-twc naive cell, then its SW and HW cells.
+# the sssp-twc naive cell, then its SW and HW cells. It also diffs the
+# analytic output (Tables I-IV and Figs. 1-5, about 1 s) against
+# results_analytic.txt.
 figs-check:
+	$(GO) run ./cmd/figures -analytic | diff -u results_analytic.txt - \
+		&& echo "results_analytic.txt up to date"
 	$(GO) run ./cmd/figures -exp fig14 -profile paper | diff -u results_fig14.txt - \
 		&& echo "results_fig14.txt up to date"
 
