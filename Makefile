@@ -142,8 +142,9 @@ sweep-smoke:
 
 # obs-smoke exercises the live observability plane end to end: a short
 # sim with the diagnostics HTTP server held open, /metrics + /healthz +
-# /spans fetched live, and the Chrome trace export validated as
-# trace_event JSON (see scripts/obs_smoke.sh).
+# /spans fetched live, the Chrome trace export validated as
+# trace_event JSON, and the -series-out CSV compared byte for byte with
+# a bare run's (see scripts/obs_smoke.sh).
 obs-smoke:
 	scripts/obs_smoke.sh
 

@@ -37,8 +37,9 @@ import (
 )
 
 // Telemetry bundles the observability subsystem of one simulation run:
-// one registry, one event stream and one engine profile. A nil *Telemetry means "disabled" throughout the codebase.
-// A Telemetry must not be shared between concurrent runs.
+// one registry, one event stream and one engine profile. A nil
+// *Telemetry means "disabled" throughout the codebase. A Telemetry must
+// not be shared between concurrent runs.
 type Telemetry struct {
 	Registry *Registry
 	Spans    *SpanTracer
