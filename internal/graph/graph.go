@@ -8,8 +8,9 @@ package graph
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // Infinity marks an unreached vertex in BFS/SSSP outputs.
@@ -73,37 +74,40 @@ func (g *Graph) Validate() error {
 }
 
 // FromEdgeList builds a CSR graph from (src, dst, weight) triples,
-// sorting edges by source then destination.
+// with each vertex's out-edges sorted by destination. (src, dst) pairs
+// are expected to be unique; duplicates, which no caller passes, come
+// out ordered by weight.
 func FromEdgeList(numV int, src, dst, w []uint32) *Graph {
 	if len(src) != len(dst) || len(src) != len(w) {
 		panic("graph: edge list length mismatch")
 	}
-	type edge struct{ s, d, w uint32 }
-	edges := make([]edge, len(src))
-	for i := range src {
-		edges[i] = edge{src[i], dst[i], w[i]}
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].s != edges[j].s {
-			return edges[i].s < edges[j].s
-		}
-		return edges[i].d < edges[j].d
-	})
 	g := &Graph{
 		NumV:    numV,
 		Offsets: make([]uint32, numV+1),
-		Edges:   make([]uint32, len(edges)),
-		Weights: make([]uint32, len(edges)),
+		Edges:   make([]uint32, len(src)),
+		Weights: make([]uint32, len(src)),
 	}
-	for _, e := range edges {
-		g.Offsets[e.s+1]++
+	for _, s := range src {
+		g.Offsets[s+1]++
 	}
 	for v := 0; v < numV; v++ {
 		g.Offsets[v+1] += g.Offsets[v]
 	}
-	for i, e := range edges {
-		g.Edges[i] = e.d
-		g.Weights[i] = e.w
+	// Counting sort by source, then sort each source's packed
+	// dst<<32 | weight keys: the order by key is the order by
+	// destination, and the weight rides along.
+	keys := make([]uint64, len(src))
+	next := slices.Clone(g.Offsets[:numV])
+	for i, s := range src {
+		keys[next[s]] = uint64(dst[i])<<32 | uint64(w[i])
+		next[s]++
+	}
+	for v := 0; v < numV; v++ {
+		slices.Sort(keys[g.Offsets[v]:g.Offsets[v+1]])
+	}
+	for i, k := range keys {
+		g.Edges[i] = uint32(k >> 32)
+		g.Weights[i] = uint32(k)
 	}
 	return g
 }
@@ -150,7 +154,7 @@ func GenRMATRand(scale, edgeFactor int, p RMATParams, rng *rand.Rand) *Graph {
 	}
 	numV := 1 << scale
 	target := edgeFactor * numV
-	seen := make(map[uint64]bool, target)
+	seen := newEdgeSet(target)
 	inDeg := make([]int, numV)
 	src := make([]uint32, 0, target)
 	dst := make([]uint32, 0, target)
@@ -182,11 +186,9 @@ func GenRMATRand(scale, edgeFactor int, p RMATParams, rng *rand.Rand) *Graph {
 		if p.MaxInDegree > 0 && inDeg[v] >= p.MaxInDegree {
 			continue
 		}
-		key := uint64(u)<<32 | uint64(v)
-		if seen[key] {
+		if !seen.insert(uint64(u)<<32 | uint64(v)) {
 			continue
 		}
-		seen[key] = true
 		inDeg[v]++
 		src = append(src, uint32(u))
 		dst = append(dst, uint32(v))
@@ -201,6 +203,36 @@ func GenRMATRand(scale, edgeFactor int, p RMATParams, rng *rand.Rand) *Graph {
 		dst[i] = uint32(perm[dst[i]])
 	}
 	return FromEdgeList(numV, src, dst, wts)
+}
+
+// edgeSet is the generators' duplicate check: an open-addressing set of
+// packed u<<32 | v edge keys with linear probing. Its power-of-two table
+// holds at least twice the edges a generator places, so probes stay
+// short and always reach an empty slot. Key 0 marks an empty slot: it is
+// the self-loop (0, 0), which no generator inserts.
+type edgeSet struct {
+	slots []uint64
+	shift uint // 64 - log2(len(slots)): keeps a product's top bits
+}
+
+func newEdgeSet(n int) edgeSet {
+	b := bits.Len(uint(2*max(n, 1) - 1))
+	return edgeSet{slots: make([]uint64, 1<<b), shift: uint(64 - b)}
+}
+
+// insert adds key and reports whether it was absent.
+func (s *edgeSet) insert(key uint64) bool {
+	mask := uint64(len(s.slots) - 1)
+	// Fibonacci hashing: the top bits of key × 2^64/φ mix every key bit.
+	for i := key * 0x9e3779b97f4a7c15 >> s.shift; ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case 0:
+			s.slots[i] = key
+			return true
+		case key:
+			return false
+		}
+	}
 }
 
 // GenUniform generates a directed Erdős–Rényi-style graph with numV
@@ -218,7 +250,7 @@ func GenUniformRand(numV, numE int, rng *rand.Rand) *Graph {
 	if numE > maxE/2 {
 		panic(fmt.Sprintf("graph: %d edges too dense for %d vertices", numE, numV))
 	}
-	seen := make(map[uint64]bool, numE)
+	seen := newEdgeSet(numE)
 	src := make([]uint32, 0, numE)
 	dst := make([]uint32, 0, numE)
 	wts := make([]uint32, 0, numE)
@@ -228,11 +260,9 @@ func GenUniformRand(numV, numE int, rng *rand.Rand) *Graph {
 		if u == v {
 			continue
 		}
-		key := uint64(u)<<32 | uint64(v)
-		if seen[key] {
+		if !seen.insert(uint64(u)<<32 | uint64(v)) {
 			continue
 		}
-		seen[key] = true
 		src = append(src, uint32(u))
 		dst = append(dst, uint32(v))
 		wts = append(wts, 1+rng.Uint32()%16)
