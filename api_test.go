@@ -48,7 +48,6 @@ var testOnlyAPI = []string{
 	"internal/flit.Response.Bytes",
 	"internal/gpu.GPU.Policy",
 	"internal/graph.Graph.HighDegreeVertex",
-	"internal/graph.KCore",
 	"internal/hmc.Cube.IsShutdown",
 	"internal/hmc.Cube.Phase",
 	"internal/hmc.Cube.VaultActivity",

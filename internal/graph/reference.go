@@ -115,64 +115,6 @@ func DegreeCentrality(g *Graph) []uint32 {
 	return dc
 }
 
-// KCore iteratively removes vertices with total degree (in+out, on the
-// undirected view) below k and returns the removal flags (true =
-// removed) plus the number of surviving vertices.
-func KCore(g *Graph, k uint32) (removed []bool, remaining int) {
-	deg := make([]uint32, g.NumV)
-	for v := 0; v < g.NumV; v++ {
-		deg[v] += uint32(g.OutDegree(v))
-	}
-	for _, d := range g.Edges {
-		deg[d]++
-	}
-	removed = make([]bool, g.NumV)
-	changed := true
-	for changed {
-		changed = false
-		for v := 0; v < g.NumV; v++ {
-			if removed[v] || deg[v] >= k {
-				continue
-			}
-			removed[v] = true
-			changed = true
-			// Removing v decrements the degree of all neighbors in the
-			// undirected view: out-neighbors directly; in-neighbors are
-			// found by the reverse pass below.
-			for _, n := range g.Neighbors(v) {
-				if !removed[n] {
-					deg[n]--
-				}
-			}
-		}
-		// Reverse edges: u -> v where v removed this round should have
-		// already decremented u; the directed CSR only stores
-		// out-edges, so decrement sources of edges into removed
-		// vertices once by rebuilding. For determinism and simplicity,
-		// recompute degrees of survivors each round.
-		for v := range deg {
-			deg[v] = 0
-		}
-		for v := 0; v < g.NumV; v++ {
-			if removed[v] {
-				continue
-			}
-			for _, n := range g.Neighbors(v) {
-				if !removed[n] {
-					deg[v]++
-					deg[n]++
-				}
-			}
-		}
-	}
-	for v := 0; v < g.NumV; v++ {
-		if !removed[v] {
-			remaining++
-		}
-	}
-	return removed, remaining
-}
-
 // ConnectedComponents labels the weakly connected components of the
 // graph (treating edges as undirected) and returns per-vertex labels
 // (the minimum vertex id in each component) and the component count.
