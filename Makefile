@@ -54,11 +54,11 @@ bench:
 
 # The performance trajectory: bench-json regenerates the committed
 # BENCH_<n>.json snapshots (event-engine ns/op + allocs/op, cube
-# read/PIM throughput, cache lookup and fill, one full-system run's wall
-# time). Each benchmark runs BENCH_COUNT times; benchjson folds the runs
-# into a median with its min-max spread, and compares the new snapshot
-# against the previous one, flagging every delta outside the observed
-# spread. Each PR that claims a speedup commits the next numbered
+# read/PIM throughput, cache lookup and fill, the two profile graphs'
+# RMAT generation, one full-system run's wall time). Each benchmark
+# runs BENCH_COUNT times; benchjson folds the runs into a median with
+# its min-max spread, and compares the new snapshot against the
+# previous one, flagging every delta outside the observed spread. Each PR that claims a speedup commits the next numbered
 # snapshot, and that comparison is the review artifact.
 BENCH_NEXT := $(shell n=$$(ls BENCH_[0-9]*.json 2>/dev/null | wc -l); echo $$((n+1)))
 BENCH_PREV := BENCH_$(shell echo $$(($(BENCH_NEXT)-1))).json
@@ -68,22 +68,25 @@ BENCH_CACHE := ^(BenchmarkCacheAccess|BenchmarkCacheFill)$$
 BENCH_THERMAL := ^(BenchmarkThermalStep|BenchmarkSolveSteady|BenchmarkFastSolve|BenchmarkStepFast)$$
 BENCH_COUPLER := ^BenchmarkApplyPowerTick(Adaptive)?$$
 BENCH_CLUSTER := ^(BenchmarkShardedEngine|BenchmarkMultiCubeSystem)$$
+BENCH_GRAPH := ^BenchmarkRMATGeneration$$
 
 bench-json:
 	@( $(GO) test -run '^$$' -bench '$(BENCH_SUBSTRATE)|$(BENCH_CACHE)' -benchmem -count $(BENCH_COUNT) . && \
 	   $(GO) test -run '^$$' -bench '$(BENCH_THERMAL)' -benchmem -count $(BENCH_COUNT) . && \
 	   $(GO) test -run '^$$' -bench '$(BENCH_COUPLER)' -benchmem -count $(BENCH_COUNT) ./internal/system && \
 	   $(GO) test -run '^$$' -bench '$(BENCH_CLUSTER)' -benchtime 3x -benchmem -count $(BENCH_COUNT) . && \
+	   $(GO) test -run '^$$' -bench '$(BENCH_GRAPH)' -benchmem -count $(BENCH_COUNT) . && \
 	   $(GO) test -run '^$$' -bench '^BenchmarkFig10Speedup$$/^dc$$/^Naive-Offloading$$' -benchtime 3x -count $(BENCH_COUNT) . \
 	 ) | $(GO) run ./cmd/benchjson -out BENCH_$(BENCH_NEXT).json $(if $(wildcard $(BENCH_PREV)),-compare $(BENCH_PREV))
 
 # bench-smoke is the CI guard: a fixed, tiny iteration count over the
-# substrate micro-benches so they cannot silently stop compiling or
-# start failing, piped through benchjson to keep the tooling honest.
+# substrate micro-benches and one generation of each profile graph, so
+# they cannot silently stop compiling or start failing, piped through
+# benchjson to keep the tooling honest.
 bench-smoke:
 	( $(GO) test -run '^$$' -bench '$(BENCH_SUBSTRATE)|$(BENCH_CACHE)|$(BENCH_THERMAL)|^(BenchmarkDRAMBankSchedule|BenchmarkPowerModel)$$' \
 		-benchtime 100x -benchmem . && \
-	  $(GO) test -run '^$$' -bench '$(BENCH_CLUSTER)' -benchtime 1x -benchmem . && \
+	  $(GO) test -run '^$$' -bench '$(BENCH_CLUSTER)|$(BENCH_GRAPH)' -benchtime 1x -benchmem . && \
 	  $(GO) test -run '^$$' -bench '$(BENCH_COUPLER)' -benchtime 100x -benchmem ./internal/system \
 	) | $(GO) run ./cmd/benchjson
 

@@ -484,12 +484,20 @@ func BenchmarkCacheFill(b *testing.B) {
 	}
 }
 
+// BenchmarkRMATGeneration regenerates the graphs of the two campaign
+// profiles, as each campaign's set-up and perfbench's setup_s do: the
+// test profile's (scale 13) and the paper profile's (scale 16).
 func BenchmarkRMATGeneration(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		g := graph.GenRMAT(12, 8, graph.LDBCLikeParams(), int64(i))
-		if g.NumE() == 0 {
-			b.Fatal("empty graph")
-		}
+	for _, p := range []experiments.Profile{experiments.TestProfile(), experiments.PaperProfile()} {
+		b.Run(fmt.Sprintf("scale%d", p.Scale), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				g := graph.GenRMAT(p.Scale, p.EdgeFactor, graph.LDBCLikeParams(), p.Seed)
+				if g.NumE() == 0 {
+					b.Fatal("empty graph")
+				}
+			}
+		})
 	}
 }
 
