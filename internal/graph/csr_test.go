@@ -58,18 +58,20 @@ func (l *edgeList) add(s, d, w uint32) {
 func TestFromEdgeListMatchesSortReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 
-	// A hub with 2,500 out-edges among low-degree sources; vertex 0,
-	// every even vertex and the last one have no edges at all.
-	hub := edgeList{numV: 4096}
-	for _, d := range rng.Perm(hub.numV)[:2500] {
-		hub.add(7, uint32(d), 1+rng.Uint32()%64)
+	// A hub with 2,500 out-edges among low-degree sources. Edges join
+	// odd vertices only, so every even vertex, vertex 0 among them, is
+	// isolated; the last vertex has in-edges but no out-edges.
+	hub := edgeList{numV: 8192}
+	odd := func(k int) uint32 { return uint32(2*k + 1) }
+	for _, k := range rng.Perm(hub.numV / 2)[:2500] {
+		hub.add(7, odd(k), 1+rng.Uint32()%64)
 	}
 	for s := uint32(1); s < uint32(hub.numV-1); s += 2 {
 		if s == 7 {
 			continue
 		}
-		for _, d := range rng.Perm(hub.numV)[:rng.Intn(12)] {
-			hub.add(s, uint32(d), 1+rng.Uint32()%64)
+		for _, k := range rng.Perm(hub.numV / 2)[:rng.Intn(12)] {
+			hub.add(s, odd(k), 1+rng.Uint32()%64)
 		}
 	}
 

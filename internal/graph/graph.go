@@ -207,7 +207,7 @@ func GenRMATRand(scale, edgeFactor int, p RMATParams, rng *rand.Rand) *Graph {
 
 // edgeSet is the generators' duplicate check: an open-addressing set of
 // packed u<<32 | v edge keys with linear probing. Its power-of-two table
-// holds at least twice the edges a generator places, so probes stay
+// has at least two slots per edge a generator places, so probes stay
 // short and always reach an empty slot. Key 0 marks an empty slot: it is
 // the self-loop (0, 0), which no generator inserts.
 type edgeSet struct {
@@ -215,6 +215,7 @@ type edgeSet struct {
 	shift uint // 64 - log2(len(slots)): keeps a product's top bits
 }
 
+// newEdgeSet returns an empty set sized for n keys.
 func newEdgeSet(n int) edgeSet {
 	b := bits.Len(uint(2*max(n, 1) - 1))
 	return edgeSet{slots: make([]uint64, 1<<b), shift: uint(64 - b)}
