@@ -47,7 +47,6 @@ var testOnlyAPI = []string{
 	"internal/flit.Request.Bytes",
 	"internal/flit.Response.Bytes",
 	"internal/gpu.GPU.Policy",
-	"internal/graph.Graph.HighDegreeVertex",
 	"internal/hmc.Cube.IsShutdown",
 	"internal/hmc.Cube.Phase",
 	"internal/hmc.Cube.VaultActivity",

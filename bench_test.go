@@ -514,7 +514,7 @@ func BenchmarkPowerModel(b *testing.B) {
 
 func BenchmarkBFSReference(b *testing.B) {
 	g := graph.GenRMAT(14, 8, graph.LDBCLikeParams(), 3)
-	src := g.HighDegreeVertex(0)
+	src, _ := g.MaxOutDegree()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		graph.BFSLevels(g, src)

@@ -308,11 +308,3 @@ func (g *Graph) MaxOutDegree() (vertex, degree int) {
 	}
 	return vertex, degree
 }
-
-// HighDegreeVertex returns MaxOutDegree's vertex, the lowest-numbered
-// vertex of largest out-degree; used to pick interesting BFS/SSSP
-// sources. The seed is ignored.
-func (g *Graph) HighDegreeVertex(seed int64) int {
-	v, _ := g.MaxOutDegree()
-	return v
-}

@@ -286,12 +286,23 @@ func TestInDegrees(t *testing.T) {
 	}
 }
 
-func TestHighDegreeVertex(t *testing.T) {
+// TestMaxOutDegree: MaxOutDegree returns the largest out-degree and the
+// lowest-numbered vertex that has it.
+func TestMaxOutDegree(t *testing.T) {
 	g := GenRMAT(8, 8, LDBCLikeParams(), 5)
-	v := g.HighDegreeVertex(0)
-	_, maxDeg := g.MaxOutDegree()
+	v, maxDeg := g.MaxOutDegree()
 	if g.OutDegree(v) != maxDeg {
-		t.Errorf("HighDegreeVertex degree %d, max %d", g.OutDegree(v), maxDeg)
+		t.Errorf("vertex %d has out-degree %d, MaxOutDegree reported %d", v, g.OutDegree(v), maxDeg)
+	}
+	for u := 0; u < g.NumV; u++ {
+		if d := g.OutDegree(u); d > maxDeg || (d == maxDeg && u < v) {
+			t.Fatalf("vertex %d (out-degree %d) beats MaxOutDegree's vertex %d (%d)", u, d, v, maxDeg)
+		}
+	}
+	// A tie goes to the lower vertex.
+	tie := FromEdgeList(4, []uint32{1, 1, 3, 3}, []uint32{0, 2, 0, 2}, []uint32{1, 1, 1, 1})
+	if v, d := tie.MaxOutDegree(); v != 1 || d != 2 {
+		t.Errorf("tied graph: MaxOutDegree = (%d, %d), want (1, 2)", v, d)
 	}
 }
 
@@ -320,7 +331,7 @@ func TestBFSSSSPAgreeOnUnitWeights(t *testing.T) {
 	for i := range base.Weights {
 		base.Weights[i] = 1
 	}
-	src := base.HighDegreeVertex(0)
+	src, _ := base.MaxOutDegree()
 	lv := BFSLevels(base, src)
 	d := SSSPDistances(base, src)
 	for v := range lv {
