@@ -67,7 +67,6 @@ var testOnlyAPI = []string{
 	"internal/simt.FirstN",
 	"internal/simt.Mask.Clear",
 	"internal/simt.WarpRun.Done",
-	"internal/simt.WarpRun.Stop",
 	"internal/telemetry.Counter.Value",
 	"internal/telemetry.FlightRecorder.Seq",
 	"internal/telemetry.Histogram.Count",

@@ -1,14 +1,21 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 
 	"coolpim/internal/core"
 	"coolpim/internal/dram"
 	"coolpim/internal/hmc"
 	"coolpim/internal/kernels"
+	"coolpim/internal/runner"
 	"coolpim/internal/system"
 )
 
@@ -51,11 +58,15 @@ func sameBytes(t *testing.T, what string, got, want *system.Result) {
 // TestDeriveInertMatchesSimulation is the shortcut's differential
 // test: every cell DeriveInert derives on the test profile is also
 // simulated, and the two results match byte for byte. The exact tier
-// covers all ten workloads (HW and IdealThermal derive everywhere, SW
-// where the Eq. 1 pool is 256); the adaptive tier and a 2-cube chain
-// cover a subset, as does the multi-level HW extension. With the
-// warning threshold just above ambient, the naive run draws warnings
-// it ignores: only IdealThermal derives.
+// covers all ten workloads: HW and IdealThermal derive everywhere, and
+// so does SW, whose Eq. 1 pool is 256 on six workloads and covers the
+// naive run's 128 resident blocks on the other four (bfs-dwc, bfs-twc,
+// sssp-dwc and sssp-twc, pools 163-187). The adaptive tier, a 2-cube
+// chain and the multi-level HW extension cover a subset; on the chain,
+// bfs-twc's SW cell derives by its larger node's peak, as the nodes'
+// sum would exceed the pool. With the warning threshold just above
+// ambient, the naive run draws warnings it ignores: only IdealThermal
+// derives.
 func TestDeriveInertMatchesSimulation(t *testing.T) {
 	adaptive := TestProfile()
 	adaptive.Sys.ThermalMode = system.ThermalAdaptive
@@ -73,9 +84,9 @@ func TestDeriveInertMatchesSimulation(t *testing.T) {
 		workloads []string
 		want      int // derived cells
 	}{
-		{"exact", TestProfile(), kernels.Names(), 26},
+		{"exact", TestProfile(), kernels.Names(), 30},
 		{"adaptive", adaptive, subset, 6},
-		{"chain2", MultiCubeProfile(TestProfile(), net), subset, 6},
+		{"chain2", MultiCubeProfile(TestProfile(), net), []string{"dc", "pagerank", "bfs-twc"}, 9},
 		{"warned", warned, []string{"dc"}, 1},
 		{"multilevel-hw", multiLevel, []string{"dc"}, 3},
 	}
@@ -114,9 +125,13 @@ func TestDeriveInertMatchesSimulation(t *testing.T) {
 }
 
 // TestDeriveInertSimulatesActiveCells: cells whose policy may act are
-// simulated, not derived — every controlled policy on a naive run hot
-// enough to warn and derate, and SW on sssp-twc, whose Eq. 1 pool (163)
-// is below the 256 blocks the GPU holds.
+// simulated, not derived: every controlled policy on a naive run hot
+// enough to warn and derate; SW on sssp-twc with the target PIM rate
+// halved, whose Eq. 1 pool (83) is below the 128 blocks the naive run
+// held at once, so some blocks launch without a token; and SW on a
+// resumed campaign whose ledgered naive entry predates
+// PeakResidentBlocks, so its pool (163) is checked against the GPU's
+// 256 blocks alone.
 func TestDeriveInertSimulatesActiveCells(t *testing.T) {
 	t.Run("hot", func(t *testing.T) {
 		t.Parallel()
@@ -144,16 +159,79 @@ func TestDeriveInertSimulatesActiveCells(t *testing.T) {
 		}
 		t.Parallel()
 		p := TestProfile()
+		p.Sys.Throttle.TargetPIMRate /= 2
 		naive := mustCell(t, p, "sssp-twc", core.NaiveOffloading)
 		if _, ok := deriveCell(newSized, p, "sssp-twc", core.CoolPIMHW, naive); !ok {
 			t.Fatalf("HW not derived from a cool naive run (peak %v)", naive.PeakDRAM)
 		}
 		if _, ok := deriveCell(newSized, p, "sssp-twc", core.CoolPIMSW, naive); ok {
-			t.Error("SW derived although its Eq. 1 pool is below the GPU's block capacity")
+			t.Error("SW derived although its Eq. 1 pool is below the naive run's peak resident blocks")
 		}
 		sw := mustCell(t, p, "sssp-twc", core.CoolPIMSW)
-		if blocks := p.Sys.GPU.NumSMs * p.Sys.GPU.MaxBlocksPerSM; sw.InitialPoolSize != 163 || blocks != 256 {
-			t.Errorf("SW pool %d of %d blocks, want 163 of 256", sw.InitialPoolSize, blocks)
+		if peak := naive.GPU.PeakResidentBlocks; sw.InitialPoolSize != 83 || peak != 128 {
+			t.Errorf("SW pool %d against a naive peak of %d blocks, want 83 of 128", sw.InitialPoolSize, peak)
+		}
+		// Deriving would have been wrong: blocks found the pool empty.
+		if sw.GPU.NonPIMBlocks == 0 {
+			t.Error("every SW block took a token: the case no longer throttles")
+		}
+	})
+	t.Run("old-ledger", func(t *testing.T) {
+		if raceEnabled {
+			t.Skip("race runs keep to the dc/pagerank subset")
+		}
+		t.Parallel()
+		p := TestProfile()
+		wls := []string{"sssp-twc"}
+		path := filepath.Join(t.TempDir(), "matrix.jsonl")
+		l1, err := runner.OpenLedger(path, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := RunMatrixOpts(context.Background(), p, MatrixOpts{
+			Workloads: wls, Policies: []core.PolicyKind{core.NaiveOffloading}, Ledger: l1,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		l1.Close()
+		// Rewrite the naive entry as a build without the field wrote it.
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		field := regexp.MustCompile(`,"PeakResidentBlocks":[0-9]+`)
+		if n := len(field.FindAll(data, -1)); n != 1 {
+			t.Fatalf("naive ledger entry holds %d PeakResidentBlocks fields, want 1", n)
+		}
+		if err := os.WriteFile(path, field.ReplaceAll(data, nil), 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		l2, err := runner.OpenLedger(path, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l2.Close()
+		derived := map[string]bool{}
+		var ledgered int
+		if _, err := RunMatrixOpts(context.Background(), p, MatrixOpts{
+			Workloads: wls, Policies: append([]core.PolicyKind{core.NaiveOffloading}, derivedKinds...), Ledger: l2,
+			Progress: func(s string) {
+				if strings.HasSuffix(s, "(derived)") {
+					derived[strings.Fields(s)[1]] = true // the cell's policy
+				}
+			},
+			OnRunDone: func(_ string, _ error, fromLedger bool) {
+				if fromLedger {
+					ledgered++
+				}
+			},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		want := map[string]bool{core.CoolPIMHW.String(): true, core.IdealThermal.String(): true}
+		if ledgered != 1 || !maps.Equal(derived, want) {
+			t.Errorf("resume: %d cells from the ledger, derived %v; want 1 and %v", ledgered, derived, want)
 		}
 	})
 }

@@ -100,6 +100,10 @@ type Stats struct {
 	AtomicStall   units.Time // issue-to-retire across posted atomics
 	AtomicWait    units.Time // issue-to-resume across returning atomics
 	ComputeBusy   units.Time
+
+	// PeakResidentBlocks is the most blocks resident at once over every
+	// launch: the high-water mark of the live block count.
+	PeakResidentBlocks int
 }
 
 // DivergenceRatio returns the fraction of warp ops issued divergent.
@@ -130,6 +134,9 @@ type smState struct {
 	l1         *cache.Cache
 	freeSlots  []int // block slot indices
 	liveBlocks int
+	// warps holds the running warp of each warp slot, nil when the slot
+	// is free; StopWarps ends the ones a halted run leaves parked.
+	warps []*warpState
 }
 
 type blockState struct {
@@ -224,7 +231,7 @@ func New(eng *sim.Engine, space *mem.Space, cube *hmc.Cube, policy core.Policy, 
 	}
 	g.observeCb = func(resp flit.Response, _ units.Time) { g.observe(resp) }
 	for i := 0; i < cfg.NumSMs; i++ {
-		s := &smState{l1: cache.New(cfg.L1)}
+		s := &smState{l1: cache.New(cfg.L1), warps: make([]*warpState, cfg.MaxWarpsPerSM)}
 		for slot := 0; slot < cfg.MaxBlocksPerSM; slot++ {
 			s.freeSlots = append(s.freeSlots, slot)
 		}
@@ -268,6 +275,13 @@ func (g *GPU) RunKernel(l *Launch) {
 	g.nextBlock = 0
 	g.liveBlocks = 0
 	g.running = true
+	// A block wider than an SM's warp slots runs alone on its SM, its
+	// warps numbered past MaxWarpsPerSM.
+	for _, s := range g.sms {
+		if n := g.warpsPerBlock(); len(s.warps) < n {
+			s.warps = make([]*warpState, n)
+		}
+	}
 	g.kernelSpan = g.spans.StartSpan(g.eng.Now(), g.spanKernel)
 	g.dispatch()
 }
@@ -327,6 +341,7 @@ func (g *GPU) startBlock(smID int) {
 	s.freeSlots = s.freeSlots[:len(s.freeSlots)-1]
 	s.liveBlocks++
 	g.liveBlocks++
+	g.stats.PeakResidentBlocks = max(g.stats.PeakResidentBlocks, g.liveBlocks)
 
 	// Everything allowed below is per-BLOCK setup: a block runs hundreds
 	// to thousands of warp ops, so these bounded allocations amortize to
@@ -368,7 +383,22 @@ func (g *GPU) startBlock(smID int) {
 		wp.loadFinishEv = wp.loadFinish                              //coolpim:allow hotalloc bound once per warp; every blocking load reuses it
 		wp.asyncFinishEv = wp.asyncFinish                            //coolpim:allow hotalloc bound once per warp; every async load reuses it
 		wp.atomicResumeEv = wp.atomicResume                          //coolpim:allow hotalloc bound once per warp; every blocking atomic reuses it
+		s.warps[warpSlot] = wp
 		g.eng.AfterLabel(0, g.label, wp.advanceEv)
+	}
+}
+
+// StopWarps ends every warp still parked mid-kernel, as a run halted by
+// a shutdown or a time limit leaves them, releasing their coroutines
+// and, through them, the kernel's memory.
+func (g *GPU) StopWarps() {
+	for _, s := range g.sms {
+		for i, w := range s.warps {
+			if w != nil {
+				w.run.Stop()
+				s.warps[i] = nil
+			}
+		}
 	}
 }
 
@@ -440,6 +470,7 @@ type warpState struct {
 func (w *warpState) advance(now units.Time) {
 	op, ok := w.run.Next() //coolpim:allow hotalloc resuming the warp coroutine goes through iter.Pull's handoff, opaque to the analyzer; the resume itself is allocation-free
 	if !ok {
+		w.gpu.sms[w.block.sm].warps[w.slot] = nil
 		w.block.live--
 		if w.block.live == 0 {
 			w.gpu.blockDone(w.block, now)

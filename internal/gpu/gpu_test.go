@@ -477,6 +477,34 @@ func TestOccupancyLimits(t *testing.T) {
 	g.launch = nil
 }
 
+// TestPeakResidentBlocks: the stat is the most blocks resident at once,
+// the GPU's block capacity when a launch overfills it, and one block
+// per SM when a block has more warps than an SM has warp slots.
+func TestPeakResidentBlocks(t *testing.T) {
+	cfg := DefaultConfig()
+	narrow := cfg
+	narrow.MaxWarpsPerSM = 2 // a 4-warp block runs alone, warps past the slots
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		blocks int
+		want   int
+	}{
+		{"under capacity", cfg, 100, 100},
+		{"over capacity", cfg, 1000, cfg.NumSMs * cfg.MaxBlocksPerSM},
+		{"wide blocks", narrow, 40, cfg.NumSMs},
+	} {
+		eng := sim.New()
+		space := mem.NewSpace(1 << 20)
+		cube := hmc.New(eng, space, hmc.DefaultConfig())
+		r := &rig{eng, space, cube, New(eng, space, cube, core.NewNonOffloading(), tc.cfg)}
+		r.runKernel(t, simpleLaunch(func(c *simt.Ctx) { c.Compute(10) }, tc.blocks))
+		if got := r.gpu.Stats().PeakResidentBlocks; got != tc.want {
+			t.Errorf("%s: %d blocks resident at most, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestLaunchValidation(t *testing.T) {
 	r := newRig(t, core.NewNonOffloading())
 	for name, l := range map[string]*Launch{

@@ -35,13 +35,40 @@ func syntheticNaive(peak units.Celsius) *Result {
 	}
 }
 
+// withPeakBlocks sets a naive result's peak resident block count.
+func withPeakBlocks(r *Result, blocks int) *Result {
+	r.GPU.PeakResidentBlocks = blocks
+	return r
+}
+
+// twoCubeNaive aggregates a cool two-node naive run whose nodes held at
+// most a and b blocks at once.
+func twoCubeNaive(a, b int) *Result {
+	nodes := make([]*nodeState, 2)
+	for i, blocks := range []int{a, b} {
+		nodes[i] = &nodeState{res: CubeResult{Node: i, PeakDRAM: 40, InitialPoolSize: -1, FinalPoolSize: -1}}
+		nodes[i].res.GPU.PeakResidentBlocks = blocks
+	}
+	res := &Result{Workload: "dc", Policy: core.NaiveOffloading}
+	aggregate(res, nodes)
+	return res
+}
+
 // TestDeriveInertPreconditions pins each policy's precondition at its
-// boundary and the cases that never derive.
+// boundary and the cases that never derive. SW's pool below the GPU's
+// 256 blocks derives only from a naive run whose peak resident blocks
+// it covers; a peak of 0, as a ledger entry written before the field
+// existed reports, does not count, and a multi-cube run's peak is its
+// larger node's, not the sum.
 func TestDeriveInertPreconditions(t *testing.T) {
 	cfg := DefaultConfig()
 	warn := cfg.HMC.WarnTemp
 	cool := kernels.Profile{PIMIntensity: 0.08, DivergenceRatio: 0.6} // Eq. 1 pool clamps to 256
 	intense := kernels.Profile{PIMIntensity: 0.65, DivergenceRatio: 0.15}
+	pool, maxBlocks := swInitialPool(&cfg, intense)
+	if pool < 2 || pool >= maxBlocks {
+		t.Fatalf("intense profile's pool %d of %d blocks: the SW rows need 1 < pool < %d", pool, maxBlocks, maxBlocks)
+	}
 	instrumented := cfg
 	instrumented.Telemetry = telemetry.New()
 	failed := syntheticNaive(40)
@@ -66,7 +93,12 @@ func TestDeriveInertPreconditions(t *testing.T) {
 		{"hw block wider than an SM", syntheticNaive(40), core.CoolPIMHW, narrow, cool, false},
 		{"sw full pool", syntheticNaive(warn), core.CoolPIMSW, cfg, cool, true},
 		{"sw above warn", syntheticNaive(warn + 0.01), core.CoolPIMSW, cfg, cool, false},
-		{"sw small pool", syntheticNaive(40), core.CoolPIMSW, cfg, intense, false},
+		{"sw small pool, peak at the pool", withPeakBlocks(syntheticNaive(warn), pool), core.CoolPIMSW, cfg, intense, true},
+		{"sw small pool, peak above the pool", withPeakBlocks(syntheticNaive(40), pool+1), core.CoolPIMSW, cfg, intense, false},
+		{"sw small pool, peak above warn", withPeakBlocks(syntheticNaive(warn+0.01), 1), core.CoolPIMSW, cfg, intense, false},
+		{"sw small pool, no peak recorded", syntheticNaive(40), core.CoolPIMSW, cfg, intense, false},
+		{"sw small pool, 2 cubes at the pool", twoCubeNaive(pool-1, pool), core.CoolPIMSW, cfg, intense, true},
+		{"sw small pool, 2 cubes, one above", twoCubeNaive(pool+1, 1), core.CoolPIMSW, cfg, intense, false},
 		{"ideal at normal", syntheticNaive(dram.NormalLimit), core.IdealThermal, cfg, cool, true},
 		{"ideal derated", syntheticNaive(dram.NormalLimit + 0.01), core.IdealThermal, cfg, cool, false},
 		{"ideal shutdown", shutdown, core.IdealThermal, cfg, cool, false},

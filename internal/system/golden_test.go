@@ -110,83 +110,83 @@ func goldenCases() []goldenCase {
 // trace_event JSON (spans and instants), Prometheus text, series CSV
 // and the concatenated diag snapshots. verify is the VerifyErr text.
 var goldenDigests = map[string]string{
-	"dc/CoolPIM(HW) result":            "9658bfa88b3e3e54796082f57cf43bad4d914df3588e2b4dfa23bb9affe46c0b",
+	"dc/CoolPIM(HW) result":            "afb1e510bc71165e2775df70e6614097315d1aaaa2188359466df07e3253ed91",
 	"dc/CoolPIM(HW) verify":            "<nil>",
-	"dc/CoolPIM(SW) result":            "4f1c5a1df19bc8afaf240636594d58c270659374eaddbbda908dc0407157adcd",
+	"dc/CoolPIM(SW) result":            "3b1787ba25d6fba0b0aaa5679e3741f7ab0cf7c24620a97985e1c22382eb93c0",
 	"dc/CoolPIM(SW) verify":            "<nil>",
-	"dc/IdealThermal result":           "683a2ea966608c737988ba454028d1317413548b64887058b9fbcd91f528bf6b",
+	"dc/IdealThermal result":           "883a718d91e5fbd236c55d2d3c0168f6284c189622a0154c32e02de6ab47a2c5",
 	"dc/IdealThermal verify":           "<nil>",
-	"dc/Naive-Offloading result":       "9f1b944d1489a55e51d977798812f1b3bd3f488c4be99f18343ecc2d5a03f1a2",
+	"dc/Naive-Offloading result":       "78cd49ca6bac90bc37a56965e052d7d2f1178a890055340b317f88150834405a",
 	"dc/Naive-Offloading verify":       "<nil>",
-	"dc/Non-Offloading result":         "dcedc117b066f6892f59943fa81aec7ac84606f9e00b258c3b143ef4baf7400d",
+	"dc/Non-Offloading result":         "8099879ada47143e5aec6f48ea91d69b945ed3a445f359585f3d9386d31bd6bc",
 	"dc/Non-Offloading verify":         "<nil>",
-	"mc/chain4 result":                 "41f391c62cf9fc5e42bba91c3fc1d2381df598de4b026a5701e030d6437501cc",
+	"mc/chain4 result":                 "a50258b9277d0ec9e8945404cc8efde2b199b600e01a09bbaa811b53cf778996",
 	"mc/chain4 verify":                 "<nil>",
-	"mc/mesh4-adaptive result":         "d9968a1cf55802189dc2f4ffaf368d9649fc5c4ef8fdb023f2f9d7b1ebd3c9ad",
+	"mc/mesh4-adaptive result":         "5aaec0ae40543a1bb2d4ec02b8e8611f48ef306c8e0c096f3baadf20bdf46f0f",
 	"mc/mesh4-adaptive verify":         "<nil>",
 	"mc/tel-chain2 chrome":             "28d4c0d803ecb0c49d6790a313f060d747bc354b3c68c7142f57a6d651426a6b",
 	"mc/tel-chain2 diag":               "a9420cb9cff05328cac5f87a459eba028131eb807dac644ee3ae0327ce77cca4",
 	"mc/tel-chain2 prom":               "1d7120ab2006a99543a4c2a449a23e18051e0986d530fe4e240f83095012552d",
-	"mc/tel-chain2 result":             "8f0ef35d8849e74514c1a77d84dd59f52fde388fb0bc77fd971f88ef5efa8980",
+	"mc/tel-chain2 result":             "a22540fd150bf0deba4bdd037f8fd331830971ee4f727379175a23d4f5136012",
 	"mc/tel-chain2 series":             "874f6da73a6a3f36e61c34c06d66b59a3093a6c762d6d7d56fe00f6ccb602c50",
 	"mc/tel-chain2 spans":              "527d539a28954eff290b69849b0d06a720c64fa21c7ce5a7961330be51fe50af",
 	"mc/tel-chain2 verify":             "<nil>",
 	"mc/tel-shutdown2 chrome":          "4c065b7723c54694698bbbee8404239739cca6f9977e32c83e3047526e069cd0",
 	"mc/tel-shutdown2 diag":            "e410dca21a46cd70d5f28108e8a079fca108fbf4a89c3644ed08c42f4f390e8b",
 	"mc/tel-shutdown2 prom":            "f0a7581ffd1d278dda0dc037d626b470fb8efbaad5ad73768858e19a17a19a04",
-	"mc/tel-shutdown2 result":          "514a1611fcd98b35f022b4d713bbd80a600354ac55bc07930cff88751c174182",
+	"mc/tel-shutdown2 result":          "1f468ec7bfda3f2270cf9daa1e9f803b35f589893ff5d7491b4653e1786029c1",
 	"mc/tel-shutdown2 series":          "7a9e114155514cd8212e4a04d898c1cbfef3bc5c48eb767398544c3861ffbd51",
 	"mc/tel-shutdown2 spans":           "3cc54979618aabbeebf3b0423ff0ef575bb3c02240dc100b4e095efecdc48941",
 	"mc/tel-shutdown2 verify":          "<nil>",
-	"pagerank/CoolPIM(HW) result":      "c172a74cfcf9810731a56f080cfb2a82626cfb508f3ed7ad13c5514f59869057",
+	"pagerank/CoolPIM(HW) result":      "effd4533c1eb49188b9963b87797abeec120ee10671ddc4f6151644986ae2415",
 	"pagerank/CoolPIM(HW) verify":      "<nil>",
-	"pagerank/CoolPIM(SW) result":      "bbf099b75ab2006f7d606a65608122e3369507f9eafe2a901b644d26feb0677b",
+	"pagerank/CoolPIM(SW) result":      "c26c947947904c54bd79bd94058736cfe077820c2933bba3265bd4d00f88afd4",
 	"pagerank/CoolPIM(SW) verify":      "<nil>",
-	"pagerank/IdealThermal result":     "4c3c7732aefc43aed2d2bb320ee98f97a122ba6abf9c294cc67d7c1cdfd50c42",
+	"pagerank/IdealThermal result":     "d4f451664bb843b55b2634f1443799dc69a151db908164914e5287a368e63107",
 	"pagerank/IdealThermal verify":     "<nil>",
-	"pagerank/Naive-Offloading result": "a234c34e877a06f7f3a3a38bc81ee2862da5c6bad85627e4658d22604957daeb",
+	"pagerank/Naive-Offloading result": "0fe234db92e1a8c6c14195b9155ff6de36ad44742f74f5466d370cd3dc8f367e",
 	"pagerank/Naive-Offloading verify": "<nil>",
-	"pagerank/Non-Offloading result":   "66be7165e3702fc4d437f1d74d08e2cd69c27d7d53281881fd3feeb5a656e299",
+	"pagerank/Non-Offloading result":   "be151e5296d3b97d99841ad3304363582228d01aeca5446ee2a01a08dee3a3a0",
 	"pagerank/Non-Offloading verify":   "<nil>",
 	"tel/adaptive chrome":              "57f8a346ade83535f8ca9f856f7d773a94b74a370e2ffc2b153a829c4397b57e",
 	"tel/adaptive diag":                "6da0eb51f1e52945a3ac42e12a3a1ffe9310ec6dbbab09f708dcfc8c0fe44e2b",
 	"tel/adaptive prom":                "7da6abbb92494acbf3a2cf66fee9b0fc6a6b5da7bfc13c8cb26b592f5cccc18d",
-	"tel/adaptive result":              "4a60df497f535f0476a6fda8a699732478ec2937859c3a094a9203d7a23bfc38",
+	"tel/adaptive result":              "f8ff735538457150ef13c032640f73c74b69345205d77c84c14840d537592fab",
 	"tel/adaptive series":              "58d4ec7d84418c0292014fb8bb4aae846db58506698fc0a38adab4fd1dfd6d21",
 	"tel/adaptive spans":               "57c21c46e8aac2d24f33ab04d0d1cb0630f360a5dcc03d1c1c86ca45276be2a6",
 	"tel/adaptive verify":              "<nil>",
 	"tel/cool chrome":                  "0f7289bb02dc6348edc7e872ae72bf8ea5a20e18eb897a14fac11745674735fd",
 	"tel/cool diag":                    "27ea82352284f38fbb70c4aaa58fe0a6cb0b305536ebde0f24528728bd5b02c2",
 	"tel/cool prom":                    "aefa39018bdf6c9adc8632055f82c7b2a92f4b90f3da9befd11fc275fbc8f363",
-	"tel/cool result":                  "9658bfa88b3e3e54796082f57cf43bad4d914df3588e2b4dfa23bb9affe46c0b",
+	"tel/cool result":                  "afb1e510bc71165e2775df70e6614097315d1aaaa2188359466df07e3253ed91",
 	"tel/cool series":                  "97cded9eb30ca8f48ce5c6422fd65d271db85830c3e175b4740c322544940338",
 	"tel/cool spans":                   "10cb2846a28717605fff7842c0b1e2374177bc45b1a5fe0164861140e16361bd",
 	"tel/cool verify":                  "<nil>",
 	"tel/multilevel chrome":            "c9061010cc317e20d3c4424c2e9783df5c25acfc516e8297b584e50aae0bce03",
 	"tel/multilevel diag":              "5781958025f3f2b309bcc9af17e606a1f3f426a1051a11c6a1a0931f6b70356a",
 	"tel/multilevel prom":              "49c11e195a89d271b400e5dd61270911e1cd7a2596ef1d1e401c1a58928e2cbd",
-	"tel/multilevel result":            "64dcbf1847afce98fc8e7fe25c07dcf1669662c6aa94654158231b39f010ce6d",
+	"tel/multilevel result":            "1a98c409bac717cc9d4c767202bfa8ea2729f3441284f85e2dd5bf94922c2d83",
 	"tel/multilevel series":            "90bf439105bc61a0c083fdc0cfc1138b95990051eaf7faed45e76271cf560e5b",
 	"tel/multilevel spans":             "86338466ffa76e67349b9958d8a0d30afdac6cf4df3e42c984055bdd268d9ee6",
 	"tel/multilevel verify":            "<nil>",
 	"tel/shutdown chrome":              "8be468d5ea998d20820a022d0c8af71a6aff9dbef140c1a9c9ef934aeb0cb52d",
 	"tel/shutdown diag":                "883e5a42341e4304be9968d1f6c87cee5098afc5e45eb990b0881a356c988e05",
 	"tel/shutdown prom":                "b64c28f21f27a6bd5bb018639331c6f7983071bb6642672aa6f8dfe3e83c1acb",
-	"tel/shutdown result":              "dd38250c4195adc38735273396b51fdb294fc0ca9c741521b61783cf1940f1b5",
+	"tel/shutdown result":              "e9b19640eb3d55c708a2fb5bf5fcc860e2c217de78b6b2968d447f2cb2312a2f",
 	"tel/shutdown series":              "4ddcfe210375b3bc5849f8ba99430aecc2b7225c38ac5c8e16720300d295198f",
 	"tel/shutdown spans":               "5b713d18f9b5806fe34863e533eb42e2b88a0974b6cd210868b79958e4c1a241",
 	"tel/shutdown verify":              "<nil>",
 	"tel/sw-hot chrome":                "445653a16ef6b4865dfc67ff2b5bb28cd2868270e11669d33e40dae90b927ec8",
 	"tel/sw-hot diag":                  "bad463096d30c5196ba189ce3c6fb13360d49d4388fd9df2dbc94ff04813db79",
 	"tel/sw-hot prom":                  "2ecd9f8a573b55e7f7984b954a00851546adf4b8ee4fd02ed83016899bb85d26",
-	"tel/sw-hot result":                "27aa8d5a57e78e2953524f5710b21afab0d76c370711b6059b4ff62f58e9da5c",
+	"tel/sw-hot result":                "15ecc4956cc00bd8bf1f280d4245422880a0d77ae7ac5acedb0ef566a9cd1277",
 	"tel/sw-hot series":                "4d2ddc9faf080945607e88e2459ac97e51050c3805ce16a9fddde9c96681468e",
 	"tel/sw-hot spans":                 "789480adab7145536e8bfa9fc7477b47b4ba1b1b160eeed9637d5eea21a21f43",
 	"tel/sw-hot verify":                "<nil>",
 	"tel/warn26 chrome":                "15aab161d62c3b46118c6456f8c6b3ef2d4ad33275911e909b472387f499ec0e",
 	"tel/warn26 diag":                  "ab955824c9cb8eefed028923d3e6d1604f6640349015ba933f612ef3fcdce8a8",
 	"tel/warn26 prom":                  "483a74467e2707f242827b784283ee37fd4cd507bad2bce0c11c45e0d617d2a7",
-	"tel/warn26 result":                "b45c749787295fd95fe7bd065e542463a35f92fd3f69015cfb464d49a762e019",
+	"tel/warn26 result":                "62446ee6903cd3af0b5501da00c7e83e604f2fb1941fab53d897e939302211d2",
 	"tel/warn26 series":                "c542411fb5101ee3e4a4ec2f16e5b448c21beb5eed8b1a339a4678b6b623bc0d",
 	"tel/warn26 spans":                 "c836d99d2ac46003c83b4a8599e956b66983d14d27924a07807df711939ae41a",
 	"tel/warn26 verify":                "<nil>",

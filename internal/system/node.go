@@ -94,6 +94,14 @@ func RunWorkloads(ws []kernels.Workload, policy core.PolicyKind, cfg Config, g *
 		}
 		nodes[i] = n
 	}
+	// A run that ends early (a shutdown, a halted cluster, MaxSimTime)
+	// leaves warps parked mid-kernel, whose coroutines would keep each
+	// node's state reachable; stop them on every return path.
+	defer func() {
+		for _, n := range nodes {
+			n.dev.StopWarps()
+		}
+	}()
 	if tel.Enabled() {
 		reg := tel.Registry
 		scope := ""
@@ -293,7 +301,11 @@ func swInitialPool(cfg *Config, prof kernels.Profile) (pool, maxBlocks int) {
 //     response carried a thermal warning; every PCU keeps all its warp
 //     slots enabled, and a workload block fits in an SM's warp slots.
 //   - CoolPIM(SW): the same, and the Eq. 1 initial pool equals the most
-//     blocks the GPU can hold, so TryAcquire never fails.
+//     blocks the GPU can hold, or naive's GPU.PeakResidentBlocks (the
+//     larger node's on a multi-cube run) is above 0 and at most the
+//     pool. Either way TryAcquire never fails. A peak of 0, as a naive
+//     result recorded before the field existed reports, leaves only the
+//     first rule.
 //   - IdealThermal: naive's PeakDRAM is at most dram.NormalLimit and it
 //     did not shut down, so the cube never derated; naive ignores
 //     warnings.
@@ -318,7 +330,8 @@ func DeriveInert(naive *Result, kind core.PolicyKind, cfg Config, prof kernels.P
 	case core.CoolPIMSW:
 		var maxBlocks int
 		pool, maxBlocks = swInitialPool(&cfg, prof)
-		if !noWarning || pool != maxBlocks {
+		peak := naive.GPU.PeakResidentBlocks
+		if !noWarning || (pool != maxBlocks && (peak == 0 || peak > pool)) {
 			return nil, false
 		}
 	case core.IdealThermal:
@@ -711,4 +724,5 @@ func addGPUStats(dst *gpu.Stats, d gpu.Stats) {
 	dst.AtomicStall += d.AtomicStall
 	dst.AtomicWait += d.AtomicWait
 	dst.ComputeBusy += d.ComputeBusy
+	dst.PeakResidentBlocks = max(dst.PeakResidentBlocks, d.PeakResidentBlocks)
 }

@@ -3,9 +3,11 @@ package system
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"coolpim/internal/core"
 	"coolpim/internal/dram"
@@ -184,6 +186,70 @@ func TestShutdownOnExtremeHeat(t *testing.T) {
 		}
 		if last := res.Series[len(res.Series)-1]; last.At != res.Runtime {
 			t.Errorf("%s: series ends at %v, shutdown at %v", tc.name, last.At, res.Runtime)
+		}
+	}
+}
+
+// TestEarlyEndReleasesWarps: a run that ends with warps parked
+// mid-kernel stops them, so their coroutines do not outlive the run and
+// keep its memory reachable. It covers a single cube's shutdown, a
+// 2-cube chain halted by one cube's shutdown (dc overheats its cube,
+// kcore's stays below the limit), and a run past MaxSimTime, which
+// returns an error.
+func TestEarlyEndReleasesWarps(t *testing.T) {
+	hot := thrashCfg()
+	hot.Stack.Ambient = 104
+	chain := mcConfig(hmc.TopoChain, 2, 2)
+	chain.Stack.Ambient = 104
+	limited := thrashCfg()
+	limited.MaxSimTime = 20 * units.Microsecond
+	for _, tc := range []struct {
+		name      string
+		run       func() (*Result, error)
+		shutdowns int // cubes that shut down; -1 expects the time-limit error
+	}{
+		{"single-shutdown", func() (*Result, error) { return Run("dc", core.NaiveOffloading, hot, testGraph) }, 1},
+		{"chain2-one-shutdown", func() (*Result, error) {
+			var ws []kernels.Workload
+			for _, name := range []string{"dc", "kcore"} {
+				w, err := kernels.New(name)
+				if err != nil {
+					return nil, err
+				}
+				ws = append(ws, w)
+			}
+			return RunWorkloads(ws, core.NaiveOffloading, chain, mcGraph)
+		}, 1},
+		{"time-limit", func() (*Result, error) { return Run("dc", core.NaiveOffloading, limited, testGraph) }, -1},
+	} {
+		before := runtime.NumGoroutine()
+		res, err := tc.run()
+		if tc.shutdowns < 0 {
+			if err == nil {
+				t.Fatalf("%s: run finished within %v", tc.name, limited.MaxSimTime)
+			}
+		} else {
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			shutdowns := 0
+			if res.Shutdown && res.PerCube == nil {
+				shutdowns = 1
+			}
+			for _, c := range res.PerCube {
+				if c.Shutdown {
+					shutdowns++
+				}
+			}
+			if shutdowns != tc.shutdowns {
+				t.Fatalf("%s: %d cubes shut down, want %d", tc.name, shutdowns, tc.shutdowns)
+			}
+		}
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines left after the run, %d before it", tc.name, runtime.NumGoroutine(), before)
+			}
+			time.Sleep(time.Millisecond)
 		}
 	}
 }
