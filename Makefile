@@ -58,8 +58,12 @@ bench:
 # RMAT generation, one full-system run's wall time). Each benchmark
 # runs BENCH_COUNT times; benchjson folds the runs into a median with
 # its min-max spread, and compares the new snapshot against the
-# previous one, flagging every delta outside the observed spread. Each PR that claims a speedup commits the next numbered
-# snapshot, and that comparison is the review artifact.
+# previous one, flagging every delta outside the observed spread. That
+# comparison records the trajectory only: the previous snapshot was
+# taken on another day under another host load, and on unchanged code
+# it has flagged 16 metrics. A speed claim needs the parent and the
+# change timed back to back in alternating runs: perfbench pairs end
+# to end, or two benchjson snapshots taken minutes apart.
 BENCH_NEXT := $(shell n=$$(ls BENCH_[0-9]*.json 2>/dev/null | wc -l); echo $$((n+1)))
 BENCH_PREV := BENCH_$(shell echo $$(($(BENCH_NEXT)-1))).json
 BENCH_COUNT := 5
@@ -106,7 +110,7 @@ figs-check:
 
 # figs-check-system regenerates the committed paper-profile system
 # figures — the full Figs. 10-13 matrix (10 workloads x 5 policies, all
-# 50 cells, the 16 inert ones derived from their naive cells) plus the
+# 50 cells, the 18 inert ones derived from their naive cells) plus the
 # Fig. 14 series, printed from that matrix's sssp-twc row — and fails on
 # any byte difference from results_system.txt. The matrix runs on
 # GOMAXPROCS workers.
