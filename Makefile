@@ -69,7 +69,7 @@ BENCH_PREV := BENCH_$(shell echo $$(($(BENCH_NEXT)-1))).json
 BENCH_COUNT := 5
 BENCH_SUBSTRATE := ^(BenchmarkEventEngine|BenchmarkEventQueueMix|BenchmarkCubeReadThroughput|BenchmarkCubePIMThroughput)$$
 BENCH_CACHE := ^(BenchmarkCacheAccess|BenchmarkCacheFill)$$
-BENCH_THERMAL := ^(BenchmarkThermalStep|BenchmarkSolveSteady|BenchmarkFastSolve|BenchmarkStepFast)$$
+BENCH_THERMAL := ^(BenchmarkThermalStep|BenchmarkSolveSteady|BenchmarkStepFast)$$
 BENCH_COUPLER := ^BenchmarkApplyPowerTick(Adaptive)?$$
 BENCH_CLUSTER := ^(BenchmarkShardedEngine|BenchmarkMultiCubeSystem)$$
 BENCH_GRAPH := ^BenchmarkRMATGeneration$$

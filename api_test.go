@@ -72,11 +72,7 @@ var testOnlyAPI = []string{
 	"internal/telemetry.Histogram.Count",
 	"internal/telemetry.Histogram.Sum",
 	"internal/thermal.Model.AddCellPower",
-	"internal/thermal.Model.Config",
-	"internal/thermal.Model.Cooling",
-	"internal/thermal.Model.FastSolve",
 	"internal/thermal.Model.Reset",
-	"internal/thermal.Model.SinkTemp",
 	"internal/units.Celsius.Kelvin",
 	"internal/units.FromKelvin",
 	"internal/units.FromSeconds",

@@ -406,25 +406,6 @@ func BenchmarkSolveSteady(b *testing.B) {
 	}
 }
 
-// BenchmarkFastSolve measures the red-black SOR steady solve under the
-// same calibration budget as BenchmarkSolveSteady — the side-by-side pair
-// is the steady-tier speedup claim.
-func BenchmarkFastSolve(b *testing.B) {
-	m := thermal.New(thermal.HMC20Stack(), thermal.CommodityServer)
-	m.AddLayerPower(0, 20.66)
-	for l := 1; l <= 8; l++ {
-		m.AddLayerPower(l, 10.47/8)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Reset()
-		if m.FastSolve(0) < 0 {
-			b.Fatal("fast steady solve did not converge")
-		}
-	}
-}
-
 // BenchmarkStepFast measures the implicit-Euler transient covering the
 // same 10 µs window as BenchmarkThermalStep: one backward substep versus
 // ~12 forward ones.
@@ -434,11 +415,11 @@ func BenchmarkStepFast(b *testing.B) {
 	for l := 1; l <= 8; l++ {
 		m.AddLayerPower(l, 1.3)
 	}
-	m.StepFast(10*units.Microsecond, 0)
+	m.StepFast(10 * units.Microsecond)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.StepFast(10*units.Microsecond, 0)
+		m.StepFast(10 * units.Microsecond)
 	}
 }
 

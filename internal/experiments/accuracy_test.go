@@ -362,15 +362,29 @@ func (d Fig14Drift) violations(tol AccuracyTolerance) []string {
 	return v
 }
 
+// heatedAmbient (°C) is the stack ambient of the default epsilon run.
+// The test profile at its 25 °C ambient never warns (peak DRAM
+// 52.7 °C), so both tiers run without derating or throttling and agree
+// by construction. At 80 °C the stack starts inside the 5 °C guard band
+// below WarnTemp (85 °C) and the adaptive coupler steps exactly from
+// the first tick, so the tiers agree bit for bit. At 70 °C the
+// adaptive tier skips ticks on the way up, sssp-twc warns under SW and
+// HW, and the tiers drift measurably but within tolerance.
+const heatedAmbient = 70
+
 // accuracyProfile resolves the campaign profile for the epsilon
-// harness. Unit tests run the reduced test profile; `make
-// accuracy-check` sets COOLPIM_ACCURACY_PROFILE=paper to re-run the
-// same contract at campaign scale.
+// harness. Unit tests run the reduced test profile heated to
+// heatedAmbient; `make accuracy-check` sets
+// COOLPIM_ACCURACY_PROFILE=paper to re-run the same contract at
+// campaign scale. A named profile runs as defined, so one that never
+// warns fails requireContrast.
 func accuracyProfile(t *testing.T) (Profile, bool) {
 	t.Helper()
 	switch name := os.Getenv("COOLPIM_ACCURACY_PROFILE"); name {
 	case "":
-		return TestProfile(), false
+		p := TestProfile()
+		p.Sys.Stack.Ambient = heatedAmbient
+		return p, false
 	case "test":
 		return TestProfile(), true
 	case "quick":
@@ -385,6 +399,25 @@ func accuracyProfile(t *testing.T) (Profile, bool) {
 	}
 }
 
+// requireContrast fails the test when the comparison could not have
+// caught a drift: no compared cell warned under the exact tier, or the
+// two tiers agreed exactly on every cell.
+func requireContrast(t *testing.T, rep *AccuracyReport) {
+	t.Helper()
+	warned, differs := false, false
+	for _, c := range rep.Cells {
+		warned = warned || c.Warnings[0] > 0
+		differs = differs || c.RuntimeRel != 0 || c.PIMOpsRel != 0 || c.PeakDRAMAbs != 0 ||
+			c.Warnings[0] != c.Warnings[1] || c.Controls[0] != c.Controls[1] || c.Critical[0] != c.Critical[1]
+	}
+	if !warned {
+		t.Fatalf("no compared cell warns on the %s profile: the comparison never exercises derating or throttling", rep.Profile)
+	}
+	if !differs {
+		t.Fatalf("every compared cell is identical across the tiers on the %s profile: the adaptive tier never acted", rep.Profile)
+	}
+}
+
 // TestAdaptiveMatrixWithinEpsilon is the system-level half of the
 // epsilon-bounded differential proof (DESIGN.md §6c): the campaign
 // matrix under -thermal-mode=adaptive must reproduce every figure-level
@@ -394,8 +427,8 @@ func accuracyProfile(t *testing.T) (Profile, bool) {
 // pool-size agreement, and the plotted temperature envelope. The
 // default run compares the thermally interesting corner of the matrix
 // (the offloading policies, including both throttled controllers) on
-// the test profile; COOLPIM_ACCURACY_PROFILE widens it to the full
-// matrix at campaign scale.
+// the heated test profile; COOLPIM_ACCURACY_PROFILE widens it to the
+// full matrix at campaign scale.
 func TestAdaptiveMatrixWithinEpsilon(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-system comparison run")
@@ -422,6 +455,7 @@ func TestAdaptiveMatrixWithinEpsilon(t *testing.T) {
 	if len(rep.Cells) == 0 {
 		t.Fatal("empty comparison report")
 	}
+	requireContrast(t, rep)
 	if len(rep.Fig14) != len(fig14Policies) {
 		t.Fatalf("compared %d of the %d Fig. 14 cells (%s × %v)",
 			len(rep.Fig14), len(fig14Policies), Fig14Workload, fig14Policies)
@@ -457,6 +491,7 @@ func TestFig14AdaptiveWithinEpsilon(t *testing.T) {
 	if err := rep.Check(DefaultAccuracyTolerance()); err != nil {
 		t.Fatal(err)
 	}
+	requireContrast(t, rep)
 	if len(rep.Fig14) != len(fig14Policies) {
 		t.Fatalf("compared %d of the %d Fig. 14 cells (%s × %v)",
 			len(rep.Fig14), len(fig14Policies), Fig14Workload, fig14Policies)

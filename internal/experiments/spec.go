@@ -50,9 +50,7 @@ type CampaignSpec struct {
 	// Cooling overrides the profile's cooling solution ("" keeps it).
 	Cooling string `json:"cooling,omitempty"`
 	// ThermalMode selects the coupling tier ("" = exact).
-	ThermalMode          string  `json:"thermal_mode,omitempty"`
-	PowerDeltaW          float64 `json:"power_delta_w,omitempty"`
-	MaxThermalIntervalNs int64   `json:"max_thermal_interval_ns,omitempty"`
+	ThermalMode string `json:"thermal_mode,omitempty"`
 
 	// Multi-cube network (Cubes 0 or 1 = single cube).
 	Cubes         int    `json:"cubes,omitempty"`
@@ -168,12 +166,6 @@ func (s CampaignSpec) Validate() error {
 			return fmt.Errorf("spec: %w", err)
 		}
 	}
-	if s.PowerDeltaW < 0 {
-		return fmt.Errorf("spec: power_delta_w must be non-negative (got %g)", s.PowerDeltaW)
-	}
-	if s.MaxThermalIntervalNs < 0 {
-		return fmt.Errorf("spec: max_thermal_interval_ns must be non-negative (got %d)", s.MaxThermalIntervalNs)
-	}
 	if s.LinkLatencyNs < 0 {
 		return fmt.Errorf("spec: link_latency_ns must be non-negative (got %d)", s.LinkLatencyNs)
 	}
@@ -245,7 +237,7 @@ func (s CampaignSpec) CacheKey() (string, error) {
 
 // BuildProfile reconstructs the experiment Profile the legacy front
 // ends built by hand, in the same order: resolve the base platform,
-// apply the cooling override, fold in the thermal-coupling knobs
+// apply the cooling override, fold in the thermal-coupling tier
 // (part of the profile hash, so ledgers never cross tiers), then
 // derive the multi-cube variant (part of the profile name and hash,
 // so single-cube ledgers never resume into multi-cube campaigns).
@@ -279,8 +271,6 @@ func (s CampaignSpec) BuildProfile() (Profile, error) {
 		return Profile{}, err
 	}
 	prof.Sys.ThermalMode = mode
-	prof.Sys.PowerDeltaThreshold = units.Watt(n.PowerDeltaW)
-	prof.Sys.MaxThermalInterval = units.FromNanoseconds(float64(n.MaxThermalIntervalNs))
 	net, err := hmc.FlagConfig(n.Cubes, n.Topology,
 		units.FromNanoseconds(float64(n.LinkLatencyNs)), n.Shards)
 	if err != nil {

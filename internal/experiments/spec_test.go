@@ -40,8 +40,6 @@ func TestSpecValidate(t *testing.T) {
 		{"unknown policy", func(s *CampaignSpec) { s.Policies = []string{"overclock"} }, "overclock"},
 		{"unknown cooling", func(s *CampaignSpec) { s.Cooling = "liquid-helium" }, "liquid-helium"},
 		{"unknown thermal mode", func(s *CampaignSpec) { s.ThermalMode = "sloppy" }, "sloppy"},
-		{"negative power delta", func(s *CampaignSpec) { s.PowerDeltaW = -0.5 }, "power_delta_w"},
-		{"negative thermal interval", func(s *CampaignSpec) { s.MaxThermalIntervalNs = -1 }, "max_thermal_interval_ns"},
 		{"negative link latency", func(s *CampaignSpec) { s.LinkLatencyNs = -1 }, "link_latency_ns"},
 		{"negative cubes", func(s *CampaignSpec) { s.Cubes = -4 }, "cube count"},
 		{"unknown topology", func(s *CampaignSpec) { s.Cubes = 4; s.Topology = "torus" }, "torus"},
@@ -165,8 +163,6 @@ func TestSpecCacheKeyIgnoresExecutionKnobs(t *testing.T) {
 		func(s *CampaignSpec) { s.Policies = []string{"coolpim-hw"} },
 		func(s *CampaignSpec) { s.Cooling = "high-end" },
 		func(s *CampaignSpec) { s.ThermalMode = "adaptive" },
-		func(s *CampaignSpec) { s.PowerDeltaW = 0.25 },
-		func(s *CampaignSpec) { s.MaxThermalIntervalNs = int64(time.Millisecond) },
 		func(s *CampaignSpec) { s.Cubes = 2 },
 		func(s *CampaignSpec) { s.LinkLatencyNs = 100 },
 	}
@@ -188,7 +184,7 @@ func TestSpecCacheKeyIgnoresExecutionKnobs(t *testing.T) {
 // refactor (copied here verbatim): same profile, same hash, so every
 // pre-existing resume ledger stays valid.
 func TestSpecBuildProfileMatchesLegacyConstruction(t *testing.T) {
-	legacy := func(name string, thermalMode string, powerDelta float64, maxInterval time.Duration,
+	legacy := func(name string, thermalMode string,
 		cubes int, topology string, linkLatency time.Duration, shards int) Profile {
 		prof, ok := ProfileByName(name)
 		if !ok {
@@ -199,8 +195,6 @@ func TestSpecBuildProfileMatchesLegacyConstruction(t *testing.T) {
 			t.Fatal(err)
 		}
 		prof.Sys.ThermalMode = mode
-		prof.Sys.PowerDeltaThreshold = units.Watt(powerDelta)
-		prof.Sys.MaxThermalInterval = units.FromNanoseconds(float64(maxInterval.Nanoseconds()))
 		net, err := hmc.FlagConfig(cubes, topology,
 			units.FromNanoseconds(float64(linkLatency.Nanoseconds())), shards)
 		if err != nil {
@@ -215,11 +209,11 @@ func TestSpecBuildProfileMatchesLegacyConstruction(t *testing.T) {
 		want Profile
 	}{
 		{"defaults", CampaignSpec{Profile: "paper"},
-			legacy("paper", "exact", 0, 0, 1, "chain", 0, 0)},
-		{"adaptive knobs", CampaignSpec{Profile: "quick", ThermalMode: "adaptive", PowerDeltaW: 0.5, MaxThermalIntervalNs: int64(2 * time.Millisecond)},
-			legacy("quick", "adaptive", 0.5, 2*time.Millisecond, 1, "chain", 0, 0)},
+			legacy("paper", "exact", 1, "chain", 0, 0)},
+		{"adaptive knobs", CampaignSpec{Profile: "quick", ThermalMode: "adaptive"},
+			legacy("quick", "adaptive", 1, "chain", 0, 0)},
 		{"multi-cube", CampaignSpec{Profile: "test", Cubes: 4, Topology: "ring", LinkLatencyNs: int64(40 * time.Nanosecond), Shards: 2},
-			legacy("test", "exact", 0, 0, 4, "ring", 40*time.Nanosecond, 2)},
+			legacy("test", "exact", 4, "ring", 40*time.Nanosecond, 2)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

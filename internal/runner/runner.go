@@ -19,7 +19,8 @@
 //     the default is run-to-completion, which observes every failure
 //     (and is what makes the aggregated error fully deterministic).
 //   - Deadlines and retry. A per-attempt wall-clock deadline surfaces
-//     as a typed *DeadlineError; retryable failures are retried up to
+//     as a typed *DeadlineError, final by default (the abandoned attempt
+//     keeps running). Other retryable failures are retried up to
 //     Config.Retries times with deterministic exponential backoff (no
 //     jitter: backoff = Backoff << attempt).
 //   - Checkpoint/resume. With a Ledger attached, every completed run is
@@ -106,7 +107,7 @@ type Config struct {
 	// (false) runs the campaign to completion, observing every failure.
 	FailFast bool
 	// Retryable classifies errors worth retrying. Nil accepts anything
-	// except panics and cancellation.
+	// except panics, deadlines and cancellation.
 	Retryable func(error) bool
 	// Ledger, if non-nil, checkpoints every completed run and satisfies
 	// already-completed (Key, ConfigHash) jobs without re-running them.
@@ -392,14 +393,17 @@ func runJob[R any](ctx context.Context, cfg Config, job Job[R]) Result[R] {
 }
 
 // retryable applies Config.Retryable, defaulting to "anything except a
-// panic or a cancellation" — panics are deterministic bugs, and a
-// canceled campaign must not resurrect work.
+// panic, a deadline or a cancellation" — panics are deterministic bugs,
+// a timed-out attempt is still running (a retry would run beside it,
+// outgrowing the Parallel bound), and a canceled campaign must not
+// resurrect work.
 func retryable(cfg Config, err error) bool {
 	if cfg.Retryable != nil {
 		return cfg.Retryable(err)
 	}
 	var pe *RunPanicError
-	if errors.As(err, &pe) {
+	var de *DeadlineError
+	if errors.As(err, &pe) || errors.As(err, &de) {
 		return false
 	}
 	return !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)

@@ -246,7 +246,7 @@ func TestPerAttemptDeadline(t *testing.T) {
 		<-release // simulates a wedged run; the attempt goroutine is abandoned
 		return 0, nil
 	}}}
-	cfg := Config{Timeout: 20 * time.Millisecond, Retryable: func(error) bool { return false }}
+	cfg := Config{Timeout: 20 * time.Millisecond}
 	_, err := Run(context.Background(), cfg, jobs)
 	var de *DeadlineError
 	if !errors.As(err, &de) {
@@ -254,6 +254,35 @@ func TestPerAttemptDeadline(t *testing.T) {
 	}
 	if de.Key != "hung" || de.Timeout != cfg.Timeout {
 		t.Fatalf("deadline error = %+v", de)
+	}
+}
+
+// TestDeadlineIsNotRetried pins that a blown deadline is final under
+// the default predicate. The abandoned attempt keeps running, so a
+// retry would start a second copy beside it: with -timeout and -retries
+// a one-worker pool would run three copies of the job at once.
+func TestDeadlineIsNotRetried(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release)
+	var attempts, running atomic.Int64
+	jobs := []Job[int]{{Key: "slow", Run: func(context.Context) (int, error) {
+		attempts.Add(1)
+		running.Add(1)
+		defer running.Add(-1)
+		<-release // outlives every deadline; the attempt is abandoned
+		return 0, nil
+	}}}
+	cfg := Config{Parallel: 1, Timeout: 50 * time.Millisecond, Retries: 2, sleep: func(time.Duration) {}}
+	res, err := Run(context.Background(), cfg, jobs)
+	var de *DeadlineError
+	if !errors.As(err, &de) {
+		t.Fatalf("error = %v, want *DeadlineError", err)
+	}
+	if attempts.Load() != 1 || res[0].Attempts != 1 {
+		t.Errorf("deadline-blown job ran %d attempts (result %d), want 1", attempts.Load(), res[0].Attempts)
+	}
+	if n := running.Load(); n != 1 {
+		t.Errorf("%d copies of the job are running on a one-worker pool, want 1", n)
 	}
 }
 

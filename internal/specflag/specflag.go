@@ -47,9 +47,7 @@ type Binder struct {
 	cooling    string
 	hasCooling bool
 
-	thermalMode        string
-	powerDelta         float64
-	maxThermalInterval time.Duration
+	thermalMode string
 
 	cubes       int
 	topology    string
@@ -101,12 +99,9 @@ func (b *Binder) Cooling(fs *flag.FlagSet) {
 	fs.StringVar(&b.cooling, "cooling", "commodity", "cooling: "+strings.Join(thermal.CoolingNames(), ", "))
 }
 
-// Thermal registers the thermal-coupling tier knobs: -thermal-mode,
-// -power-delta, -max-thermal-interval.
+// Thermal registers the thermal-coupling tier: -thermal-mode.
 func (b *Binder) Thermal(fs *flag.FlagSet) {
 	fs.StringVar(&b.thermalMode, "thermal-mode", "exact", "thermal coupling tier: exact (bit-identical outputs) or adaptive (interval-based, epsilon-bounded, faster)")
-	fs.Float64Var(&b.powerDelta, "power-delta", 0, "adaptive tier: per-vault-cell power change in watts that forces an immediate exact solve (0 = built-in default)")
-	fs.DurationVar(&b.maxThermalInterval, "max-thermal-interval", 0, "adaptive tier: cap on the coalesced solve window, simulated time (0 = built-in default)")
 }
 
 // Network registers the multi-cube network knobs: -cubes, -topology,
@@ -124,7 +119,7 @@ func (b *Binder) Runner(fs *flag.FlagSet) {
 	b.hasRunner = true
 	fs.IntVar(&b.parallel, "parallel", runtime.NumCPU(), "max concurrent runs (0 = all CPUs)")
 	fs.DurationVar(&b.timeout, "timeout", 0, "per-run wall-clock deadline (0 = none)")
-	fs.IntVar(&b.retries, "retries", 0, "retry budget per run")
+	fs.IntVar(&b.retries, "retries", 0, "retry budget per run (a run that exceeds -timeout or panics is not retried)")
 	fs.DurationVar(&b.backoff, "backoff", time.Second, "base retry backoff (doubles per attempt)")
 	fs.BoolVar(&b.failFast, "fail-fast", false, "stop dispatching new runs after the first failure")
 	fs.IntVar(&b.interruptAfter, "interrupt-after", 0, "test hook: exit(3) after N executed runs, simulating a mid-campaign kill")
@@ -146,16 +141,14 @@ func splitList(s string) []string {
 // the same error the HTTP server would return for the equivalent JSON.
 func (b *Binder) Spec() (experiments.CampaignSpec, error) {
 	s := experiments.CampaignSpec{
-		Profile:              b.profile,
-		Workloads:            splitList(b.workloadsCSV),
-		Policies:             splitList(b.policiesCSV),
-		ThermalMode:          b.thermalMode,
-		PowerDeltaW:          b.powerDelta,
-		MaxThermalIntervalNs: b.maxThermalInterval.Nanoseconds(),
-		Cubes:                b.cubes,
-		Topology:             b.topology,
-		LinkLatencyNs:        b.linkLatency.Nanoseconds(),
-		Shards:               b.shards,
+		Profile:       b.profile,
+		Workloads:     splitList(b.workloadsCSV),
+		Policies:      splitList(b.policiesCSV),
+		ThermalMode:   b.thermalMode,
+		Cubes:         b.cubes,
+		Topology:      b.topology,
+		LinkLatencyNs: b.linkLatency.Nanoseconds(),
+		Shards:        b.shards,
 	}
 	if b.singleRun {
 		// coolpim-sim describes its graph explicitly; the profile field

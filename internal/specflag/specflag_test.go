@@ -20,8 +20,8 @@ import (
 // tests below pin that a spec built from the same flag values produces
 // a profile with the identical config hash — the property that keeps
 // every pre-existing resume ledger valid across the refactor.
-func legacySweepProfile(t *testing.T, profileName, thermalMode string, powerDelta float64,
-	maxThermalInterval time.Duration, cubes int, topology string, linkLatency time.Duration, shards int) experiments.Profile {
+func legacySweepProfile(t *testing.T, profileName, thermalMode string,
+	cubes int, topology string, linkLatency time.Duration, shards int) experiments.Profile {
 	t.Helper()
 	prof, ok := experiments.ProfileByName(profileName)
 	if !ok {
@@ -32,8 +32,6 @@ func legacySweepProfile(t *testing.T, profileName, thermalMode string, powerDelt
 		t.Fatal(err)
 	}
 	prof.Sys.ThermalMode = mode
-	prof.Sys.PowerDeltaThreshold = units.Watt(powerDelta)
-	prof.Sys.MaxThermalInterval = units.FromNanoseconds(float64(maxThermalInterval.Nanoseconds()))
 	net, err := hmc.FlagConfig(cubes, topology,
 		units.FromNanoseconds(float64(linkLatency.Nanoseconds())), shards)
 	if err != nil {
@@ -44,8 +42,8 @@ func legacySweepProfile(t *testing.T, profileName, thermalMode string, powerDelt
 
 // legacySimConfig is the pre-refactor cmd/coolpim-sim system.Config
 // construction, copied verbatim.
-func legacySimConfig(t *testing.T, scale int, cooling, thermalMode string, powerDelta float64,
-	maxThermalInterval time.Duration, cubes int, topology string, linkLatency time.Duration, shards int) system.Config {
+func legacySimConfig(t *testing.T, scale int, cooling, thermalMode string,
+	cubes int, topology string, linkLatency time.Duration, shards int) system.Config {
 	t.Helper()
 	cool, err := thermal.ParseCooling(cooling)
 	if err != nil {
@@ -58,8 +56,6 @@ func legacySimConfig(t *testing.T, scale int, cooling, thermalMode string, power
 	cfg := experiments.ScaledConfig(scale)
 	cfg.Cooling = cool
 	cfg.ThermalMode = mode
-	cfg.PowerDeltaThreshold = units.Watt(powerDelta)
-	cfg.MaxThermalInterval = units.FromNanoseconds(float64(maxThermalInterval.Nanoseconds()))
 	cfg.Net, err = hmc.FlagConfig(cubes, topology,
 		units.FromNanoseconds(float64(linkLatency.Nanoseconds())), shards)
 	if err != nil {
@@ -97,9 +93,8 @@ func TestSweepFlagParity(t *testing.T) {
 	}{
 		{"defaults", nil},
 		{"adaptive multi-cube", []string{
-			"-profile", "test", "-thermal-mode", "adaptive", "-power-delta", "0.5",
-			"-max-thermal-interval", "2ms", "-cubes", "4", "-topology", "ring",
-			"-link-latency", "40ns", "-shards", "2",
+			"-profile", "test", "-thermal-mode", "adaptive", "-cubes", "4",
+			"-topology", "ring", "-link-latency", "40ns", "-shards", "2",
 		}},
 		{"exec knobs", []string{
 			"-profile", "quick", "-workloads", "dc,pagerank", "-policies", "baseline,naive",
@@ -124,8 +119,6 @@ func TestSweepFlagParity(t *testing.T) {
 			legacy := legacySweepProfile(t,
 				fs.Lookup("profile").Value.String(),
 				fs.Lookup("thermal-mode").Value.String(),
-				mustFloat(t, fs.Lookup("power-delta").Value.String()),
-				mustDuration(t, fs.Lookup("max-thermal-interval").Value.String()),
 				mustInt(t, fs.Lookup("cubes").Value.String()),
 				fs.Lookup("topology").Value.String(),
 				mustDuration(t, fs.Lookup("link-latency").Value.String()),
@@ -193,8 +186,6 @@ func TestSimFlagParity(t *testing.T) {
 				mustInt(t, fs.Lookup("scale").Value.String()),
 				fs.Lookup("cooling").Value.String(),
 				fs.Lookup("thermal-mode").Value.String(),
-				mustFloat(t, fs.Lookup("power-delta").Value.String()),
-				mustDuration(t, fs.Lookup("max-thermal-interval").Value.String()),
 				mustInt(t, fs.Lookup("cubes").Value.String()),
 				fs.Lookup("topology").Value.String(),
 				mustDuration(t, fs.Lookup("link-latency").Value.String()),
@@ -234,22 +225,20 @@ func TestFlagDefaultsPinned(t *testing.T) {
 	b.Thermal(fs)
 	b.Network(fs)
 	want := map[string]string{
-		"profile":              "paper",
-		"workloads":            "",
-		"policies":             "",
-		"parallel":             strconv.Itoa(runtime.NumCPU()),
-		"timeout":              "0s",
-		"retries":              "0",
-		"backoff":              "1s",
-		"fail-fast":            "false",
-		"interrupt-after":      "0",
-		"thermal-mode":         "exact",
-		"power-delta":          "0",
-		"max-thermal-interval": "0s",
-		"cubes":                "1",
-		"topology":             "chain",
-		"link-latency":         "0s",
-		"shards":               "0",
+		"profile":         "paper",
+		"workloads":       "",
+		"policies":        "",
+		"parallel":        strconv.Itoa(runtime.NumCPU()),
+		"timeout":         "0s",
+		"retries":         "0",
+		"backoff":         "1s",
+		"fail-fast":       "false",
+		"interrupt-after": "0",
+		"thermal-mode":    "exact",
+		"cubes":           "1",
+		"topology":        "chain",
+		"link-latency":    "0s",
+		"shards":          "0",
 	}
 	for name, def := range want {
 		f := fs.Lookup(name)
@@ -308,15 +297,6 @@ func TestBinderRejectsNonsense(t *testing.T) {
 func mustInt(t *testing.T, s string) int {
 	t.Helper()
 	v, err := strconv.Atoi(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return v
-}
-
-func mustFloat(t *testing.T, s string) float64 {
-	t.Helper()
-	v, err := strconv.ParseFloat(s, 64)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,14 +83,12 @@ func TestAdaptiveSkipsQuasiStaticTicks(t *testing.T) {
 	}
 }
 
-// TestAdaptiveHorizonNonDivisible pins the horizon cap when
-// MaxThermalInterval is not a multiple of ThermalTick: with a 25 µs
-// horizon over 10 µs ticks the coalesced window must be 2 ticks (20 µs
-// ≤ cap), never 3 (30 µs would overrun the cap).
-func TestAdaptiveHorizonNonDivisible(t *testing.T) {
-	f := newAdaptiveFixture(t, func(cfg *Config) {
-		cfg.MaxThermalInterval = 25 * units.Microsecond
-	})
+// TestAdaptiveHorizonFlushCount pins the horizon cap exactly: a window
+// flushes when it holds maxIntervalTicks ticks, so after a drain 20
+// quasi-static ticks make two 10-tick windows — 2 solves, both fast
+// (coalesced StepFast), and 18 skipped ticks.
+func TestAdaptiveHorizonFlushCount(t *testing.T) {
+	f := newAdaptiveFixture(t, nil)
 	// Warm past the cold-start transient, then drain so the next tick
 	// starts a fresh window regardless of how the warmup ticks aligned.
 	for i := 0; i < 3; i++ {
@@ -98,27 +96,21 @@ func TestAdaptiveHorizonNonDivisible(t *testing.T) {
 	}
 	f.coupler.drain()
 	base := f.coupler.stats()
-	for i := 0; i < 20; i++ {
+	for i := 0; i < 2*maxIntervalTicks; i++ {
 		f.tick()
 	}
 	st := f.coupler.stats()
-	// 20 quasi-static ticks in 2-tick windows: 10 solves, 10 skips.
-	if got := st.Solves - base.Solves; got != 10 {
-		t.Errorf("20 ticks under a 25 µs horizon produced %d solves, want 10 (2-tick windows)", got)
+	if got := st.Solves - base.Solves; got != 2 {
+		t.Errorf("20 quasi-static ticks produced %d solves, want 2 (10-tick windows)", got)
 	}
-	if got := st.Skipped - base.Skipped; got != 10 {
-		t.Errorf("20 ticks under a 25 µs horizon skipped %d, want 10", got)
+	if got := st.Fast - base.Fast; got != 2 {
+		t.Errorf("20 quasi-static ticks produced %d fast solves, want 2", got)
 	}
-
-	// A horizon below one tick degenerates to per-tick solving.
-	g := newAdaptiveFixture(t, func(cfg *Config) {
-		cfg.MaxThermalInterval = 5 * units.Microsecond
-	})
-	for i := 0; i < 10; i++ {
-		g.tick()
+	if got := st.Skipped - base.Skipped; got != 18 {
+		t.Errorf("20 quasi-static ticks skipped %d, want 18", got)
 	}
-	if st := g.coupler.stats(); st.Skipped != 0 {
-		t.Errorf("sub-tick horizon still skipped %d ticks", st.Skipped)
+	if f.coupler.pending != 0 {
+		t.Errorf("window still pending after two full horizons (%d ticks)", f.coupler.pending)
 	}
 }
 

@@ -18,10 +18,10 @@ const (
 	// frozen explicit operator — byte-identical outputs, the default.
 	ThermalExact ThermalMode = "exact"
 	// ThermalAdaptive is interval coupling: ticks whose power injection
-	// stays within PowerDeltaThreshold of the last real solve are folded
-	// into one coalesced implicit advance (capped at MaxThermalInterval),
-	// trading bit-identity for the epsilon bound pinned by the accuracy
-	// harness.
+	// stays within powerDeltaThreshold of the last real solve are folded
+	// into one coalesced implicit advance (at most maxIntervalTicks
+	// ticks), trading bit-identity for the epsilon bound pinned by the
+	// accuracy harness.
 	ThermalAdaptive ThermalMode = "adaptive"
 )
 
@@ -36,26 +36,26 @@ func ParseThermalMode(s string) (ThermalMode, error) {
 	return "", fmt.Errorf("unknown thermal mode %q (want exact or adaptive)", s)
 }
 
-// defaultPowerDelta is the adaptive breach threshold when
-// Config.PowerDeltaThreshold is unset: the largest per-node (per vault
-// cell) injection change, in watts, that still counts as quasi-static.
-// The threshold is deliberately loose — 1 W per node — because energy
-// below it is folded into the window average, never dropped: jitter
-// under the threshold costs only sub-window timing detail (an
-// equilibrated 1 W/node shift moves a cell ~0.2 °C given its ~5 W/K
-// total conductance), while anything larger — kernel phase changes,
-// throttle transitions — breaks the window and gets exact-tier
-// latency. Activity-driven injection on the default stack jitters
-// 0.3–0.7 W/node tick-to-tick (p50–p90 on the campaign workloads), so
-// a tight threshold would disable interval coupling entirely; the
-// end-to-end effect of the choice is pinned by the accuracy harness,
-// not by this default.
-const defaultPowerDelta = 1.0
+// powerDeltaThreshold is the adaptive breach threshold: the largest
+// per-node (per vault cell) injection change, in watts, that still
+// counts as quasi-static. The threshold is deliberately loose — 1 W per
+// node — because energy below it is folded into the window average,
+// never dropped: jitter under the threshold costs only sub-window
+// timing detail (an equilibrated 1 W/node shift moves a cell ~0.2 °C
+// given its ~5 W/K total conductance), while anything larger — kernel
+// phase changes, throttle transitions — breaks the window and gets
+// exact-tier latency. Activity-driven injection on the default stack
+// jitters 0.3–0.7 W/node tick-to-tick (p50–p90 on the campaign
+// workloads), so a tight threshold would disable interval coupling
+// entirely; the end-to-end effect of the choice is pinned by the
+// accuracy harness.
+const powerDeltaThreshold = 1.0
 
-// defaultMaxIntervalTicks caps the skip horizon at this many thermal
-// ticks when Config.MaxThermalInterval is unset (10 ticks = 100 µs at
-// the default cadence, the sample interval).
-const defaultMaxIntervalTicks = 10
+// maxIntervalTicks caps the skip horizon: a pending window flushes once
+// it holds this many thermal ticks (10 ticks = 100 µs at the default
+// cadence, the sample interval), so throttle-reaction latency is never
+// deferred past it.
+const maxIntervalTicks = 10
 
 // thermalGuardBand (°C) forces exact per-tick stepping whenever the
 // last solved peak DRAM temperature is within this margin of the cube's
@@ -99,8 +99,6 @@ type thermalCoupler struct {
 
 	// Adaptive interval coupling (unused in exact mode).
 	mode      ThermalMode
-	threshold float64       // W per node; breach when exceeded
-	horizon   units.Time    // max coalesced window width
 	guardTemp units.Celsius // peaks at/above this force exact ticks
 	tickVec   []float64     // this tick's instantaneous injection
 	refVec    []float64     // injection snapshot at the last real solve
@@ -137,14 +135,6 @@ func newThermalCoupler(cube *hmc.Cube, model *thermal.Model, cfg Config) *therma
 		c.mode = ThermalExact
 	}
 	if c.mode == ThermalAdaptive {
-		c.threshold = float64(cfg.PowerDeltaThreshold)
-		if c.threshold <= 0 {
-			c.threshold = defaultPowerDelta
-		}
-		c.horizon = cfg.MaxThermalInterval
-		if c.horizon <= 0 {
-			c.horizon = cfg.ThermalTick.Times(defaultMaxIntervalTicks)
-		}
 		c.guardTemp = cfg.HMC.WarnTemp - thermalGuardBand
 		c.tickVec = model.PowerInto(nil)
 		c.refVec = model.PowerInto(nil)
@@ -255,10 +245,9 @@ func (c *thermalCoupler) tickAdaptive(now, dt units.Time) units.Celsius {
 	}
 	c.pending++
 	c.pendingT += dt
-	// Horizon cap: flush once waiting another tick would overrun
-	// MaxThermalInterval, so the coalesced width never exceeds the cap
-	// (for horizons below one tick this degenerates to per-tick solves).
-	if c.pendingT+dt > c.horizon {
+	// Horizon cap: every tick is one ThermalTick wide, so the window
+	// flushes once it holds maxIntervalTicks of them.
+	if c.pending == maxIntervalTicks {
 		c.flush(now)
 		c.settle()
 		return c.lastPeak
@@ -268,15 +257,16 @@ func (c *thermalCoupler) tickAdaptive(now, dt units.Time) units.Celsius {
 	return c.lastPeak
 }
 
-// breach reports whether this tick's injection moved more than the
-// threshold on any node since the snapshot at the last real solve.
+// breach reports whether this tick's injection moved more than
+// powerDeltaThreshold on any node since the snapshot at the last real
+// solve.
 func (c *thermalCoupler) breach() bool {
 	for i, p := range c.tickVec {
 		d := p - c.refVec[i]
 		if d < 0 {
 			d = -d
 		}
-		if d > c.threshold {
+		if d > powerDeltaThreshold {
 			return true
 		}
 	}
@@ -302,7 +292,7 @@ func (c *thermalCoupler) flush(end units.Time) {
 		sp.End(end)
 	} else {
 		sp := c.spans.StartSpan(start, c.fastName)
-		if m.StepFast(c.pendingT, 0) < 0 {
+		if m.StepFast(c.pendingT) < 0 {
 			// The implicit solve failed to converge (never observed, but
 			// the -1 contract must be handled): fall back to exact
 			// stepping. All folded ticks are equal-width, so the window

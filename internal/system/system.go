@@ -56,15 +56,6 @@ type Config struct {
 	// accuracy harness. Sweeps and benchmarks opt into adaptive; figure
 	// reproduction must stay exact.
 	ThermalMode ThermalMode
-	// PowerDeltaThreshold is the adaptive tier's per-node (per vault
-	// cell) injection change, in watts, above which a tick breaks the
-	// quasi-static window and forces an immediate exact solve
-	// (0 → defaultPowerDelta).
-	PowerDeltaThreshold units.Watt
-	// MaxThermalInterval caps the adaptive tier's coalesced window so
-	// throttle-reaction latency is never deferred past it
-	// (0 → defaultMaxIntervalTicks × ThermalTick).
-	MaxThermalInterval units.Time
 	// SampleInterval is the time-series sampling period (Fig. 14).
 	SampleInterval units.Time
 	// LaunchOverhead is the host-side gap between kernel launches.

@@ -17,7 +17,7 @@ import (
 // injectRandom applies the same randomized power pattern — layer-wide,
 // weighted and single-cell injections — to both models.
 func injectRandom(rng *rand.Rand, m *Model, r *referenceModel) {
-	cfg := m.Config()
+	cfg := m.cfg
 	for layer := 0; layer < cfg.Layers(); layer++ {
 		w := units.Watt(rng.Float64() * 25)
 		m.AddLayerPower(layer, w)
@@ -144,38 +144,6 @@ func TestStencilSteadyAfterTransient(t *testing.T) {
 	m.Step(50 * units.Microsecond)
 	r.step(50 * units.Microsecond)
 	requireBitIdentical(t, m, r, "steady+transient interleave")
-}
-
-// TestSORMatchesGaussSeidelFixedPoint checks the relaxed solver reaches
-// the same steady state (within the solver tolerance) in no more sweeps
-// than plain Gauss-Seidel, and that omega=1 goes through the identical
-// code path.
-func TestSORMatchesGaussSeidelFixedPoint(t *testing.T) {
-	stack := HMC20Stack()
-	gs := New(stack, CommodityServer)
-	sor := New(stack, CommodityServer)
-	gs.AddLayerPower(0, 20.66)
-	sor.AddLayerPower(0, 20.66)
-	gsSweeps := gs.SolveSteady()
-	sorSweeps := sor.SolveSteadySOR(1.5)
-	if gsSweeps < 0 || sorSweeps < 0 {
-		t.Fatalf("non-convergence: gs=%d sor=%d", gsSweeps, sorSweeps)
-	}
-	t.Logf("sweeps: Gauss-Seidel %d, SOR(1.5) %d", gsSweeps, sorSweeps)
-	if diff := math.Abs(float64(gs.Peak() - sor.Peak())); diff > 1e-4 {
-		t.Errorf("fixed points differ by %.2g °C", diff)
-	}
-	for _, bad := range []float64{0, -0.5, 2, 2.5} {
-		bad := bad
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("SolveSteadySOR(%g) did not panic", bad)
-				}
-			}()
-			New(stack, CommodityServer).SolveSteadySOR(bad)
-		}()
-	}
 }
 
 // TestSubstepScheduleAwkwardRatios pins the integer substep schedule on

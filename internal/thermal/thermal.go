@@ -154,8 +154,7 @@ type stepPlan struct {
 // injection. Create with New; the model starts in thermal equilibrium at
 // ambient with zero power.
 type Model struct {
-	cfg     StackConfig
-	cooling Cooling
+	cfg StackConfig
 
 	nCells  int
 	nLayers int
@@ -199,11 +198,9 @@ type Model struct {
 	plan    stepPlan
 
 	// Fast-tier state (fast.go): red-black node order (red prefix, then
-	// black; the sink is relaxed outside the color sweeps) and the
-	// per-chunk reduction scratch of the parallel path.
-	rbOrder  []int32
-	nRed     int
-	chunkMax []float64
+	// black; the sink is relaxed outside the color sweeps).
+	rbOrder []int32
+	nRed    int
 	// fastMaxStep bounds one implicit substep of StepFast (seconds):
 	// half the sink node's time constant, the network's slowest mode.
 	fastMaxStep float64
@@ -226,7 +223,6 @@ func New(cfg StackConfig, cooling Cooling) *Model {
 	}
 	m := &Model{
 		cfg:     cfg,
-		cooling: cooling,
 		nCells:  cfg.Cells(),
 		nLayers: cfg.Layers(),
 	}
@@ -332,12 +328,6 @@ func (m *Model) buildStencil() {
 	}
 	m.gTot[sink] = sinkTot + m.gSink
 }
-
-// Config returns the stack configuration.
-func (m *Model) Config() StackConfig { return m.cfg }
-
-// Cooling returns the cooling solution.
-func (m *Model) Cooling() Cooling { return m.cooling }
 
 func (m *Model) node(layer, cell int) int { return layer*m.nCells + cell }
 
@@ -512,25 +502,13 @@ func (m *Model) sinkFlux(t []float64) float64 {
 // power injection using Gauss-Seidel iteration. It returns the number of
 // sweeps performed, or -1 if the iteration did not converge (callers
 // must surface that as an error rather than read a half-converged
-// field).
+// field). It is bit-identical to the reference solver.
 //
-// SolveSteady and SolveSteadySOR are the steady-state solver hot path,
-// entered once per sweep point of the figure campaigns.
-//
-//coolpim:hotpath
-func (m *Model) SolveSteady() int { return m.SolveSteadySOR(1) }
-
-// SolveSteadySOR is SolveSteady with a successive-over-relaxation
-// factor omega in (0, 2). omega == 1 is plain Gauss-Seidel and is
-// bit-identical to the reference solver; factors above 1 can converge
-// in fewer sweeps on the analytic sweep workloads. It panics on a
-// factor outside (0, 2), for which SOR is not convergent.
+// SolveSteady is the steady-state solver hot path, entered once per
+// sweep point of the figure campaigns.
 //
 //coolpim:hotpath
-func (m *Model) SolveSteadySOR(omega float64) int {
-	if omega <= 0 || omega >= 2 {
-		panic(fmt.Sprintf("thermal: SOR factor %g outside (0, 2)", omega))
-	}
+func (m *Model) SolveSteady() int {
 	const (
 		tol       = 1e-6
 		maxSweeps = 200000
@@ -557,14 +535,14 @@ func (m *Model) SolveSteadySOR(omega float64) int {
 			f += e[5].g * (t[e[5].j] - ti)
 			f += e[6].g * (t[e[6].j] - ti)
 			f += e[7].g * (t[e[7].j] - ti)
-			delta := omega * ((f + power[i]) / gTot[i])
+			delta := (f + power[i]) / gTot[i]
 			t[i] += delta
 			if d := math.Abs(delta); d > maxDelta {
 				maxDelta = d
 			}
 		}
 		// The sink node relaxes last, as in the reference sweep order.
-		delta := omega * ((m.sinkFlux(t) + power[sink]) / gTot[sink])
+		delta := (m.sinkFlux(t) + power[sink]) / gTot[sink]
 		t[sink] += delta
 		if d := math.Abs(delta); d > maxDelta {
 			maxDelta = d
@@ -590,9 +568,6 @@ func (m *Model) CellTemp(layer, x, y int) units.Celsius {
 	m.checkLayer(layer)
 	return units.Celsius(m.temp[m.node(layer, y*m.cfg.GridW+x)])
 }
-
-// SinkTemp returns the heat-sink node temperature.
-func (m *Model) SinkTemp() units.Celsius { return units.Celsius(m.temp[m.sinkNode()]) }
 
 // LayerPeak returns the hottest cell temperature of a layer.
 func (m *Model) LayerPeak(layer int) units.Celsius {

@@ -205,8 +205,8 @@ func TestCenterHotspot(t *testing.T) {
 func TestSteadyEnergyBalance(t *testing.T) {
 	m := newFull()
 	m.SolveSteady()
-	cfg := m.Config()
-	out := (float64(m.SinkTemp()) - float64(cfg.Ambient)) / float64(CommodityServer.SinkResistance)
+	cfg := m.cfg
+	out := (m.temp[m.sinkNode()] - float64(cfg.Ambient)) / float64(CommodityServer.SinkResistance)
 	// Rim leakage from edge cells of every layer.
 	for l := 0; l < cfg.Layers(); l++ {
 		grid := m.LayerMap(l)
@@ -308,7 +308,7 @@ func TestSurfaceEstimate(t *testing.T) {
 		t.Errorf("die-surface offset = %.1f°C, want 5-15", off)
 	}
 	// Inverse estimate recovers the die temperature.
-	est := EstimateDieFromSurface(surf, m.TotalPower(), m.Config().SurfaceOffsetR)
+	est := EstimateDieFromSurface(surf, m.TotalPower(), m.cfg.SurfaceOffsetR)
 	if math.Abs(float64(est-peak)) > 1e-9 {
 		t.Errorf("EstimateDieFromSurface = %v, want %v", est, peak)
 	}
