@@ -51,9 +51,6 @@ var testOnlyAPI = []string{
 	"internal/hmc.Cube.Phase",
 	"internal/hmc.Cube.VaultActivity",
 	"internal/hmc.Cube.Warning",
-	"internal/hmc.Network.Config",
-	"internal/hmc.Network.Cubes",
-	"internal/hmc.Network.Hops",
 	"internal/mem.AtomicNone",
 	"internal/mem.Buffer.Contains",
 	"internal/mem.Space.Buffers",

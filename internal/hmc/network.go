@@ -70,7 +70,8 @@ type NetworkConfig struct {
 	InterleaveShift uint
 	// Shards is the engine shard count: 0 auto-sizes to one worker per
 	// cube, 1 runs every cube on the calling goroutine, n>1 uses
-	// min(n, cubes) parallel workers. Results are byte-identical for
+	// min(n, cubes) parallel workers, each owning a contiguous block of
+	// cube ids (sim.Cluster.SetShards). Results are byte-identical for
 	// every value.
 	Shards int
 }
@@ -193,7 +194,6 @@ type Network struct {
 	links    []*link
 	linkIdx  [][]int32 // linkIdx[src][dst] = index into links, -1 if absent
 	next     [][]int32 // next[src][dst] = next hop from src toward dst
-	hops     [][]int8  // shortest hop counts
 	flitTime units.Time
 
 	// Span wiring: the tracer belongs to node 0's telemetry and is only
@@ -293,11 +293,9 @@ func (n *Network) buildTopology() error {
 
 	n.linkIdx = make([][]int32, N)
 	n.next = make([][]int32, N)
-	n.hops = make([][]int8, N)
 	for i := 0; i < N; i++ {
 		n.linkIdx[i] = make([]int32, N)
 		n.next[i] = make([]int32, N)
-		n.hops[i] = make([]int8, N)
 		for j := 0; j < N; j++ {
 			n.linkIdx[i][j] = -1
 			n.next[i][j] = -1
@@ -345,7 +343,6 @@ func (n *Network) buildTopology() error {
 					break
 				}
 			}
-			n.hops[src][dst] = int8(dist[src])
 		}
 	}
 	return nil
@@ -387,17 +384,8 @@ func (n *Network) SpanNames() []string {
 	return names
 }
 
-// Config returns the network configuration.
-func (n *Network) Config() NetworkConfig { return n.cfg }
-
-// Cubes returns the number of cube nodes.
-func (n *Network) Cubes() int { return n.cfg.Cubes }
-
 // Node returns node i's cube.
 func (n *Network) Node(i int) *Cube { return n.nodes[i].cube }
-
-// Hops returns the shortest hop count between two cubes.
-func (n *Network) Hops(src, dst int) int { return int(n.hops[src][dst]) }
 
 // Home returns the cube that owns addr in node src's placement: pages
 // are striped round-robin across cubes starting at the node's own cube,

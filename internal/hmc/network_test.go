@@ -77,6 +77,19 @@ func buildNet(t *testing.T, cfg NetworkConfig) (*sim.Cluster, *Network, []*mem.S
 	return cl, n, spaces
 }
 
+// hops counts the links a packet crosses from src to dst by walking the
+// next-hop table (or returns -1 past the cube count, on a loop).
+func hops(n *Network, src, dst int) int {
+	h := 0
+	for ; src != dst; h++ {
+		if h >= len(n.next) {
+			return -1
+		}
+		src = int(n.next[src][dst])
+	}
+	return h
+}
+
 func TestTopologyRouting(t *testing.T) {
 	mk := func(topo Topology, cubes int) *Network {
 		cfg := DefaultNetworkConfig()
@@ -87,29 +100,29 @@ func TestTopologyRouting(t *testing.T) {
 	}
 
 	chain := mk(TopoChain, 4)
-	if chain.Hops(0, 3) != 3 || chain.next[0][3] != 1 || chain.next[3][0] != 2 {
-		t.Errorf("chain routing: hops(0,3)=%d next[0][3]=%d next[3][0]=%d", chain.Hops(0, 3), chain.next[0][3], chain.next[3][0])
+	if hops(chain, 0, 3) != 3 || chain.next[0][3] != 1 || chain.next[3][0] != 2 {
+		t.Errorf("chain routing: hops(0,3)=%d next[0][3]=%d next[3][0]=%d", hops(chain, 0, 3), chain.next[0][3], chain.next[3][0])
 	}
 	if got := len(chain.links); got != 6 { // 3 undirected edges, both directions
 		t.Errorf("chain links = %d, want 6", got)
 	}
 
 	ring := mk(TopoRing, 4)
-	if ring.Hops(0, 3) != 1 || ring.next[0][3] != 3 {
-		t.Errorf("ring wraparound: hops(0,3)=%d next[0][3]=%d", ring.Hops(0, 3), ring.next[0][3])
+	if hops(ring, 0, 3) != 1 || ring.next[0][3] != 3 {
+		t.Errorf("ring wraparound: hops(0,3)=%d next[0][3]=%d", hops(ring, 0, 3), ring.next[0][3])
 	}
 	// Two equal 2-hop paths 0→2 (via 1 or via 3): lowest-id neighbor wins.
-	if ring.Hops(0, 2) != 2 || ring.next[0][2] != 1 {
-		t.Errorf("ring tie-break: hops(0,2)=%d next[0][2]=%d, want 2 via 1", ring.Hops(0, 2), ring.next[0][2])
+	if hops(ring, 0, 2) != 2 || ring.next[0][2] != 1 {
+		t.Errorf("ring tie-break: hops(0,2)=%d next[0][2]=%d, want 2 via 1", hops(ring, 0, 2), ring.next[0][2])
 	}
 
 	mesh := mk(TopoMesh, 4) // 2x2 grid
-	if mesh.Hops(0, 3) != 2 || mesh.next[0][3] != 1 {
-		t.Errorf("mesh routing: hops(0,3)=%d next[0][3]=%d, want 2 via 1", mesh.Hops(0, 3), mesh.next[0][3])
+	if hops(mesh, 0, 3) != 2 || mesh.next[0][3] != 1 {
+		t.Errorf("mesh routing: hops(0,3)=%d next[0][3]=%d, want 2 via 1", hops(mesh, 0, 3), mesh.next[0][3])
 	}
 	mesh6 := mk(TopoMesh, 6) // 2x3 grid: 0 1 2 / 3 4 5
-	if mesh6.Hops(0, 5) != 3 || mesh6.Hops(2, 3) != 3 {
-		t.Errorf("2x3 mesh hops: %d %d, want 3 3", mesh6.Hops(0, 5), mesh6.Hops(2, 3))
+	if hops(mesh6, 0, 5) != 3 || hops(mesh6, 2, 3) != 3 {
+		t.Errorf("2x3 mesh hops: %d %d, want 3 3", hops(mesh6, 0, 5), hops(mesh6, 2, 3))
 	}
 }
 

@@ -98,7 +98,8 @@ type Config struct {
 	// its eventual result discarded.
 	Timeout time.Duration
 	// Retries is the number of additional attempts after the first for
-	// failures Retryable accepts.
+	// a failing job. A panic, a blown deadline or a cancellation is
+	// never retried (see retryable).
 	Retries int
 	// Backoff is the base delay between attempts; attempt n sleeps
 	// Backoff << n. Deterministic by design — no jitter.
@@ -106,9 +107,6 @@ type Config struct {
 	// FailFast cancels dispatch after the first failure. The default
 	// (false) runs the campaign to completion, observing every failure.
 	FailFast bool
-	// Retryable classifies errors worth retrying. Nil accepts anything
-	// except panics, deadlines and cancellation.
-	Retryable func(error) bool
 	// Ledger, if non-nil, checkpoints every completed run and satisfies
 	// already-completed (Key, ConfigHash) jobs without re-running them.
 	Ledger *Ledger
@@ -385,22 +383,18 @@ func runJob[R any](ctx context.Context, cfg Config, job Job[R]) Result[R] {
 		res.Attempts = attempt + 1
 		res.Value, res.Err = v, err
 		res.Wall += wall
-		if err == nil || attempt >= cfg.Retries || ctx.Err() != nil || !retryable(cfg, err) {
+		if err == nil || attempt >= cfg.Retries || ctx.Err() != nil || !retryable(err) {
 			return res
 		}
 		cfg.sleep(cfg.Backoff << attempt)
 	}
 }
 
-// retryable applies Config.Retryable, defaulting to "anything except a
-// panic, a deadline or a cancellation" — panics are deterministic bugs,
-// a timed-out attempt is still running (a retry would run beside it,
-// outgrowing the Parallel bound), and a canceled campaign must not
-// resurrect work.
-func retryable(cfg Config, err error) bool {
-	if cfg.Retryable != nil {
-		return cfg.Retryable(err)
-	}
+// retryable accepts anything except a panic, a deadline or a
+// cancellation: panics are deterministic bugs, a timed-out attempt is
+// still running (a retry would run beside it, outgrowing the Parallel
+// bound), and a canceled campaign must not resurrect work.
+func retryable(err error) bool {
 	var pe *RunPanicError
 	var de *DeadlineError
 	if errors.As(err, &pe) || errors.As(err, &de) {

@@ -220,22 +220,29 @@ func TestRetryBudgetExhausted(t *testing.T) {
 	}
 }
 
+// TestRetryablePredicate pins the retry predicate's refusal of
+// cancellation: a job whose own error wraps context.Canceled or
+// context.DeadlineExceeded runs once, whatever the retry budget.
 func TestRetryablePredicate(t *testing.T) {
-	var attempts atomic.Int64
-	jobs := []Job[int]{{Key: "fatal", Run: func(context.Context) (int, error) {
-		attempts.Add(1)
-		return 0, errors.New("fatal: do not retry")
-	}}}
-	cfg := Config{
-		Retries:   5,
-		Retryable: func(err error) bool { return !strings.Contains(err.Error(), "fatal") },
-		sleep:     func(time.Duration) {},
-	}
-	if _, err := Run(context.Background(), cfg, jobs); err == nil {
-		t.Fatal("want error")
-	}
-	if attempts.Load() != 1 {
-		t.Fatalf("non-retryable error retried: %d attempts", attempts.Load())
+	for _, cause := range []error{context.Canceled, context.DeadlineExceeded} {
+		t.Run(cause.Error(), func(t *testing.T) {
+			var attempts atomic.Int64
+			jobs := []Job[int]{{Key: "canceled", Run: func(context.Context) (int, error) {
+				attempts.Add(1)
+				return 0, fmt.Errorf("simulation stopped: %w", cause)
+			}}}
+			cfg := Config{Retries: 5, sleep: func(time.Duration) {}}
+			res, err := Run(context.Background(), cfg, jobs)
+			if err == nil {
+				t.Fatal("want error")
+			}
+			if !errors.Is(res[0].Err, cause) {
+				t.Fatalf("job error = %v, want one wrapping %v", res[0].Err, cause)
+			}
+			if attempts.Load() != 1 || res[0].Attempts != 1 {
+				t.Fatalf("error wrapping %v ran %d attempts (result %d), want 1", cause, attempts.Load(), res[0].Attempts)
+			}
+		})
 	}
 }
 

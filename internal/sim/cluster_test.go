@@ -82,7 +82,7 @@ func TestClusterDeliveryOrder(t *testing.T) {
 		"1#late@200",
 	}
 	for _, procs := range []int{1, 4} {
-		for _, shards := range []int{1, 2, 4} {
+		for _, shards := range []int{1, 2, 3, 4} {
 			t.Run(fmt.Sprintf("procs=%d/shards=%d", procs, shards), func(t *testing.T) {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 				c, _ := NewCluster(10, 4)
@@ -159,31 +159,42 @@ func TestClusterHaltDrain(t *testing.T) {
 	}
 }
 
-// TestClusterPanicStopsWorkers checks that a panic in an event on the
-// calling goroutine (worker 0) unwinds RunUntil without leaving the
-// other workers blocked: a runner recovers such panics and may retry,
-// so a leak would pile up goroutines.
+// TestClusterPanicStopsWorkers checks that a panic in an event on any
+// worker unwinds RunUntil on the calling goroutine (worker 0), with the
+// panic's own value, without leaving a worker blocked: a runner
+// recovers such panics into a *RunPanicError and may retry, so a panic
+// on another worker must not kill the process, and a leak would pile up
+// goroutines. Domain 0 belongs to the caller, domain 3 to the last
+// worker.
 func TestClusterPanicStopsWorkers(t *testing.T) {
-	before := runtime.NumGoroutine()
-	c, _ := NewCluster(10, 4)
-	c.SetShards(4)
-	for d := 1; d < 4; d++ {
-		c.Domain(d).At(100, func(units.Time) {})
-	}
-	c.Domain(0).At(100, func(now units.Time) { c.Send(0, 1, now, func(units.Time) {}) })
-	func() {
-		defer func() {
-			if _, ok := recover().(*CausalityError); !ok {
-				t.Fatal("RunUntil did not panic with *CausalityError")
+	for _, bad := range []int{0, 3} {
+		t.Run(fmt.Sprintf("domain=%d", bad), func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			c, _ := NewCluster(10, 4)
+			c.SetShards(4)
+			for d := 0; d < 4; d++ {
+				c.Domain(d).At(100, func(units.Time) {})
 			}
-		}()
-		c.RunUntil(1000)
-	}()
-	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines left after the panic, %d before the run", runtime.NumGoroutine(), before)
-		}
-		time.Sleep(time.Millisecond)
+			c.Domain(bad).At(100, func(now units.Time) { c.Send(bad, (bad+1)%4, now, func(units.Time) {}) })
+			func() {
+				defer func() {
+					ce, ok := recover().(*CausalityError)
+					if !ok {
+						t.Fatal("RunUntil did not panic with *CausalityError")
+					}
+					if ce.Src != bad {
+						t.Fatalf("recovered the panic of domain %d, want %d", ce.Src, bad)
+					}
+				}()
+				c.RunUntil(1000)
+			}()
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines left after the panic, %d before the run", runtime.NumGoroutine(), before)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
 	}
 }
 
@@ -242,9 +253,10 @@ func runSynthetic(domains, shards int, seed uint64, until units.Time) ([]cluster
 // TestClusterDeterministicAcrossShards is the engine-level differential
 // suite: one shard (every domain on the calling goroutine) must produce
 // the exact same per-domain execution logs, step counts and clocks as
-// every parallel shard count, at GOMAXPROCS 1 and N.
+// every parallel shard count, at GOMAXPROCS 1 and N. Five domains split
+// into uneven blocks: 2+3 on two workers, 1+2+2 on three.
 func TestClusterDeterministicAcrossShards(t *testing.T) {
-	for _, domains := range []int{2, 4} {
+	for _, domains := range []int{2, 4, 5} {
 		refTraces, refSteps, refNows := runSynthetic(domains, 1, 42, 4000)
 		total := 0
 		for _, tr := range refTraces {
