@@ -271,6 +271,78 @@ func TestNetworkRemoteWarning(t *testing.T) {
 	}
 }
 
+// TestServeRemoteMatchesSubmit pins the vault stage the two entry points
+// share. The same requests go through Submit on one warm cube and
+// through ServeRemote on another, each called at its request's Submit
+// arrival time. Both cubes must end with the same vault-side counters
+// and per-vault activity, and stamp the same ERRSTAT.
+func TestServeRemoteMatchesSubmit(t *testing.T) {
+	hostEng, space, host := newCube()
+	remoteEng, _, remote := newCube()
+	host.SetTemperature(0, 90)
+	remote.SetTemperature(0, 90)
+	b := space.Alloc("x", 1024, true)
+	reqs := []flit.Request{
+		{Cmd: flit.CmdRead64, Addr: b.Addr(0)},
+		{Cmd: flit.CmdPIMSignedAdd, Addr: b.Addr(2), Imm: 1, WithReturn: true},
+		{Cmd: flit.CmdRead64, Addr: b.Addr(512)},
+		{Cmd: flit.CmdWrite64, Addr: b.Addr(16)},
+		{Cmd: flit.CmdPIMCASLess, Addr: b.Addr(64), Imm: 3},
+	}
+	if host.vaultOf(reqs[0].Addr) != host.vaultOf(reqs[1].Addr) || host.bankOf(reqs[0].Addr) != host.bankOf(reqs[1].Addr) {
+		t.Fatal("the read and the PIM op must share a bank")
+	}
+	var hostErr, remoteErr []flit.ErrStat
+	for _, req := range reqs {
+		host.Submit(0, req, func(r flit.Response, _ units.Time) { hostErr = append(hostErr, r.ErrStat) })
+		arrive := host.reqLinks[host.linkOf(host.vaultOf(req.Addr))].busyUntil + host.cfg.LinkLatency
+		remoteEng.At(arrive, func(now units.Time) {
+			remote.ServeRemote(now, &req, func(_ units.Time, e flit.ErrStat) { remoteErr = append(remoteErr, e) })
+		})
+	}
+	hostEng.Run()
+	remoteEng.Run()
+
+	h, r := host.Counters(), remote.Counters()
+	if h.BankQueueSum == 0 || h.BusQueueSum == 0 {
+		t.Fatalf("no bank or bus contention to compare: %+v", h)
+	}
+	type vaultSide struct {
+		Reads, Writes, PIMOps, ExtDataBytes, InternalRegularBytes uint64
+		BankQueueSum, BusQueueSum                                 units.Time
+	}
+	side := func(c Counters) vaultSide {
+		return vaultSide{c.Reads, c.Writes, c.PIMOps, c.ExtDataBytes, c.InternalRegularBytes, c.BankQueueSum, c.BusQueueSum}
+	}
+	if side(h) != side(r) {
+		t.Errorf("vault-side counters differ:\nSubmit      %+v\nServeRemote %+v", side(h), side(r))
+	}
+	hw := host.VaultActivityInto(make([]float64, host.cfg.Vaults))
+	rw := remote.VaultActivityInto(make([]float64, remote.cfg.Vaults))
+	for v := range hw {
+		if hw[v] != rw[v] {
+			t.Errorf("vault %d activity: Submit %v, ServeRemote %v", v, hw[v], rw[v])
+		}
+		// Queue sums cancel a uniform shift; the bank and bus horizons do not.
+		if hb, rb := host.vaults[v].busBusy, remote.vaults[v].busBusy; hb != rb {
+			t.Errorf("vault %d bus free at %v via Submit, %v via ServeRemote", v, hb, rb)
+		}
+		for k := range host.vaults[v].banks {
+			if hf, rf := host.vaults[v].banks[k].FreeAt(), remote.vaults[v].banks[k].FreeAt(); hf != rf {
+				t.Errorf("vault %d bank %d free at %v via Submit, %v via ServeRemote", v, k, hf, rf)
+			}
+		}
+	}
+	if len(hostErr) != len(reqs) || len(remoteErr) != len(reqs) {
+		t.Fatalf("delivered %d via Submit and %d via ServeRemote, want %d each", len(hostErr), len(remoteErr), len(reqs))
+	}
+	for i := range reqs {
+		if hostErr[i] != flit.ErrThermalWarning || remoteErr[i] != flit.ErrThermalWarning {
+			t.Errorf("response %d ERRSTAT: Submit %#x, ServeRemote %#x, want the thermal warning", i, hostErr[i], remoteErr[i])
+		}
+	}
+}
+
 // TestNetworkRejectsMismatchedCluster pins constructor validation.
 func TestNetworkRejectsMismatchedCluster(t *testing.T) {
 	cfg := DefaultNetworkConfig()
