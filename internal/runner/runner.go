@@ -265,11 +265,10 @@ func Run[R any](ctx context.Context, cfg Config, jobs []Job[R]) ([]Result[R], er
 		}
 	}
 
+	cctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	var ledgerErr error
 	if len(pending) > 0 {
-		cctx, cancel := context.WithCancel(ctx)
-		defer cancel()
-
 		idxCh := make(chan int)
 		outCh := make(chan int, cfg.Parallel)
 		var wg sync.WaitGroup
@@ -327,7 +326,7 @@ func Run[R any](ctx context.Context, cfg Config, jobs []Job[R]) ([]Result[R], er
 		}
 	}
 
-	if err := buildError(ctx, results); err != nil {
+	if err := buildError(ctx, cctx.Err() != nil, results); err != nil {
 		return results, err
 	}
 	if ledgerErr != nil {
@@ -450,14 +449,17 @@ func runAttempt[R any](ctx context.Context, cfg Config, job Job[R]) (R, time.Dur
 // buildError aggregates final outcomes. Real failures are reported in
 // submission order; cancellation casualties (aborted or undispatched
 // jobs) only count toward NotRun so the error text stays deterministic.
-func buildError[R any](ctx context.Context, results []Result[R]) error {
+// An error that wraps a context error is a casualty only when the
+// campaign was stopped; otherwise the job ran and failed, and is listed.
+func buildError[R any](ctx context.Context, stopped bool, results []Result[R]) error {
 	var failures []JobError
 	notRun := 0
 	for i := range results {
 		err := results[i].Err
 		switch {
 		case err == nil:
-		case errors.Is(err, ErrNotRun), errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		case errors.Is(err, ErrNotRun),
+			stopped && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)):
 			notRun++
 		default:
 			failures = append(failures, JobError{results[i].Key, err})

@@ -242,6 +242,12 @@ func TestRetryablePredicate(t *testing.T) {
 			if attempts.Load() != 1 || res[0].Attempts != 1 {
 				t.Fatalf("error wrapping %v ran %d attempts (result %d), want 1", cause, attempts.Load(), res[0].Attempts)
 			}
+			// Nobody canceled the campaign: the job ran and failed, so
+			// the report names it instead of counting it as not run.
+			var ce *CampaignError
+			if !errors.As(err, &ce) || ce.NotRun != 0 || len(ce.Failures) != 1 || ce.Failures[0].Key != "canceled" {
+				t.Fatalf("campaign error = %#v, want one failure keyed %q and nothing not run", err, "canceled")
+			}
 		})
 	}
 }
