@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -31,20 +30,14 @@ type admission struct {
 	maxInflight int
 	maxQueue    int // total queued waiters across all tenants
 	queued      int
-	queues      map[string][]*waiter
-	order       []string // round-robin order of tenants with waiters
-	next        int      // round-robin cursor into order
+	queues      map[string][]chan struct{} // per-tenant FIFO of waiters
+	order       []string                   // round-robin order of tenants with waiters
+	next        int                        // round-robin cursor into order
 
 	// ewma smooths observed campaign durations for Retry-After
 	// estimates; seeded with a nominal value so the first rejection
 	// still carries a sane hint.
 	ewma time.Duration
-}
-
-type waiter struct {
-	ready  chan struct{}
-	tenant string
-	gone   bool // abandoned (context cancelled) before a slot arrived
 }
 
 func newAdmission(maxInflight, maxQueue int) *admission {
@@ -57,15 +50,15 @@ func newAdmission(maxInflight, maxQueue int) *admission {
 	return &admission{
 		maxInflight: maxInflight,
 		maxQueue:    maxQueue,
-		queues:      make(map[string][]*waiter),
+		queues:      make(map[string][]chan struct{}),
 		ewma:        30 * time.Second,
 	}
 }
 
-// acquire blocks until an execution slot is free, the context is
-// cancelled, or the queue is full (ErrOverloaded). On success the
-// caller must invoke the returned release exactly once.
-func (a *admission) acquire(ctx context.Context, tenant string) (release func(time.Duration), err error) {
+// acquire blocks until an execution slot is free, or fails at once when
+// the queue is full (ErrOverloaded). On success the caller must invoke
+// the returned release exactly once.
+func (a *admission) acquire(tenant string) (release func(time.Duration), err error) {
 	a.mu.Lock()
 	if a.inflight < a.maxInflight && a.queued == 0 {
 		a.inflight++
@@ -77,35 +70,16 @@ func (a *admission) acquire(ctx context.Context, tenant string) (release func(ti
 		a.mu.Unlock()
 		return nil, ErrOverloaded{RetryAfter: retry}
 	}
-	w := &waiter{ready: make(chan struct{}), tenant: tenant}
+	ready := make(chan struct{})
 	if len(a.queues[tenant]) == 0 {
 		a.order = append(a.order, tenant)
 	}
-	a.queues[tenant] = append(a.queues[tenant], w)
+	a.queues[tenant] = append(a.queues[tenant], ready)
 	a.queued++
 	a.mu.Unlock()
 
-	select {
-	case <-w.ready:
-		// The releasing goroutine already transferred the slot to us.
-		return a.release, nil
-	case <-ctx.Done():
-		a.mu.Lock()
-		if w.gone {
-			// Lost the race: a slot was handed to us while we were
-			// cancelling. Give it back (which wakes the next waiter).
-			a.mu.Unlock()
-			select {
-			case <-w.ready:
-				a.release(0)
-			default:
-			}
-			return nil, ctx.Err()
-		}
-		w.gone = true
-		a.mu.Unlock()
-		return nil, ctx.Err()
-	}
+	<-ready // the releasing goroutine transferred its slot to us
+	return a.release, nil
 }
 
 // release returns a slot, records the observed campaign duration (0 =
@@ -119,48 +93,34 @@ func (a *admission) release(elapsed time.Duration) {
 		// stable against one outlier campaign.
 		a.ewma = time.Duration(0.7*float64(a.ewma) + 0.3*float64(elapsed))
 	}
-	for {
-		w := a.popLocked()
-		if w == nil {
-			a.inflight--
-			return
-		}
-		if w.gone {
-			continue // abandoned while queued; slot stays ours, try next
-		}
-		w.gone = true // consumed: the waiter side must not re-queue
-		close(w.ready)
-		return // slot transferred, inflight count unchanged
+	if ready := a.popLocked(); ready != nil {
+		close(ready) // slot transferred, inflight count unchanged
+		return
 	}
+	a.inflight--
 }
 
 // popLocked removes the head waiter of the next tenant in round-robin
-// order, or nil when every queue is empty.
-func (a *admission) popLocked() *waiter {
-	for len(a.order) > 0 {
-		if a.next >= len(a.order) {
-			a.next = 0
-		}
-		tenant := a.order[a.next]
-		q := a.queues[tenant]
-		if len(q) == 0 {
-			a.queues[tenant] = nil
-			delete(a.queues, tenant)
-			a.order = append(a.order[:a.next], a.order[a.next+1:]...)
-			continue
-		}
-		w := q[0]
-		a.queues[tenant] = q[1:]
-		a.queued--
-		if len(q) == 1 {
-			delete(a.queues, tenant)
-			a.order = append(a.order[:a.next], a.order[a.next+1:]...)
-		} else {
-			a.next++
-		}
-		return w
+// order, or returns nil when no one waits. A tenant is in order exactly
+// while its queue is non-empty.
+func (a *admission) popLocked() chan struct{} {
+	if len(a.order) == 0 {
+		return nil
 	}
-	return nil
+	if a.next >= len(a.order) {
+		a.next = 0
+	}
+	tenant := a.order[a.next]
+	q := a.queues[tenant]
+	a.queues[tenant] = q[1:]
+	a.queued--
+	if len(q) == 1 {
+		delete(a.queues, tenant)
+		a.order = append(a.order[:a.next], a.order[a.next+1:]...)
+	} else {
+		a.next++
+	}
+	return q[0]
 }
 
 // retryEstimateLocked projects when a slot should free up for a new

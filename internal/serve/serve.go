@@ -238,7 +238,7 @@ func (s *Server) execute(rn *run, spec experiments.CampaignSpec, recorded bool) 
 // only reads the ledger.
 func (s *Server) produce(rn *run, spec experiments.CampaignSpec, recorded bool) ([]byte, error) {
 	if !recorded {
-		release, err := s.adm.acquire(context.Background(), rn.tenant)
+		release, err := s.adm.acquire(rn.tenant)
 		if err != nil {
 			return nil, err
 		}
