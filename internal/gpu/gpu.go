@@ -116,7 +116,6 @@ func (s Stats) DivergenceRatio() float64 {
 
 // Launch describes one kernel grid.
 type Launch struct {
-	Name string
 	// Kernel is the grid's one entry point. Each block runs it as a PIM
 	// or a non-PIM block: the policy decides at block launch, and every
 	// atomic of a non-PIM block executes as a host atomic at decode (the

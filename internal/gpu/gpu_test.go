@@ -43,7 +43,7 @@ func (r *rig) runKernel(t *testing.T, l *Launch) units.Time {
 }
 
 func simpleLaunch(k simt.KernelFunc, blocks int) *Launch {
-	return &Launch{Name: "test", Kernel: k, Blocks: blocks, BlockDim: 128}
+	return &Launch{Kernel: k, Blocks: blocks, BlockDim: 128}
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -624,7 +624,7 @@ func TestMissPathZeroAllocs(t *testing.T) {
 					tc.op(c, addr)
 				}
 			}
-			g.RunKernel(&Launch{Name: "miss", Kernel: kernel, Blocks: 1, BlockDim: simt.WarpSize,
+			g.RunKernel(&Launch{Kernel: kernel, Blocks: 1, BlockDim: simt.WarpSize,
 				OnComplete: func(units.Time) { done = true }})
 			window := units.FromNanoseconds(5000)
 			round := func() { eng.RunUntil(eng.Now() + window) }

@@ -199,7 +199,6 @@ func (w *BFS) buildLaunch() *gpu.Launch {
 		blocks = gridBlocksStrided
 	}
 	return &gpu.Launch{
-		Name:     fmt.Sprintf("%s.src%d.lvl%d", w.Name(), w.srcIdx, w.cur),
 		Kernel:   k,
 		Blocks:   blocks,
 		BlockDim: BlockDim,

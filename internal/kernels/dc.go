@@ -57,7 +57,6 @@ func (w *DC) NextLaunch() (*gpu.Launch, bool) {
 	w.round++
 	k := w.kernel()
 	return &gpu.Launch{
-		Name:     fmt.Sprintf("dc.round%d", w.round),
 		Kernel:   k,
 		Blocks:   blocksFor(w.dev.G.NumV),
 		BlockDim: BlockDim,

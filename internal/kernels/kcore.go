@@ -84,7 +84,6 @@ func (w *KCore) NextLaunch() (*gpu.Launch, bool) {
 		}
 		k := w.kernel()
 		return &gpu.Launch{
-			Name:     fmt.Sprintf("kcore.r%d", w.round),
 			Kernel:   k,
 			Blocks:   blocksFor(w.dev.G.NumV),
 			BlockDim: BlockDim,

@@ -60,19 +60,15 @@ func (w *PageRank) NextLaunch() (*gpu.Launch, bool) {
 		return nil, false
 	}
 	var k simt.KernelFunc
-	name := ""
 	if w.phase == 0 {
 		k = w.scatterKernel()
-		name = fmt.Sprintf("pagerank.scatter%d", w.iter)
 		w.phase = 1
 	} else {
 		k = w.applyKernel()
-		name = fmt.Sprintf("pagerank.apply%d", w.iter)
 		w.phase = 0
 		w.iter++
 	}
 	return &gpu.Launch{
-		Name:     name,
 		Kernel:   k,
 		Blocks:   blocksFor(w.dev.G.NumV),
 		BlockDim: BlockDim,

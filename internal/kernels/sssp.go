@@ -158,7 +158,6 @@ func (w *SSSP) buildLaunch() *gpu.Launch {
 		blocks = blocksFor(count)
 	}
 	return &gpu.Launch{
-		Name:     fmt.Sprintf("%s.src%d.r%d", w.Name(), w.srcIdx, w.round),
 		Kernel:   k,
 		Blocks:   blocks,
 		BlockDim: BlockDim,
