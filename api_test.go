@@ -47,10 +47,6 @@ var testOnlyAPI = []string{
 	"internal/flit.Request.Bytes",
 	"internal/flit.Response.Bytes",
 	"internal/gpu.GPU.Policy",
-	"internal/hmc.Cube.IsShutdown",
-	"internal/hmc.Cube.Phase",
-	"internal/hmc.Cube.VaultActivity",
-	"internal/hmc.Cube.Warning",
 	"internal/mem.AtomicNone",
 	"internal/mem.Buffer.Contains",
 	"internal/mem.Space.Buffers",

@@ -194,17 +194,12 @@ func (c *Cube) Config() Config { return c.cfg }
 // Counters returns the cumulative activity snapshot.
 func (c *Cube) Counters() Counters { return c.counters }
 
-// VaultActivity returns per-vault relative activity weights (by internal
-// traffic + PIM ops), used to spatially distribute power on the thermal
-// grid.
-func (c *Cube) VaultActivity() []float64 {
-	return c.VaultActivityInto(make([]float64, len(c.vaults)))
-}
-
-// VaultActivityInto fills dst with the per-vault activity weights and
-// returns it, so per-tick callers (the thermal coupling) can reuse one
-// scratch buffer instead of allocating every tick. dst must have
-// exactly one slot per vault.
+// VaultActivityInto fills dst with the per-vault relative activity
+// weights (by internal traffic + PIM ops), used to spatially distribute
+// power on the thermal grid, and returns it. The caller owns the
+// buffer, so the per-tick thermal coupling reuses one scratch slice
+// instead of allocating every tick. dst must have exactly one slot per
+// vault.
 func (c *Cube) VaultActivityInto(dst []float64) []float64 {
 	if len(dst) != len(c.vaults) {
 		panic(fmt.Sprintf("hmc: activity buffer for %d vaults, cube has %d", len(dst), len(c.vaults)))
@@ -214,16 +209,6 @@ func (c *Cube) VaultActivityInto(dst []float64) []float64 {
 	}
 	return dst
 }
-
-// Phase returns the cube's current DRAM operating phase.
-func (c *Cube) Phase() dram.Phase { return c.phase }
-
-// Warning reports whether the cube is currently raising thermal
-// warnings.
-func (c *Cube) Warning() bool { return c.warning }
-
-// IsShutdown reports whether the cube has thermally shut down.
-func (c *Cube) IsShutdown() bool { return c.shutdown }
 
 // SetTemperature updates the cube's thermal state from the thermal
 // model's peak DRAM temperature. It applies phase-based derating

@@ -210,7 +210,7 @@ func TestDeratingSlowsCube(t *testing.T) {
 func TestThermalWarningInResponses(t *testing.T) {
 	eng, _, cube := newCube()
 	cube.SetTemperature(0, 90)
-	if !cube.Warning() {
+	if !cube.warning {
 		t.Fatal("no warning at 90°C")
 	}
 	var resp flit.Response
@@ -234,7 +234,7 @@ func TestShutdown(t *testing.T) {
 	var shutAt units.Time = -1
 	cube.OnShutdown = func(now units.Time) { shutAt = now }
 	cube.SetTemperature(0, 110)
-	if !cube.IsShutdown() || shutAt != 0 {
+	if !cube.shutdown || shutAt != 0 {
 		t.Fatal("cube did not shut down above 105°C")
 	}
 	// Requests after shutdown error out after the recovery delay.
@@ -254,7 +254,7 @@ func TestIdealThermalIgnoresTemperature(t *testing.T) {
 	eng, _, cube := newCube()
 	cube.DisableThermalEffects = true
 	cube.SetTemperature(0, 150)
-	if cube.IsShutdown() || cube.Warning() || cube.Phase() != dram.PhaseNormal {
+	if cube.shutdown || cube.warning || cube.phase != dram.PhaseNormal {
 		t.Error("ideal-thermal cube reacted to temperature")
 	}
 	var resp flit.Response
@@ -273,7 +273,7 @@ func TestVaultActivityTracksTraffic(t *testing.T) {
 			func(flit.Response, units.Time) {})
 	}
 	eng.Run()
-	w := cube.VaultActivity()
+	w := cube.VaultActivityInto(make([]float64, cube.cfg.Vaults))
 	if w[0] == 0 {
 		t.Fatal("vault 0 has no recorded activity")
 	}

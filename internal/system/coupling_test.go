@@ -51,22 +51,22 @@ func TestApplyPowerTickZeroAllocs(t *testing.T) {
 }
 
 // TestCouplerWeightedInjection checks the scratch-buffer weighting
-// matches what direct VaultActivity reports, and that an idle cube
+// matches what direct VaultActivityInto reports, and that an idle cube
 // falls back to uniform spreading.
 func TestCouplerWeightedInjection(t *testing.T) {
+	cfg := DefaultConfig()
 	cube, coupler := newCouplerFixture(t)
 	got := coupler.vaultWeights()
 	if got == nil {
 		t.Fatal("active cube yielded nil weights")
 	}
-	want := cube.VaultActivity()
+	want := cube.VaultActivityInto(make([]float64, cfg.HMC.Vaults))
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("weight[%d] = %v, want %v", i, got[i], want[i])
 		}
 	}
 
-	cfg := DefaultConfig()
 	idle := hmc.New(sim.New(), mem.NewSpace(1<<10), cfg.HMC)
 	c2 := newThermalCoupler(idle, thermal.New(cfg.Stack, cfg.Cooling), cfg)
 	if w := c2.vaultWeights(); w != nil {
