@@ -129,8 +129,7 @@ func networkProbe(cubes int, topology string, linkLat time.Duration, shards, req
 	}
 	const spaceBytes = 1 << 20
 	for i := 0; i < cfg.Cubes; i++ {
-		space := mem.NewSpace(spaceBytes)
-		net.AttachNode(i, hmc.New(cl.Domain(i), space, hmc.DefaultConfig()), space)
+		net.AttachNode(i, hmc.New(cl.Domain(i), mem.NewSpace(spaceBytes), hmc.DefaultConfig()))
 	}
 
 	// Each done callback runs on its source node's domain, so the

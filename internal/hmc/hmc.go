@@ -141,7 +141,6 @@ type Cube struct {
 	shutTime units.Time
 
 	counters Counters
-	tags     uint64
 
 	// OnShutdown, if set, is invoked once when the cube overheats past
 	// the critical phase.
@@ -280,116 +279,21 @@ func (c *Cube) linkOf(vaultID int) int { return vaultID % c.cfg.Links }
 // the past).
 //
 // Submit is the cube's per-request service path: every read, write and
-// PIM packet of every workload flows through it.
+// PIM packet of every workload flows through it. Its steps are the
+// host request link (ingress), the vault stage it shares with
+// ServeRemote (serve), and functional execution (execute).
 //
 //coolpim:hotpath
 func (c *Cube) Submit(at units.Time, req flit.Request, done func(resp flit.Response, at units.Time)) (acceptedAt units.Time) {
 	now := max(c.eng.Now(), at)
 	if c.shutdown {
-		// Post-shutdown: the cube is unreachable until recovery; data is
-		// lost. Deliver an error response after the recovery delay so
-		// callers unblock eventually (experiments treat this as failure).
-		// Only scalar copies are captured — capturing req itself would
-		// force the request parameter to heap on the live path too.
-		tag, cmd := req.Tag, req.Cmd
-		//coolpim:allow hotalloc post-shutdown error delivery; the cube is already off the performance path
-		c.eng.AtLabel(c.shutTime+c.cfg.RecoveryDelay, c.label, func(at units.Time) {
-			done(flit.Response{Tag: tag, Cmd: cmd, ErrStat: 0x7F}, at) //coolpim:allow hotalloc completion callback is inherently dynamic; rare post-shutdown path
-		})
-		return c.shutTime + c.cfg.RecoveryDelay
+		return c.unreachable(req.Tag, req.Cmd, done)
 	}
-	c.tags++
 	vid := c.vaultOf(req.Addr)
-	v := c.vaults[vid]
-	lid := c.linkOf(vid)
-
-	reqFlits := req.Flits()
 	respFlits := flit.ResponseFlits(req.Cmd, req.WithReturn)
-	c.counters.ReqFlits += uint64(reqFlits)
-	c.counters.RespFlits += uint64(respFlits)
-
-	// 1. Request serialization and flight.
-	if busy := c.reqLinks[lid].busyUntil; busy > now {
-		c.counters.LinkQueueSum += busy - now
-	}
-	arrive := c.reqLinks[lid].book(now, reqFlits) + c.cfg.LinkLatency
-
-	// 2. Vault controller + bank + TSV bus.
-	var kind dram.AccessKind
-	var busBytes int
-	switch {
-	case req.Cmd == flit.CmdRead64:
-		kind, busBytes = dram.ReadAccess, 64
-		c.counters.Reads++
-		c.counters.ExtDataBytes += 64
-		c.counters.InternalRegularBytes += 64
-		v.counters.Reads++
-		v.counters.InternalRegularBytes += 64
-	case req.Cmd == flit.CmdWrite64:
-		kind, busBytes = dram.WriteAccess, 64
-		c.counters.Writes++
-		c.counters.ExtDataBytes += 64
-		c.counters.InternalRegularBytes += 64
-		v.counters.Writes++
-		v.counters.InternalRegularBytes += 64
-	case req.Cmd.IsPIM():
-		kind, busBytes = dram.PIMAccess, 32 // operand crosses the TSV twice
-		c.counters.PIMOps++
-		c.counters.ExtDataBytes += 16
-		v.counters.PIMOps++
-	default:
-		panic(fmt.Sprintf("hmc: submit %v", req.Cmd))
-	}
-
-	var sp telemetry.Span
-	switch kind {
-	case dram.ReadAccess:
-		sp = c.spans.StartSpan(now, c.spanRead)
-	case dram.WriteAccess:
-		sp = c.spans.StartSpan(now, c.spanWrite)
-	case dram.PIMAccess:
-		sp = c.spans.StartSpan(now, c.spanPIM)
-	}
-
-	bank := &v.banks[c.bankOf(req.Addr)]
-	ctrlDone := arrive + c.cfg.CtrlOverhead
-	if free := bank.FreeAt(); free > ctrlDone {
-		c.counters.BankQueueSum += free - ctrlDone
-	}
-	dataAt, _ := bank.Schedule(ctrlDone, kind, c.timing)
-
-	// 3. Functional execution, in vault-processing order.
-	resp := flit.Response{Tag: req.Tag, Cmd: req.Cmd, WithReturn: req.WithReturn}
-	switch kind {
-	case dram.ReadAccess:
-		// The 64-byte payload is modelled at line granularity; the word
-		// contents are served from functional memory by the GPU side.
-	case dram.WriteAccess:
-		// Payload writes are applied by the GPU side at line granularity.
-	case dram.PIMAccess:
-		old, ok := c.space.Atomic(mem.AtomicOp(pimToMemOp(req.Cmd)), req.Addr, uint32(req.Imm), uint32(req.Imm2))
-		resp.Atomic = ok
-		if req.WithReturn {
-			resp.Data = uint64(old)
-		}
-	}
-
-	// 4. TSV bus and response serialization are arbitrated when the data
-	// is actually ready (reqState.dataReady) — booking them at submit
-	// time would impose artificial head-of-line blocking across
-	// in-flight requests whose bank queues differ. The in-flight state
-	// rides a pooled reqState, not per-request closures.
-	r := c.getReq()
-	r.v = v
-	r.lid = lid
-	r.kind = kind
-	r.respFlits = respFlits
-	r.busTime = units.Time(float64(c.timing.TBurst64) * float64(busBytes) / 64.0)
-	r.submitAt = now
-	r.resp = resp
-	r.sp = sp
-	r.done = done
-	c.eng.AtLabel(dataAt, c.label, r.dataFn)
+	lid, arrive := c.ingress(now, vid, req.Flits(), respFlits)
+	r, dataAt := c.serve(now, arrive, vid, lid, respFlits, &req, done)
+	c.execute(&req, &r.resp)
 
 	// Credit flow control: acceptance lags a congested bank.
 	acceptedAt = arrive
@@ -400,6 +304,152 @@ func (c *Cube) Submit(at units.Time, req flit.Request, done func(resp flit.Respo
 		c.spans.LinkBackpressure(c.eng.Now(), lid, acceptedAt-arrive)
 	}
 	return acceptedAt
+}
+
+// ServeRemote runs the vault stage for a request that arrived over the
+// inter-cube network at at. There is no host-link serialization (the
+// packet came in over a network port) and no functional execution (that
+// stayed at the source node). done fires on this cube's domain when the
+// response data is ready to leave toward the network egress, carrying
+// the cube's current ERRSTAT.
+//
+//coolpim:hotpath
+func (c *Cube) ServeRemote(at units.Time, req *flit.Request, done func(resp flit.Response, at units.Time)) {
+	now := max(c.eng.Now(), at)
+	if c.shutdown {
+		c.unreachable(req.Tag, req.Cmd, done)
+		return
+	}
+	c.serve(now, now, c.vaultOf(req.Addr), -1, 0, req, done) // link -1: the reply leaves via the network
+}
+
+// unreachable answers a request to a shut-down cube, which stays
+// unreachable until recovery; the data is lost. done receives the 0x7F
+// error status after the recovery delay, so callers unblock eventually
+// (experiments treat this as failure), and the delivery time is
+// returned. Only scalar copies are captured — capturing the request
+// would force it to the heap on the live path too.
+//
+//coolpim:hotpath
+func (c *Cube) unreachable(tag uint64, cmd flit.Command, done func(resp flit.Response, at units.Time)) units.Time {
+	back := c.shutTime + c.cfg.RecoveryDelay
+	//coolpim:allow hotalloc post-shutdown error delivery; the cube is already off the performance path
+	c.eng.AtLabel(back, c.label, func(at units.Time) {
+		done(flit.Response{Tag: tag, Cmd: cmd, ErrStat: 0x7F}, at) //coolpim:allow hotalloc completion callback is inherently dynamic; rare post-shutdown path
+	})
+	return back
+}
+
+// ingress serializes a request of reqFlits FLITs over the host request
+// link of vault vid, no earlier than now, and counts the FLITs of the
+// request and of its response. It returns the link and the time the
+// request reaches the vault controller.
+//
+//coolpim:hotpath
+func (c *Cube) ingress(now units.Time, vid, reqFlits, respFlits int) (lid int, arrive units.Time) {
+	lid = c.linkOf(vid)
+	c.counters.ReqFlits += uint64(reqFlits)
+	c.counters.RespFlits += uint64(respFlits)
+	l := c.reqLinks[lid]
+	if busy := l.busyUntil; busy > now {
+		c.counters.LinkQueueSum += busy - now
+	}
+	return lid, l.book(now, reqFlits) + c.cfg.LinkLatency
+}
+
+// serve is the vault stage of every request on its home cube: the
+// command's counters, its span, controller overhead and bank scheduling
+// from arrive, and a pooled reqState whose data-ready event arbitrates
+// the TSV bus and, when lid names a host link, the respFlits-FLIT
+// response on it. lid -1 marks a reply that leaves through the
+// network. now is when the request was submitted to this cube. serve
+// returns the state, whose response the caller may fill in before any
+// event runs, and the time the bank has the data.
+//
+//coolpim:hotpath
+func (c *Cube) serve(now, arrive units.Time, vid, lid, respFlits int, req *flit.Request, done func(resp flit.Response, at units.Time)) (*reqState, units.Time) {
+	v := c.vaults[vid]
+	var kind dram.AccessKind
+	var busBytes int
+	var span telemetry.SpanName
+	switch {
+	case req.Cmd == flit.CmdRead64:
+		kind, busBytes, span = dram.ReadAccess, 64, c.spanRead
+		c.counters.Reads++
+		c.counters.ExtDataBytes += 64
+		c.counters.InternalRegularBytes += 64
+		v.counters.Reads++
+		v.counters.InternalRegularBytes += 64
+	case req.Cmd == flit.CmdWrite64:
+		kind, busBytes, span = dram.WriteAccess, 64, c.spanWrite
+		c.counters.Writes++
+		c.counters.ExtDataBytes += 64
+		c.counters.InternalRegularBytes += 64
+		v.counters.Writes++
+		v.counters.InternalRegularBytes += 64
+	case req.Cmd.IsPIM():
+		kind, busBytes, span = dram.PIMAccess, 32, c.spanPIM // operand crosses the TSV twice
+		c.counters.PIMOps++
+		c.counters.ExtDataBytes += 16
+		v.counters.PIMOps++
+	default:
+		panic(fmt.Sprintf("hmc: serve %v", req.Cmd))
+	}
+	sp := c.spans.StartSpan(now, span)
+
+	bank := &v.banks[c.bankOf(req.Addr)]
+	ctrlDone := arrive + c.cfg.CtrlOverhead
+	if free := bank.FreeAt(); free > ctrlDone {
+		c.counters.BankQueueSum += free - ctrlDone
+	}
+	dataAt, _ := bank.Schedule(ctrlDone, kind, c.timing)
+
+	// The TSV bus and the response link are arbitrated when the data is
+	// actually ready (reqState.dataReady) — booking them here would
+	// impose artificial head-of-line blocking across in-flight requests
+	// whose bank queues differ. The in-flight state rides a pooled
+	// reqState, not per-request closures.
+	r := c.getReq()
+	r.v = v
+	r.lid = lid
+	r.kind = kind
+	r.respFlits = respFlits
+	r.busTime = units.Time(float64(c.timing.TBurst64) * float64(busBytes) / 64.0)
+	r.submitAt = now
+	r.resp = flit.Response{Tag: req.Tag, Cmd: req.Cmd, WithReturn: req.WithReturn}
+	r.sp = sp
+	r.done = done
+	c.eng.AtLabel(dataAt, c.label, r.dataFn)
+	return r, dataAt
+}
+
+// execute applies a PIM request's atomic to the cube's functional
+// memory, in submission order, and writes its outcome into resp. A read
+// or write carries no data here: the GPU side serves and applies line
+// payloads at line granularity.
+//
+//coolpim:hotpath
+func (c *Cube) execute(req *flit.Request, resp *flit.Response) {
+	if !req.Cmd.IsPIM() {
+		return
+	}
+	old, ok := c.space.Atomic(pimToMemOp(req.Cmd), req.Addr, uint32(req.Imm), uint32(req.Imm2))
+	resp.Atomic = ok
+	if req.WithReturn {
+		resp.Data = uint64(old)
+	}
+}
+
+// egress serializes a response of flits FLITs over host response link
+// lid, no earlier than at, and returns its delivery time at the host.
+//
+//coolpim:hotpath
+func (c *Cube) egress(lid int, at units.Time, flits int) units.Time {
+	l := c.respLinks[lid]
+	if busy := l.busyUntil; busy > at {
+		c.counters.RespQueueSum += busy - at
+	}
+	return l.book(at, flits) + c.cfg.LinkLatency
 }
 
 // pimToMemOp maps a PIM link command to its functional atomic.

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"coolpim/internal/dram"
 	"coolpim/internal/flit"
-	"coolpim/internal/mem"
 	"coolpim/internal/sim"
 	"coolpim/internal/telemetry"
 	"coolpim/internal/units"
@@ -163,14 +161,13 @@ type LinkStat struct {
 	QueueSum units.Time
 }
 
-// netNode is the per-node state of the network: the node's cube and
-// functional memory, plus a free list of in-flight request states owned
-// by that node's domain (states are acquired at submit and released at
-// response delivery, both on the source domain).
+// netNode is the per-node state of the network: the node's cube, plus a
+// free list of in-flight request states owned by that node's domain
+// (states are acquired at submit and released at response delivery,
+// both on the source domain).
 type netNode struct {
-	cube  *Cube
-	space *mem.Space
-	free  *netReq
+	cube *Cube
+	free *netReq
 }
 
 // Network joins N cubes with a link topology and routes FLIT-accounted
@@ -348,10 +345,10 @@ func (n *Network) buildTopology() error {
 	return nil
 }
 
-// AttachNode registers node i's cube and functional memory. Every node
-// must be attached before the first Submit.
-func (n *Network) AttachNode(i int, cube *Cube, space *mem.Space) {
-	n.nodes[i] = netNode{cube: cube, space: space}
+// AttachNode registers node i's cube, whose functional memory is the
+// node's own. Every node must be attached before the first Submit.
+func (n *Network) AttachNode(i int, cube *Cube) {
+	n.nodes[i] = netNode{cube: cube}
 }
 
 // SetSpans attaches node 0's span tracer (nil disables at zero cost)
@@ -423,10 +420,10 @@ type netReq struct {
 	done     func(flit.Response, units.Time)
 	sp       telemetry.Span
 
-	reqHopFn  sim.Event                           // pre-bound r.reqHop
-	respHopFn sim.Event                           // pre-bound r.respHop
-	finalFn   sim.Event                           // pre-bound r.final
-	servedFn  func(at units.Time, e flit.ErrStat) // pre-bound r.served
+	reqHopFn  sim.Event                       // pre-bound r.reqHop
+	respHopFn sim.Event                       // pre-bound r.respHop
+	finalFn   sim.Event                       // pre-bound r.final
+	servedFn  func(flit.Response, units.Time) // pre-bound r.served
 	next      *netReq
 }
 
@@ -478,48 +475,27 @@ func (n *Network) putNetReq(r *netReq) {
 //
 //coolpim:hotpath
 func (n *Network) Submit(src int, at units.Time, req flit.Request, done func(flit.Response, units.Time)) units.Time {
+	cube := n.nodes[src].cube
 	dst := n.Home(src, req.Addr)
-	if dst == src {
-		return n.nodes[src].cube.Submit(at, req, done)
-	}
-	nd := &n.nodes[src]
-	cube := nd.cube
-	now := max(cube.eng.Now(), at)
-	if cube.shutdown {
-		// The node's own cube (and so its host link) is down: mirror the
-		// single-cube post-shutdown error path.
+	if dst == src || cube.shutdown {
+		// A local address takes the cube's host-link path; a shut-down
+		// node cube (and so its host link) answers with its error.
 		return cube.Submit(at, req, done)
 	}
-
-	resp := flit.Response{Tag: req.Tag, Cmd: req.Cmd, WithReturn: req.WithReturn}
-	if req.Cmd.IsPIM() {
-		// Functional execution in source submission order, exactly as the
-		// single-cube Submit does (its step 3 is synchronous too).
-		old, ok := nd.space.Atomic(pimToMemOp(req.Cmd), req.Addr, uint32(req.Imm), uint32(req.Imm2))
-		resp.Atomic = ok
-		if req.WithReturn {
-			resp.Data = uint64(old)
-		}
-	}
-
+	now := max(cube.eng.Now(), at)
+	r := n.getNetReq(src)
+	r.req = req
+	r.resp = flit.Response{Tag: req.Tag, Cmd: req.Cmd, WithReturn: req.WithReturn}
+	// Functional execution in source submission order, exactly as the
+	// single-cube Submit does: the space is the node's own.
+	cube.execute(&r.req, &r.resp)
 	// Host-link ingress at the source cube: the GPU reaches the network
 	// through its attached cube, as in chained-HMC pass-through routing.
 	reqFlits := req.Flits()
-	respFlits := flit.ResponseFlits(req.Cmd, req.WithReturn)
-	lid := cube.linkOf(cube.vaultOf(req.Addr))
-	cube.counters.ReqFlits += uint64(reqFlits)
-	cube.counters.RespFlits += uint64(respFlits)
-	if busy := cube.reqLinks[lid].busyUntil; busy > now {
-		cube.counters.LinkQueueSum += busy - now
-	}
-	enter := cube.reqLinks[lid].book(now, reqFlits) + cube.cfg.LinkLatency
-
-	r := n.getNetReq(src)
+	lid, enter := cube.ingress(now, cube.vaultOf(req.Addr), reqFlits, r.resp.Flits())
 	r.src, r.dst, r.cur = int32(src), int32(dst), int32(src)
 	r.lid = int32(lid)
 	r.reqFlits = reqFlits
-	r.req = req
-	r.resp = resp
 	r.done = done
 	if src == 0 {
 		r.sp = n.spans.StartSpan(now, n.spanRemote)
@@ -568,12 +544,12 @@ func (r *netReq) reqHop(now units.Time) {
 }
 
 // served runs on the home cube's domain when the response data leaves
-// its logic layer; it stamps the cube's ERRSTAT (thermal warning or
+// its logic layer; it copies the cube's ERRSTAT (thermal warning or
 // post-shutdown error) and starts the response's return trip.
 //
 //coolpim:hotpath
-func (r *netReq) served(at units.Time, e flit.ErrStat) {
-	r.resp.ErrStat = e
+func (r *netReq) served(resp flit.Response, at units.Time) {
+	r.resp.ErrStat = resp.ErrStat
 	r.forward(at, r.resp.Flits(), r.src, r.respHopFn)
 }
 
@@ -588,11 +564,7 @@ func (r *netReq) respHop(now units.Time) {
 		return
 	}
 	cube := r.n.nodes[r.src].cube
-	if busy := cube.respLinks[r.lid].busyUntil; busy > now {
-		cube.counters.RespQueueSum += busy - now
-	}
-	deliver := cube.respLinks[r.lid].book(now, r.resp.Flits()) + cube.cfg.LinkLatency
-	cube.eng.AtLabel(deliver, cube.label, r.finalFn)
+	cube.eng.AtLabel(cube.egress(int(r.lid), now, r.resp.Flits()), cube.label, r.finalFn)
 }
 
 // final hands the response to the source node's caller at its simulated
@@ -604,83 +576,4 @@ func (r *netReq) final(at units.Time) {
 	done, resp := r.done, r.resp
 	r.n.putNetReq(r)
 	done(resp, at) //coolpim:allow hotalloc completion callback is inherently dynamic; the caller's handler is proven by its own hotpath root
-}
-
-// ServeRemote runs the cube's vault pipeline for a request that arrived
-// over the inter-cube network: controller overhead, bank scheduling,
-// TSV bus arbitration, and all activity counters — but no host-link
-// serialization (the packet came in over a network port) and no
-// functional execution (that stayed at the source node). deliver fires
-// on this cube's domain when the response data is ready to leave toward
-// the network egress, carrying the cube's current ERRSTAT.
-//
-//coolpim:hotpath
-func (c *Cube) ServeRemote(at units.Time, req *flit.Request, deliver func(at units.Time, e flit.ErrStat)) {
-	now := max(c.eng.Now(), at)
-	if c.shutdown {
-		// Post-shutdown: unreachable until recovery, data lost (the 0x7F
-		// error status mirrors the host-link path).
-		//coolpim:allow hotalloc post-shutdown error delivery; the cube is already off the performance path
-		c.eng.AtLabel(c.shutTime+c.cfg.RecoveryDelay, c.label, func(at units.Time) {
-			deliver(at, 0x7F) //coolpim:allow hotalloc completion callback is inherently dynamic; rare post-shutdown path
-		})
-		return
-	}
-	c.tags++
-	vid := c.vaultOf(req.Addr)
-	v := c.vaults[vid]
-
-	var kind dram.AccessKind
-	var busBytes int
-	switch {
-	case req.Cmd == flit.CmdRead64:
-		kind, busBytes = dram.ReadAccess, 64
-		c.counters.Reads++
-		c.counters.ExtDataBytes += 64
-		c.counters.InternalRegularBytes += 64
-		v.counters.Reads++
-		v.counters.InternalRegularBytes += 64
-	case req.Cmd == flit.CmdWrite64:
-		kind, busBytes = dram.WriteAccess, 64
-		c.counters.Writes++
-		c.counters.ExtDataBytes += 64
-		c.counters.InternalRegularBytes += 64
-		v.counters.Writes++
-		v.counters.InternalRegularBytes += 64
-	case req.Cmd.IsPIM():
-		kind, busBytes = dram.PIMAccess, 32
-		c.counters.PIMOps++
-		c.counters.ExtDataBytes += 16
-		v.counters.PIMOps++
-	default:
-		panic(fmt.Sprintf("hmc: serve remote %v", req.Cmd))
-	}
-
-	var sp telemetry.Span
-	switch kind {
-	case dram.ReadAccess:
-		sp = c.spans.StartSpan(now, c.spanRead)
-	case dram.WriteAccess:
-		sp = c.spans.StartSpan(now, c.spanWrite)
-	case dram.PIMAccess:
-		sp = c.spans.StartSpan(now, c.spanPIM)
-	}
-
-	bank := &v.banks[c.bankOf(req.Addr)]
-	ctrlDone := now + c.cfg.CtrlOverhead
-	if free := bank.FreeAt(); free > ctrlDone {
-		c.counters.BankQueueSum += free - ctrlDone
-	}
-	dataAt, _ := bank.Schedule(ctrlDone, kind, c.timing)
-
-	r := c.getReq()
-	r.v = v
-	r.lid = -1 // no host response link: the reply leaves via the network
-	r.kind = kind
-	r.respFlits = 0
-	r.busTime = units.Time(float64(c.timing.TBurst64) * float64(busBytes) / 64.0)
-	r.submitAt = now
-	r.sp = sp
-	r.netDone = deliver
-	c.eng.AtLabel(dataAt, c.label, r.dataFn)
 }

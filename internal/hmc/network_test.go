@@ -72,7 +72,7 @@ func buildNet(t *testing.T, cfg NetworkConfig) (*sim.Cluster, *Network, []*mem.S
 	spaces := make([]*mem.Space, cfg.Cubes)
 	for i := 0; i < cfg.Cubes; i++ {
 		spaces[i] = mem.NewSpace(1 << 16)
-		n.AttachNode(i, New(cl.Domain(i), spaces[i], DefaultConfig()), spaces[i])
+		n.AttachNode(i, New(cl.Domain(i), spaces[i], DefaultConfig()))
 	}
 	return cl, n, spaces
 }
@@ -297,7 +297,7 @@ func TestServeRemoteMatchesSubmit(t *testing.T) {
 		host.Submit(0, req, func(r flit.Response, _ units.Time) { hostErr = append(hostErr, r.ErrStat) })
 		arrive := host.reqLinks[host.linkOf(host.vaultOf(req.Addr))].busyUntil + host.cfg.LinkLatency
 		remoteEng.At(arrive, func(now units.Time) {
-			remote.ServeRemote(now, &req, func(_ units.Time, e flit.ErrStat) { remoteErr = append(remoteErr, e) })
+			remote.ServeRemote(now, &req, func(r flit.Response, _ units.Time) { remoteErr = append(remoteErr, r.ErrStat) })
 		})
 	}
 	hostEng.Run()

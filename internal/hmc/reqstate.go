@@ -17,8 +17,11 @@ import (
 // it); the pool grows to the peak in-flight depth once and is reused
 // thereafter.
 type reqState struct {
-	c         *Cube
-	v         *vault
+	c *Cube
+	v *vault
+	// lid is the host response link, or -1 for a request that arrived
+	// over the inter-cube network (Cube.ServeRemote): its response leaves
+	// via a network egress port, so dataReady books no host link.
 	lid       int
 	kind      dram.AccessKind
 	respFlits int
@@ -27,11 +30,6 @@ type reqState struct {
 	resp      flit.Response
 	sp        telemetry.Span
 	done      func(resp flit.Response, at units.Time)
-	// netDone, when set, marks a request that arrived over the inter-cube
-	// network (Cube.ServeRemote): the response leaves via a network egress
-	// port instead of a host response link, so dataReady skips the host
-	// serializer and hands the completion time + ERRSTAT to the network.
-	netDone   func(at units.Time, e flit.ErrStat)
 	dataFn    sim.Event // pre-bound r.dataReady
 	deliverFn sim.Event // pre-bound r.deliver
 	next      *reqState
@@ -58,16 +56,15 @@ func (c *Cube) getReq() *reqState {
 // pool never pins a workload's callback graph.
 func (c *Cube) putReq(r *reqState) {
 	r.done = nil
-	r.netDone = nil
 	r.sp = telemetry.Span{}
 	r.next = c.freeReq
 	c.freeReq = r
 }
 
-// dataReady arbitrates the TSV bus and response link once the bank has
-// the data (step 4 of Submit) — booking them at submit time would
-// impose artificial head-of-line blocking across in-flight requests
-// whose bank queues differ.
+// dataReady arbitrates the TSV bus and the host response link once the
+// bank has the data — booking them at submit time would impose
+// artificial head-of-line blocking across in-flight requests whose bank
+// queues differ.
 //
 //coolpim:hotpath
 func (r *reqState) dataReady(at units.Time) {
@@ -77,12 +74,8 @@ func (r *reqState) dataReady(at units.Time) {
 	busDone := busStart + r.busTime
 	r.v.busBusy = busDone
 	deliver := busDone
-	if r.netDone == nil {
-		if busy := c.respLinks[r.lid].busyUntil; busy > busDone {
-			c.counters.RespQueueSum += busy - busDone
-		}
-		respStart := c.respLinks[r.lid].book(busDone, r.respFlits)
-		deliver = respStart + c.cfg.LinkLatency
+	if r.lid >= 0 {
+		deliver = c.egress(r.lid, busDone, r.respFlits)
 	}
 	switch r.kind {
 	case dram.ReadAccess:
@@ -95,27 +88,20 @@ func (r *reqState) dataReady(at units.Time) {
 	c.eng.AtLabel(deliver, c.label, r.deliverFn)
 }
 
-// deliver hands the response to the caller at its simulated delivery
-// time and recycles the state (before the callback, so a handler that
-// re-submits reuses this state instead of growing the pool).
+// deliver stamps the cube's ERRSTAT into the response tail, hands the
+// response to the caller at its simulated delivery time and recycles
+// the state (before the callback, so a handler that re-submits reuses
+// this state instead of growing the pool). For a request served over
+// the network the cube stamps at its own egress, so the warning travels
+// back to the source node exactly as on the host-link path.
 //
 //coolpim:hotpath
 func (r *reqState) deliver(at units.Time) {
 	c := r.c
-	var errStat flit.ErrStat
 	if c.warning && !c.DisableThermalEffects {
-		errStat = flit.ErrThermalWarning
+		r.resp.ErrStat = flit.ErrThermalWarning
 	}
 	r.sp.End(at)
-	if nd := r.netDone; nd != nil {
-		// Network-served request: the cube stamps its own ERRSTAT here —
-		// at its egress — so the warning travels back to the source node
-		// in the response tail, exactly like the host-link path.
-		c.putReq(r)
-		nd(at, errStat) //coolpim:allow hotalloc completion callback is inherently dynamic; the network's handler is proven by its own hotpath root
-		return
-	}
-	r.resp.ErrStat = errStat
 	done, resp := r.done, r.resp
 	c.putReq(r)
 	done(resp, at) //coolpim:allow hotalloc completion callback is inherently dynamic; the caller's handler is proven by its own hotpath root

@@ -206,7 +206,7 @@ func (n *nodeState) build(kind core.PolicyKind, g *graph.Graph, cl *sim.Cluster,
 	n.cube.DisableThermalEffects = kind.ThermalEffectsDisabled()
 	n.cube.SetSpans(n.spans)
 	if net != nil {
-		net.AttachNode(n.id, n.cube, space)
+		net.AttachNode(n.id, n.cube)
 	}
 	model := thermal.New(cfg.Stack, cfg.Cooling)
 	pol, err := n.buildPolicy(kind, model)
