@@ -1,93 +1,25 @@
 package kernels
 
 import (
-	"fmt"
-
-	"coolpim/internal/gpu"
 	"coolpim/internal/graph"
 	"coolpim/internal/mem"
 	"coolpim/internal/simt"
 )
 
-// TraversalVariant selects the GraphBIG implementation style of a
-// BFS/SSSP workload. The styles differ in work mapping — and therefore
-// in warp divergence and PIM offloading rate, which is exactly the
-// distinction the paper's Eq. 1 exploits ("topological-driven graph
-// algorithms have a high ratio [of divergent warps], while warp-centric
-// ones have a low ratio").
-type TraversalVariant int
-
-// Traversal variants.
-const (
-	// VariantTopoAtomic: topology-driven, thread-centric, atomicMin
-	// relaxations (bfs-ta).
-	VariantTopoAtomic TraversalVariant = iota
-	// VariantTopoThreadCAS: topology-driven, thread-centric, CAS-based
-	// visitation (bfs-ttc).
-	VariantTopoThreadCAS
-	// VariantTopoWarp: topology-driven, warp-centric (bfs-twc /
-	// sssp-twc).
-	VariantTopoWarp
-	// VariantDataWarp: data-driven (frontier), warp-centric (bfs-dwc /
-	// sssp-dwc).
-	VariantDataWarp
-	// VariantDataThread: data-driven, thread-centric (sssp-dtc).
-	VariantDataThread
-)
-
-func (v TraversalVariant) String() string {
-	switch v {
-	case VariantTopoAtomic:
-		return "ta"
-	case VariantTopoThreadCAS:
-		return "ttc"
-	case VariantTopoWarp:
-		return "twc"
-	case VariantDataWarp:
-		return "dwc"
-	case VariantDataThread:
-		return "dtc"
-	}
-	return fmt.Sprintf("variant(%d)", int(v))
-}
-
-// gridBlocksStrided is the fixed grid of strided (warp-centric) kernels:
-// 128 blocks × 4 warps = 512 warps.
-const gridBlocksStrided = 128
-
 // BFS is the breadth-first-search workload family.
-type BFS struct {
-	variant    TraversalVariant
-	numSources int
-
-	dev     *Device
-	level   mem.Buffer // PIM: per-vertex BFS level
-	changed mem.Buffer // flag word (cacheable)
-	front   [2]mem.Buffer
-	counts  mem.Buffer // two frontier counters
-
-	sources []int
-	srcIdx  int
-	cur     uint32 // current topological level
-	side    int    // current frontier buffer
-	started bool
-	failure error
-}
+type BFS struct{ traversal }
 
 // NewBFS creates a BFS workload traversing from the numSources
 // highest-degree vertices in turn.
 func NewBFS(variant TraversalVariant, numSources int) *BFS {
-	if numSources < 1 {
-		numSources = 1
-	}
 	if variant == VariantDataThread {
 		panic("kernels: bfs-dtc is not part of the evaluation; use sssp-dtc")
 	}
-	return &BFS{variant: variant, numSources: numSources}
+	w := &BFS{traversal{variant: variant, numSources: max(numSources, 1),
+		family: "bfs", prop: "level", frontEdges: 1, ref: graph.BFSLevels}}
+	w.kernel = w.roundKernel
+	return w
 }
-
-// Name implements Workload.
-func (w *BFS) Name() string { return "bfs-" + w.variant.String() }
 
 // Profile implements Workload.
 func (w *BFS) Profile() Profile {
@@ -99,124 +31,25 @@ func (w *BFS) Profile() Profile {
 	}
 }
 
-// Setup implements Workload.
-func (w *BFS) Setup(space *mem.Space, g *graph.Graph) {
-	w.dev = NewDevice(space, g)
-	w.changed = space.Alloc("bfs.changed", 1, false)
-	capWords := g.NumE() + g.NumV + 1
-	w.front[0] = space.Alloc("bfs.frontierA", capWords, false)
-	w.front[1] = space.Alloc("bfs.frontierB", capWords, false)
-	w.counts = space.Alloc("bfs.counts", 2, false)
-	w.level = space.Alloc("bfs.level", g.NumV, true)
-	w.sources = topSources(g, w.numSources)
-}
-
-// initSource resets device state for the next traversal (host-side,
-// untimed — cudaMemset between GraphBIG traversals).
-func (w *BFS) initSource() {
-	s := w.dev.Space
-	s.FillU32(w.level, graph.Infinity)
-	src := w.sources[w.srcIdx]
-	s.Store32(w.level.Addr(src), 0)
-	s.Store32(w.changed.Addr(0), 0)
-	s.Store32(w.counts.Addr(0), 1)
-	s.Store32(w.counts.Addr(1), 0)
-	s.Store32(w.front[0].Addr(0), uint32(src))
-	w.cur = 0
-	w.side = 0
-	w.started = true
-}
-
-// verifySource checks the completed traversal.
-func (w *BFS) verifySource() {
-	if w.failure != nil {
-		return
-	}
-	want := graph.BFSLevels(w.dev.G, w.sources[w.srcIdx])
-	for v := 0; v < w.dev.G.NumV; v++ {
-		if got := w.dev.Space.Load32(w.level.Addr(v)); got != want[v] {
-			w.failure = fmt.Errorf("%s src %d: level[%d] = %d, want %d",
-				w.Name(), w.sources[w.srcIdx], v, got, want[v])
-			return
-		}
-	}
-}
-
-// NextLaunch implements Workload.
-func (w *BFS) NextLaunch() (*gpu.Launch, bool) {
-	s := w.dev.Space
-	for {
-		if !w.started {
-			if w.srcIdx >= len(w.sources) {
-				return nil, false
-			}
-			w.initSource()
-		} else {
-			// Decide whether the current traversal has converged.
-			done := false
-			switch w.variant {
-			case VariantDataWarp:
-				nextCount := s.Load32(w.counts.Addr(1 ^ w.side))
-				if nextCount == 0 {
-					done = true
-				} else {
-					w.side ^= 1
-					s.Store32(w.counts.Addr(1^w.side), 0)
-					w.cur++
-				}
-			default:
-				if s.Load32(w.changed.Addr(0)) == 0 {
-					done = true
-				} else {
-					s.Store32(w.changed.Addr(0), 0)
-					w.cur++
-				}
-			}
-			if done {
-				w.verifySource()
-				w.srcIdx++
-				w.started = false
-				continue
-			}
-		}
-		return w.buildLaunch(), true
-	}
-}
-
-func (w *BFS) buildLaunch() *gpu.Launch {
-	var k simt.KernelFunc
-	blocks := blocksFor(w.dev.G.NumV)
+// roundKernel returns the current level's kernel and its grid size.
+func (w *BFS) roundKernel() (simt.KernelFunc, int) {
 	switch w.variant {
 	case VariantTopoAtomic:
-		k = w.topoThreadKernel(false)
+		return w.topoThreadKernel(false), blocksFor(w.dev.G.NumV)
 	case VariantTopoThreadCAS:
-		k = w.topoThreadKernel(true)
+		return w.topoThreadKernel(true), blocksFor(w.dev.G.NumV)
 	case VariantTopoWarp:
-		k = w.topoWarpKernel()
-		blocks = gridBlocksStrided
-	case VariantDataWarp:
-		k = w.dataWarpKernel()
-		blocks = gridBlocksStrided
+		return w.topoWarpKernel(), gridBlocksStrided
+	default: // VariantDataWarp
+		return w.dataWarpKernel(), gridBlocksStrided
 	}
-	return &gpu.Launch{
-		Kernel:   k,
-		Blocks:   blocks,
-		BlockDim: BlockDim,
-	}
-}
-
-// raiseChanged sets the convergence flag once per warp.
-func raiseChanged(c *simt.Ctx, changed mem.Buffer) {
-	var addr [simt.WarpSize]uint64
-	addr[0] = changed.Addr(0)
-	c.Atomic(mem.AtomicOr, simt.LaneMask(0), addr, splat(1), [simt.WarpSize]uint32{}, false)
 }
 
 // topoThreadKernel: each thread owns one vertex; vertices at the current
 // level relax their neighbours (atomicMin or CAS-from-unvisited).
 func (w *BFS) topoThreadKernel(useCAS bool) simt.KernelFunc {
-	d, level, changed := w.dev, w.level, w.changed
-	cur := w.cur
+	d, level, changed := w.dev, w.values, w.changed
+	cur := w.round
 	numV := d.G.NumV
 	return func(c *simt.Ctx) {
 		mask, v := laneVertices(c, numV)
@@ -254,8 +87,8 @@ func (w *BFS) topoThreadKernel(useCAS bool) simt.KernelFunc {
 // are read with one coalesced vector load, then each on-level vertex's
 // edges are relaxed 32 at a time.
 func (w *BFS) topoWarpKernel() simt.KernelFunc {
-	d, level, changed := w.dev, w.level, w.changed
-	cur := w.cur
+	d, level, changed := w.dev, w.values, w.changed
+	cur := w.round
 	numV := d.G.NumV
 	return func(c *simt.Ctx) {
 		stride := c.GridDim * c.BlockDim / simt.WarpSize * simt.WarpSize
@@ -295,11 +128,9 @@ func (w *BFS) topoWarpKernel() simt.KernelFunc {
 // load per chunk); discovered vertices are appended to the next frontier
 // with an atomic cursor.
 func (w *BFS) dataWarpKernel() simt.KernelFunc {
-	d, level := w.dev, w.level
-	curFront, nextFront := w.front[w.side], w.front[1^w.side]
-	nextCountAddr := w.counts.Addr(1 ^ w.side)
-	count := int(w.dev.Space.Load32(w.counts.Addr(w.side)))
-	cur := w.cur
+	d, level := w.dev, w.values
+	curFront, count, next := w.frontiers()
+	cur := w.round
 	return func(c *simt.Ctx) {
 		stride := c.GridDim * c.BlockDim / simt.WarpSize * simt.WarpSize
 		for base := c.GlobalWarp * simt.WarpSize; base < count; base += stride {
@@ -312,26 +143,11 @@ func (w *BFS) dataWarpKernel() simt.KernelFunc {
 				d.edgeLoopWarpCentric(c, start[l], end[l], func(active simt.Mask, _, dst [simt.WarpSize]uint32) {
 					_, ok := c.Atomic(mem.AtomicMin, active, gather(level, active, &dst),
 						splat(cur+1), [simt.WarpSize]uint32{}, true)
-					var push simt.Mask
-					for j := 0; j < simt.WarpSize; j++ {
-						if active.Lane(j) && ok[j] {
-							push = push.Set(j)
-						}
+					if push := succeeded(active, ok); push.Any() {
+						next.push(c, push, dst)
 					}
-					if !push.Any() {
-						return
-					}
-					var ctr [simt.WarpSize]uint64
-					for j := 0; j < simt.WarpSize; j++ {
-						ctr[j] = nextCountAddr
-					}
-					slots, _ := c.Atomic(mem.AtomicAdd, push, ctr, splat(1), [simt.WarpSize]uint32{}, true)
-					c.Store(push, gather(nextFront, push, &slots), dst)
 				})
 			}
 		}
 	}
 }
-
-// Verify implements Workload.
-func (w *BFS) Verify() error { return w.failure }
