@@ -281,7 +281,8 @@ func (c *Cube) linkOf(vaultID int) int { return vaultID % c.cfg.Links }
 // Submit is the cube's per-request service path: every read, write and
 // PIM packet of every workload flows through it. Its steps are the
 // host request link (ingress), the vault stage it shares with
-// ServeRemote (serve), and functional execution (execute).
+// ServeRemote (serve) and functional execution (execute); the host
+// response link (egress) is booked once the data is ready.
 //
 //coolpim:hotpath
 func (c *Cube) Submit(at units.Time, req flit.Request, done func(resp flit.Response, at units.Time)) (acceptedAt units.Time) {
@@ -290,10 +291,15 @@ func (c *Cube) Submit(at units.Time, req flit.Request, done func(resp flit.Respo
 		return c.unreachable(req.Tag, req.Cmd, done)
 	}
 	vid := c.vaultOf(req.Addr)
+	lid := c.linkOf(vid)
 	respFlits := flit.ResponseFlits(req.Cmd, req.WithReturn)
-	lid, arrive := c.ingress(now, vid, req.Flits(), respFlits)
+	arrive := c.ingress(now, lid, req.Flits(), respFlits)
 	r, dataAt := c.serve(now, arrive, vid, lid, respFlits, &req, done)
-	c.execute(&req, &r.resp)
+	// Only a PIM request executes here: the GPU side serves and applies
+	// read and write payloads at line granularity.
+	if req.Cmd.IsPIM() {
+		c.execute(&req, &r.resp)
+	}
 
 	// Credit flow control: acceptance lags a congested bank.
 	acceptedAt = arrive
@@ -340,21 +346,21 @@ func (c *Cube) unreachable(tag uint64, cmd flit.Command, done func(resp flit.Res
 	return back
 }
 
-// ingress serializes a request of reqFlits FLITs over the host request
-// link of vault vid, no earlier than now, and counts the FLITs of the
-// request and of its response. It returns the link and the time the
-// request reaches the vault controller.
+// ingress serializes a request of reqFlits FLITs over host request link
+// lid, no earlier than now, and counts the FLITs of the request and of
+// its response. It returns the time the request reaches the vault
+// controller. The caller picks the link, which keeps this step small
+// enough to inline.
 //
 //coolpim:hotpath
-func (c *Cube) ingress(now units.Time, vid, reqFlits, respFlits int) (lid int, arrive units.Time) {
-	lid = c.linkOf(vid)
+func (c *Cube) ingress(now units.Time, lid, reqFlits, respFlits int) units.Time {
 	c.counters.ReqFlits += uint64(reqFlits)
 	c.counters.RespFlits += uint64(respFlits)
 	l := c.reqLinks[lid]
 	if busy := l.busyUntil; busy > now {
 		c.counters.LinkQueueSum += busy - now
 	}
-	return lid, l.book(now, reqFlits) + c.cfg.LinkLatency
+	return l.book(now, reqFlits) + c.cfg.LinkLatency
 }
 
 // serve is the vault stage of every request on its home cube: the
@@ -424,15 +430,10 @@ func (c *Cube) serve(now, arrive units.Time, vid, lid, respFlits int, req *flit.
 }
 
 // execute applies a PIM request's atomic to the cube's functional
-// memory, in submission order, and writes its outcome into resp. A read
-// or write carries no data here: the GPU side serves and applies line
-// payloads at line granularity.
+// memory, in submission order, and writes its outcome into resp.
 //
 //coolpim:hotpath
 func (c *Cube) execute(req *flit.Request, resp *flit.Response) {
-	if !req.Cmd.IsPIM() {
-		return
-	}
 	old, ok := c.space.Atomic(pimToMemOp(req.Cmd), req.Addr, uint32(req.Imm), uint32(req.Imm2))
 	resp.Atomic = ok
 	if req.WithReturn {

@@ -486,13 +486,16 @@ func (n *Network) Submit(src int, at units.Time, req flit.Request, done func(fli
 	r := n.getNetReq(src)
 	r.req = req
 	r.resp = flit.Response{Tag: req.Tag, Cmd: req.Cmd, WithReturn: req.WithReturn}
-	// Functional execution in source submission order, exactly as the
-	// single-cube Submit does: the space is the node's own.
-	cube.execute(&r.req, &r.resp)
+	if req.Cmd.IsPIM() {
+		// Functional execution in source submission order, exactly as
+		// the single-cube Submit does: the space is the node's own.
+		cube.execute(&r.req, &r.resp)
+	}
 	// Host-link ingress at the source cube: the GPU reaches the network
 	// through its attached cube, as in chained-HMC pass-through routing.
 	reqFlits := req.Flits()
-	lid, enter := cube.ingress(now, cube.vaultOf(req.Addr), reqFlits, r.resp.Flits())
+	lid := cube.linkOf(cube.vaultOf(req.Addr))
+	enter := cube.ingress(now, lid, reqFlits, r.resp.Flits())
 	r.src, r.dst, r.cur = int32(src), int32(dst), int32(src)
 	r.lid = int32(lid)
 	r.reqFlits = reqFlits
