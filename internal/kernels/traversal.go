@@ -55,11 +55,11 @@ func (v TraversalVariant) String() string {
 // 128 blocks × 4 warps = 512 warps.
 const gridBlocksStrided = 128
 
-// traversal is the multi-source frontier driver BFS and SSSP embed. It
-// owns the device buffers, resets them for each source, runs rounds
-// until the traversal converges, verifies the result against the
-// sequential reference and moves on to the next source. The embedding
-// workload supplies each round's kernel.
+// traversal is what BFS and SSSP share and embed: a multi-source
+// frontier traversal. It owns the device buffers, resets them for each
+// source, runs rounds until the traversal converges, verifies the
+// result against the sequential reference and moves on to the next
+// source. The embedding workload supplies each round's kernel.
 type traversal struct {
 	variant    TraversalVariant
 	numSources int
