@@ -2,7 +2,6 @@
 
 GO ?= go
 BENCH_DATE := $(shell date +%Y%m%d)
-VETTOOL := bin/coolpim-vet
 
 .PHONY: all build test vet lint lint-fixtures race bench bench-json bench-smoke figs-check figs-check-system accuracy-check sweep-smoke obs-smoke serve-smoke clean
 
@@ -21,8 +20,9 @@ vet:
 
 # lint runs the whole static gate: formatting, standard vet, the
 # inlining guard on the checked per-lane helpers (scripts/inline_check.sh)
-# and the repo's own analyzer suite (cmd/coolpim-vet) over every package
-# via the -vettool protocol. Any diagnostic fails the target.
+# and the repo's own analyzer suite (cmd/coolpim-vet) over every package.
+# Any diagnostic fails the target; under GitHub Actions coolpim-vet also
+# emits each finding as an ::error annotation.
 lint:
 	@unformatted=$$(gofmt -l $$(git ls-files '*.go' | grep -v '/testdata/')); \
 	if [ -n "$$unformatted" ]; then \
@@ -30,12 +30,11 @@ lint:
 	fi
 	$(GO) vet ./...
 	GO=$(GO) scripts/inline_check.sh
-	$(GO) build -o $(VETTOOL) ./cmd/coolpim-vet
-	$(GO) vet -vettool=$(CURDIR)/$(VETTOOL) ./...
+	$(GO) run ./cmd/coolpim-vet ./...
 
 # lint-fixtures tests the analyzers themselves: every testdata-driven
-# fixture suite, the call-graph unit tests, the fact round-trip
-# byte-identity test, and the vetx unitchecker-protocol test.
+# fixture suite, the call-graph unit tests, cross-package fact
+# propagation, and coolpim-vet's sweep order and output contract.
 lint-fixtures:
 	$(GO) test ./internal/analyzers/... ./cmd/coolpim-vet
 

@@ -1,6 +1,8 @@
 package coolpim
 
 import (
+	"go/ast"
+	"go/token"
 	"go/types"
 	"io/fs"
 	"path/filepath"
@@ -36,16 +38,6 @@ var testOnlyAPI = []string{
 	"internal/dram.Bank.Refresh",
 	"internal/dram.Bank.Stats",
 	"internal/experiments.CampaignSpec.CanonicalJSON",
-	"internal/flit.BandwidthSaving",
-	"internal/flit.Command.Valid",
-	"internal/flit.DataBlockBytes",
-	"internal/flit.ErrNone",
-	"internal/flit.ErrStat.Valid",
-	"internal/flit.LinkCounters.Add",
-	"internal/flit.LinkCounters.AddRequest",
-	"internal/flit.LinkCounters.AddResponse",
-	"internal/flit.Request.Bytes",
-	"internal/flit.Response.Bytes",
 	"internal/gpu.GPU.Policy",
 	"internal/mem.AtomicNone",
 	"internal/mem.Buffer.Contains",
@@ -72,15 +64,22 @@ var testOnlyAPI = []string{
 	"internal/units.Joule.Over",
 }
 
+// testOnlyFields is the same ratchet for the exported fields of
+// exported structs under internal/ that no non-test code sets. Only
+// tests set them. Delete one, or unexport it, and drop it here.
+var testOnlyFields = []string{}
+
 // TestNoTestOnlyAPI type-checks the module and perfbench from source,
 // without test files, and reports every exported identifier declared
 // under internal/ that nothing references: package-level names, and the
 // exported methods of exported types. A method that satisfies an
 // interface declared in the module, or a standard-library interface
 // (stdlibMethods), is exempt, because calls through the interface do not
-// name it. So are the methods of unexported types. The report must
-// equal testOnlyAPI: a new name fails, and so does a listed name that
-// gained a product reference or no longer exists.
+// name it. So are the methods of unexported types. It also reports every
+// exported field of an exported struct that nothing sets (setFields).
+// The reports must equal testOnlyAPI and testOnlyFields: a new name
+// fails, and so does a listed name that gained a product reference or
+// no longer exists.
 func TestNoTestOnlyAPI(t *testing.T) {
 	l, err := load.NewLoader(".")
 	if err != nil {
@@ -123,11 +122,13 @@ func TestNoTestOnlyAPI(t *testing.T) {
 	}
 
 	used := map[types.Object]bool{}
+	set := map[types.Object]bool{}
 	var ifaces []*types.Interface
 	for _, p := range pkgs {
 		for _, obj := range p.Info.Uses {
 			used[origin(obj)] = true
 		}
+		setFields(p, set)
 		scope := p.Types.Scope()
 		for _, name := range scope.Names() {
 			if tn, ok := scope.Lookup(name).(*types.TypeName); ok {
@@ -138,7 +139,7 @@ func TestNoTestOnlyAPI(t *testing.T) {
 		}
 	}
 
-	var got []string
+	var got, gotFields []string
 	for _, p := range pkgs {
 		rel := strings.TrimPrefix(p.Path, l.ModPath()+"/")
 		if !strings.HasPrefix(rel, "internal/") {
@@ -161,6 +162,13 @@ func TestNoTestOnlyAPI(t *testing.T) {
 			if !ok {
 				continue
 			}
+			if st, ok := named.Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					if f := st.Field(i); f.Exported() && !set[f] {
+						gotFields = append(gotFields, rel+"."+name+"."+f.Name())
+					}
+				}
+			}
 			for i := 0; i < named.NumMethods(); i++ {
 				m := named.Method(i)
 				if m.Exported() && !used[m] && !stdlibMethods[m.Name()] && !satisfiesInterface(named, m.Name(), ifaces) {
@@ -170,25 +178,91 @@ func TestNoTestOnlyAPI(t *testing.T) {
 		}
 	}
 
+	ratchet(t, "testOnlyAPI", got, testOnlyAPI, "is exported but only tests use it: delete it, or move it beside its test")
+	ratchet(t, "testOnlyFields", gotFields, testOnlyFields, "is exported but only tests set it: delete it, or unexport it")
+	t.Logf("%d packages scanned, %d test-only exports, %d test-only fields", len(pkgs), len(got), len(gotFields))
+}
+
+// ratchet fails for each name in got that list lacks, with hint, and
+// for each listed name that got lacks.
+func ratchet(t *testing.T, listName string, got, list []string, hint string) {
+	t.Helper()
 	listed := map[string]bool{}
-	for _, name := range testOnlyAPI {
+	for _, name := range list {
 		listed[name] = true
 	}
 	for _, name := range got {
 		if !listed[name] {
-			t.Errorf("%s is exported but only tests use it: delete it, or move it beside its test", name)
+			t.Errorf("%s %s", name, hint)
 		}
 		delete(listed, name)
 	}
-	for _, name := range testOnlyAPI {
+	for _, name := range list {
 		if listed[name] {
-			t.Errorf("%s is listed in testOnlyAPI but gained a product reference or no longer exists: drop it from the list", name)
+			t.Errorf("%s is listed in %s but gained a product reference or no longer exists: drop it from the list", name, listName)
 		}
 	}
-	if !slices.IsSorted(testOnlyAPI) {
-		t.Error("testOnlyAPI is not sorted")
+	if !slices.IsSorted(list) {
+		t.Errorf("%s is not sorted", listName)
 	}
-	t.Logf("%d packages scanned, %d test-only exports", len(pkgs), len(got))
+}
+
+// setFields records in set every struct field that p's code sets: the
+// target of an assignment or ++/--, an operand of &, and every field a
+// keyed or positional composite literal fills. A field reached through
+// index expressions and selectors on the way counts as set too, so
+// `x.F[i].G = v` sets G and F.
+func setFields(p *load.Package, set map[types.Object]bool) {
+	mark := func(e ast.Expr) {
+		for {
+			switch x := ast.Unparen(e).(type) {
+			case *ast.SelectorExpr:
+				if sel := p.Info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
+					set[origin(sel.Obj())] = true
+				}
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.StarExpr:
+				e = x.X
+			default:
+				return
+			}
+		}
+	}
+	for _, f := range p.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					mark(lhs)
+				}
+			case *ast.IncDecStmt:
+				mark(n.X)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					mark(n.X)
+				}
+			case *ast.CompositeLit:
+				t := p.Info.TypeOf(n)
+				if ptr, ok := t.(*types.Pointer); ok {
+					t = ptr.Elem()
+				}
+				st, ok := t.Underlying().(*types.Struct)
+				if !ok {
+					break
+				}
+				for i, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						set[origin(p.Info.Uses[kv.Key.(*ast.Ident)])] = true
+					} else {
+						set[origin(st.Field(i))] = true
+					}
+				}
+			}
+			return true
+		})
+	}
 }
 
 // origin maps an instantiated generic function, method or field to its

@@ -1,35 +1,33 @@
-// Command coolpim-vet is the multichecker for the project's analyzer
-// suite (internal/analyzers): determinism, unitsafety, telemetrysafe,
+// Command coolpim-vet runs the project's analyzer suite
+// (internal/analyzers): determinism, unitsafety, telemetrysafe,
 // eventhygiene, hotalloc and lockcheck, plus validation of
 // //coolpim:allow directives (including stale-directive detection).
 //
-// It runs in two modes:
+//	go run ./cmd/coolpim-vet [-only name[,name]] [-json] [-github] [dir ...]
 //
-//	go vet -vettool=$(pwd)/bin/coolpim-vet ./...        # toolchain-driven
-//	coolpim-vet [-only name[,name]] [-json] [dir ...]   # standalone
+// It type-checks packages from source and analyzes them in dependency
+// order through one in-memory fact store. With no arguments it analyzes
+// every package under the enclosing module; arguments are package
+// directories ("./..." recurses). The //coolpim:allow directives in each
+// package's _test.go files are validated too: those files are parsed,
+// not type-checked, and no analyzer reports in them, so a directive
+// there naming an analyzer that ran is stale. Run it inside the module.
 //
-// Under go vet the toolchain hands the tool one JSON config per package
-// with export data for its imports (the vettool protocol); cross-package
-// facts ride the protocol's vetx files. Standalone mode type-checks the
-// module from source, analyzes packages in dependency order through a
-// shared in-memory fact store, and defaults to every package under the
-// enclosing module.
-//
-// Output: diagnostics default to file:line:col text on stderr with exit
-// status 1. -json emits a deterministic JSON array on stdout instead
-// (exit 0). -github — or the GITHUB_ACTIONS environment the Actions
-// runner sets — additionally emits ::error workflow commands so CI
-// findings become inline annotations.
+// Output: findings are file:line:col text on stderr, with paths relative
+// to the working directory. -json emits a deterministic JSON array on
+// stdout instead. -github — or the GITHUB_ACTIONS environment the
+// Actions runner sets — additionally emits ::error workflow commands so
+// CI findings become inline annotations. The exit status is 1 when there
+// is any finding, in either format, or an error; 2 on a flag error; 0
+// otherwise.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"coolpim/internal/analyzers"
@@ -37,25 +35,29 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("coolpim-vet: ")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
+// run sweeps the packages args name, writes the findings and returns
+// the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("coolpim-vet", flag.ContinueOnError)
+	flags.SetOutput(stderr)
 	enabled := make(map[string]*bool)
 	for _, a := range analyzers.All() {
-		enabled[a.Name] = flag.Bool(a.Name, true, "run the "+a.Name+" analyzer ("+firstSentence(a.Doc)+")")
+		enabled[a.Name] = flags.Bool(a.Name, true, "run the "+a.Name+" analyzer ("+firstSentence(a.Doc)+")")
 	}
-	only := flag.String("only", "", "comma-separated analyzer names to run, disabling the rest")
-	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array on stdout instead of text on stderr")
-	github := flag.Bool("github", false, "also emit GitHub Actions ::error annotations (auto-enabled under GITHUB_ACTIONS)")
-	printflags := flag.Bool("flags", false, "print the tool's flags as JSON (go vet protocol)")
-	flag.Var(versionFlag{}, "V", "print version and exit (go vet protocol)")
-	flag.Usage = usage
-	flag.Parse()
+	only := flags.String("only", "", "comma-separated analyzer names to run, disabling the rest")
+	jsonOut := flags.Bool("json", false, "emit diagnostics as a JSON array on stdout instead of text on stderr")
+	github := flags.Bool("github", false, "also emit GitHub Actions ::error annotations (auto-enabled under GITHUB_ACTIONS)")
+	flags.Usage = func() { usage(flags) }
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
-	if *printflags {
-		printFlagsJSON()
-		return
-	}
 	if *only != "" {
 		for name := range enabled {
 			*enabled[name] = false
@@ -63,7 +65,8 @@ func main() {
 		for _, name := range strings.Split(*only, ",") {
 			b, ok := enabled[strings.TrimSpace(name)]
 			if !ok {
-				log.Fatalf("-only: unknown analyzer %q (known: %v)", name, analyzers.Names())
+				fmt.Fprintf(stderr, "coolpim-vet: -only: unknown analyzer %q (known: %v)\n", name, analyzers.Names())
+				return 1
 			}
 			*b = true
 		}
@@ -75,16 +78,23 @@ func main() {
 		}
 	}
 
+	findings, err := sweepDirs(flags.Args(), suite)
+	if err != nil {
+		fmt.Fprintf(stderr, "coolpim-vet: %v\n", err)
+		return 1
+	}
 	out := outputOptions{
 		jsonOut: *jsonOut,
 		github:  *github || os.Getenv("GITHUB_ACTIONS") == "true",
 	}
-	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		runUnitchecker(args[0], suite, out)
-		return
+	if err := emit(findings, out, stdout, stderr); err != nil {
+		fmt.Fprintf(stderr, "coolpim-vet: %v\n", err)
+		return 1
 	}
-	runStandalone(args, suite, out)
+	if len(findings) > 0 {
+		return 1
+	}
+	return 0
 }
 
 // outputOptions selects how findings are rendered.
@@ -96,14 +106,14 @@ type outputOptions struct {
 	github bool
 }
 
-func usage() {
-	fmt.Fprintf(os.Stderr, "usage: coolpim-vet [flags] [dir ...]\n")
-	fmt.Fprintf(os.Stderr, "       go vet -vettool=$(pwd)/bin/coolpim-vet ./...\n\nanalyzers:\n")
+func usage(flags *flag.FlagSet) {
+	w := flags.Output()
+	fmt.Fprintf(w, "usage: coolpim-vet [flags] [dir ...]\n\nanalyzers:\n")
 	for _, a := range analyzers.All() {
-		fmt.Fprintf(os.Stderr, "  %-14s %s\n", a.Name, a.Doc)
+		fmt.Fprintf(w, "  %-14s %s\n", a.Name, a.Doc)
 	}
-	fmt.Fprintf(os.Stderr, "\nflags:\n")
-	flag.PrintDefaults()
+	fmt.Fprintf(w, "\nflags:\n")
+	flags.PrintDefaults()
 }
 
 func firstSentence(s string) string {
@@ -111,48 +121,4 @@ func firstSentence(s string) string {
 		return s[:i]
 	}
 	return s
-}
-
-// printFlagsJSON implements the `-flags` handshake: go vet queries the
-// tool for its flag set before forwarding command-line flags.
-func printFlagsJSON() {
-	type jsonFlag struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	var flags []jsonFlag
-	flag.VisitAll(func(f *flag.Flag) {
-		b, ok := f.Value.(interface{ IsBoolFlag() bool })
-		flags = append(flags, jsonFlag{f.Name, ok && b.IsBoolFlag(), f.Usage})
-	})
-	data, err := json.MarshalIndent(flags, "", "\t")
-	if err != nil {
-		log.Fatal(err)
-	}
-	os.Stdout.Write(data)
-}
-
-// versionFlag implements `-V=full`, which the go command invokes to
-// fingerprint the tool for build caching.
-type versionFlag struct{}
-
-func (versionFlag) IsBoolFlag() bool { return false }
-func (versionFlag) String() string   { return "" }
-func (versionFlag) Set(s string) error {
-	if s != "full" {
-		log.Fatalf("unsupported flag value: -V=%s", s)
-	}
-	exe, err := os.Executable()
-	if err != nil {
-		log.Fatal(err)
-	}
-	data, err := os.ReadFile(exe)
-	if err != nil {
-		log.Fatal(err)
-	}
-	h := sha256.Sum256(data)
-	fmt.Printf("%s version devel coolpim-vet buildID=%x\n", filepath.Base(os.Args[0]), h[:12])
-	os.Exit(0)
-	return nil
 }

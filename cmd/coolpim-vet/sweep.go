@@ -3,11 +3,11 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"io/fs"
-	"log"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 
 	"coolpim/internal/analyzers"
@@ -17,21 +17,14 @@ import (
 	"coolpim/internal/analyzers/load"
 )
 
-// runStandalone type-checks packages from source (no toolchain driver)
-// and analyzes them. With no arguments it analyzes every package under
-// the enclosing module; arguments are package directories ("./..."
-// recurses from that root). Only non-test files are loaded — the
-// analyzers skip _test.go files anyway, and go vet mode covers test
-// compilation units.
-//
-// Packages are analyzed in dependency order through a shared fact
-// store: before a package runs, its in-module imports run first (once),
-// so cross-package analyzers see the same facts the unitchecker
-// protocol would deliver.
-func runStandalone(args []string, suite []*analysis.Analyzer, out outputOptions) {
+// sweepDirs analyzes the package directories args names, or every
+// package under the enclosing module when args is empty ("./..."
+// recurses from a directory), and returns the findings sorted by
+// position, with paths relative to the working directory.
+func sweepDirs(args []string, suite []*analysis.Analyzer) ([]driver.Finding, error) {
 	loader, err := load.NewLoader(".")
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
 	var dirs []string
 	if len(args) == 0 {
@@ -45,43 +38,32 @@ func runStandalone(args []string, suite []*analysis.Analyzer, out outputOptions)
 			}
 			sub, err := packageDirs(root)
 			if err != nil {
-				log.Fatal(err)
+				return nil, err
 			}
 			dirs = append(dirs, sub...)
 			continue
 		}
 		dirs = append(dirs, filepath.Clean(arg))
 	}
-	s := &sweep{
-		loader: loader,
-		suite:  suite,
-		store:  facts.NewStore(suite),
-		done:   make(map[string]bool),
-	}
+	s := newSweep(loader, suite)
 	for _, dir := range dirs {
-		s.analyze(importPathFor(loader, dir))
+		importPath, err := importPathFor(loader, dir)
+		if err != nil {
+			return nil, err
+		}
+		if err := s.analyze(importPath); err != nil {
+			return nil, err
+		}
 	}
-	sort.Slice(s.findings, func(i, j int) bool {
-		a, b := s.findings[i], s.findings[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
-		}
-		return a.Analyzer < b.Analyzer
-	})
-	s.emit(out)
-	if len(s.findings) > 0 && !out.jsonOut {
-		os.Exit(1)
+	slices.SortStableFunc(s.findings, driver.Compare)
+	for i := range s.findings {
+		s.findings[i].Pos.Filename = relPath(s.findings[i].Pos.Filename)
 	}
+	return s.findings, nil
 }
 
-// packageDirs lists directories under root containing buildable Go
-// files, skipping testdata, hidden and tool-output directories.
+// packageDirs lists directories under root containing Go files, test
+// files included, skipping testdata, hidden and tool-output directories.
 func packageDirs(root string) ([]string, error) {
 	var dirs []string
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -95,7 +77,7 @@ func packageDirs(root string) ([]string, error) {
 			}
 			return nil
 		}
-		if strings.HasSuffix(d.Name(), ".go") && !strings.HasSuffix(d.Name(), "_test.go") {
+		if strings.HasSuffix(d.Name(), ".go") {
 			dir := filepath.Dir(path)
 			if len(dirs) == 0 || dirs[len(dirs)-1] != dir {
 				dirs = append(dirs, dir)
@@ -107,19 +89,19 @@ func packageDirs(root string) ([]string, error) {
 }
 
 // importPathFor maps a directory to its import path within the module.
-func importPathFor(loader *load.Loader, dir string) string {
+func importPathFor(loader *load.Loader, dir string) (string, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
-		log.Fatal(err)
+		return "", err
 	}
 	rel, err := filepath.Rel(loader.ModRoot(), abs)
 	if err != nil || strings.HasPrefix(rel, "..") {
-		log.Fatalf("%s is outside module %s", dir, loader.ModRoot())
+		return "", fmt.Errorf("%s is outside module %s", dir, loader.ModRoot())
 	}
 	if rel == "." {
-		return loader.ModPath()
+		return loader.ModPath(), nil
 	}
-	return loader.ModPath() + "/" + filepath.ToSlash(rel)
+	return loader.ModPath() + "/" + filepath.ToSlash(rel), nil
 }
 
 // sweep analyzes packages once each, dependencies first, accumulating
@@ -132,35 +114,38 @@ type sweep struct {
 	findings []driver.Finding
 }
 
-// analyze runs the suite over importPath after its in-module imports.
-// Dependencies pulled in only for facts are analyzed identically —
-// their findings count too, since a dirty dependency is just as much a
-// lint failure.
-func (s *sweep) analyze(importPath string) {
+func newSweep(loader *load.Loader, suite []*analysis.Analyzer) *sweep {
+	return &sweep{loader: loader, suite: suite, store: facts.NewStore(), done: make(map[string]bool)}
+}
+
+// analyze runs the suite over importPath after its in-module imports,
+// so cross-package analyzers find their dependencies' facts in the
+// store. Dependencies pulled in only for facts are analyzed identically
+// — their findings count too, since a dirty dependency is just as much
+// a lint failure.
+func (s *sweep) analyze(importPath string) error {
 	if s.done[importPath] {
-		return
+		return nil
 	}
 	s.done[importPath] = true
 	pkg, err := s.loader.Load(importPath)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	modPrefix := s.loader.ModPath() + "/"
 	for _, imp := range pkg.Types.Imports() {
 		if imp.Path() == s.loader.ModPath() || strings.HasPrefix(imp.Path(), modPrefix) {
-			s.analyze(imp.Path())
+			if err := s.analyze(imp.Path()); err != nil {
+				return err
+			}
 		}
 	}
-	findings, err := driver.RunOpts(driver.Unit{
-		Fset:  s.loader.Fset,
-		Files: pkg.Files,
-		Pkg:   pkg.Types,
-		Info:  pkg.Info,
-	}, s.suite, analyzers.Names(), driver.Options{Facts: s.store})
+	findings, err := driver.Run(s.loader.Fset, pkg, s.suite, analyzers.Names(), s.store)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	s.findings = append(s.findings, findings...)
+	return nil
 }
 
 // jsonFinding is the -json record shape: one flat object per
@@ -173,12 +158,14 @@ type jsonFinding struct {
 	Message  string `json:"message"`
 }
 
-func (s *sweep) emit(out outputOptions) {
+// emit writes the findings as a JSON array on stdout, or as text lines
+// on stderr followed, with out.github, by their ::error annotations.
+func emit(findings []driver.Finding, out outputOptions, stdout, stderr io.Writer) error {
 	if out.jsonOut {
-		recs := make([]jsonFinding, 0, len(s.findings))
-		for _, f := range s.findings {
+		recs := make([]jsonFinding, 0, len(findings))
+		for _, f := range findings {
 			recs = append(recs, jsonFinding{
-				File:     relPath(f.Pos.Filename),
+				File:     f.Pos.Filename,
 				Line:     f.Pos.Line,
 				Col:      f.Pos.Column,
 				Analyzer: f.Analyzer,
@@ -187,21 +174,18 @@ func (s *sweep) emit(out outputOptions) {
 		}
 		data, err := json.MarshalIndent(recs, "", "\t")
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		os.Stdout.Write(data)
-		os.Stdout.Write([]byte("\n"))
-		if len(s.findings) > 0 {
-			os.Exit(1)
-		}
-		return
+		_, err = fmt.Fprintf(stdout, "%s\n", data)
+		return err
 	}
-	for _, f := range s.findings {
-		fmt.Fprintln(os.Stderr, f)
+	for _, f := range findings {
+		fmt.Fprintln(stderr, f)
 		if out.github {
-			fmt.Fprintln(os.Stderr, githubAnnotation(f))
+			fmt.Fprintln(stderr, githubAnnotation(f))
 		}
 	}
+	return nil
 }
 
 // relPath renders a finding path relative to the working directory when
@@ -223,5 +207,5 @@ func relPath(path string) string {
 func githubAnnotation(f driver.Finding) string {
 	msg := strings.NewReplacer("%", "%25", "\r", "%0D", "\n", "%0A").Replace(f.Message)
 	return fmt.Sprintf("::error file=%s,line=%d,col=%d,title=coolpim-vet %s::%s",
-		relPath(f.Pos.Filename), f.Pos.Line, f.Pos.Column, f.Analyzer, msg)
+		f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Analyzer, msg)
 }

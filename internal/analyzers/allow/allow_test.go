@@ -13,6 +13,7 @@ import (
 	"coolpim/internal/analyzers/analysistest"
 	"coolpim/internal/analyzers/determinism"
 	"coolpim/internal/analyzers/driver"
+	"coolpim/internal/analyzers/load"
 )
 
 // TestDirectiveScope proves the suppression contract end to end against
@@ -101,8 +102,7 @@ func TestCollect(t *testing.T) {
 // ones must not.
 func TestMissingNameDiagnosed(t *testing.T) {
 	fset, f := parseCollectSrc(t)
-	findings, err := driver.Run(driver.Unit{Fset: fset, Files: []*ast.File{f}},
-		nil, analyzers.Names())
+	findings, err := driver.Run(fset, &load.Package{Files: []*ast.File{f}}, nil, analyzers.Names(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

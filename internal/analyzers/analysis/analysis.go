@@ -33,8 +33,7 @@ type Analyzer struct {
 // (function or method) in one package and reads back when analyzing a
 // dependent package — the cross-package propagation mechanism, modeled
 // on golang.org/x/tools/go/analysis facts. Implementations must be
-// pointers to JSON-serializable structs; the driver serializes facts
-// deterministically through the unitchecker vetx protocol.
+// pointers to structs.
 type Fact interface {
 	AFact() // marker method; dedicated to this interface
 }

@@ -49,12 +49,7 @@ func Run(t *testing.T, pkg, importAs string, analyzers []*analysis.Analyzer, kno
 	if err != nil {
 		t.Fatalf("load %s: %v", pkg, err)
 	}
-	findings, err := driver.Run(driver.Unit{
-		Fset:  loader.Fset,
-		Files: p.Files,
-		Pkg:   p.Types,
-		Info:  p.Info,
-	}, analyzers, knownNames)
+	findings, err := driver.Run(loader.Fset, p, analyzers, knownNames, nil)
 	if err != nil {
 		t.Fatalf("driver: %v", err)
 	}

@@ -1,28 +1,21 @@
 // Package driver runs a set of analyzers over one type-checked package
-// and applies the //coolpim:allow suppression pass. It is shared by the
-// three front ends: the go vet -vettool unit checker, coolpim-vet's
-// standalone directory mode, and the analysistest harness.
+// and applies the //coolpim:allow suppression pass. coolpim-vet's sweep
+// and the analysistest harness share it.
 package driver
 
 import (
+	"cmp"
 	"fmt"
-	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"slices"
+	"strings"
 
 	"coolpim/internal/analyzers/allow"
 	"coolpim/internal/analyzers/analysis"
 	"coolpim/internal/analyzers/facts"
+	"coolpim/internal/analyzers/load"
 )
-
-// Unit is one package's worth of parsed, type-checked input.
-type Unit struct {
-	Fset  *token.FileSet
-	Files []*ast.File
-	Pkg   *types.Package
-	Info  *types.Info
-}
 
 // Finding is one post-suppression diagnostic, attributed to its
 // analyzer and resolved to a printable position.
@@ -36,43 +29,32 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s: %s (%s)", f.Pos, f.Message, f.Analyzer)
 }
 
-// Options tunes one driver run.
-type Options struct {
-	// Facts is the cross-package fact store shared across a sweep. Nil
-	// gets a fresh throwaway store, which is correct for purely
-	// intra-package runs but loses facts between packages.
-	Facts *facts.Store
-}
-
-// Run executes the analyzers on the unit with a throwaway fact store.
-// See RunOpts.
-func Run(u Unit, analyzers []*analysis.Analyzer, knownNames []string) ([]Finding, error) {
-	return RunOpts(u, analyzers, knownNames, Options{})
-}
-
-// RunOpts executes the analyzers on the unit, validates //coolpim:allow
-// directives against knownNames (reporting unknown or missing analyzer
-// names under allow.CheckerName, and directives for analyzers that ran
-// but suppressed nothing as stale), filters suppressed diagnostics, and
-// returns the survivors sorted by position.
-func RunOpts(u Unit, analyzers []*analysis.Analyzer, knownNames []string, opts Options) ([]Finding, error) {
-	store := opts.Facts
+// Run executes the analyzers on the package, validates the
+// //coolpim:allow directives of its files and test files against
+// knownNames (reporting unknown or missing analyzer names under
+// allow.CheckerName, and directives for analyzers that ran but
+// suppressed nothing as stale), filters suppressed diagnostics, and
+// returns the survivors sorted by position. store is the cross-package
+// fact store shared across a sweep; nil gets a fresh one, which is
+// correct for purely intra-package runs but loses facts between
+// packages.
+func Run(fset *token.FileSet, pkg *load.Package, analyzers []*analysis.Analyzer, knownNames []string, store *facts.Store) ([]Finding, error) {
 	if store == nil {
-		store = facts.NewStore(analyzers)
+		store = facts.NewStore()
 	}
 	var findings []Finding
 	for _, a := range analyzers {
 		a := a
 		pass := &analysis.Pass{
 			Analyzer:  a,
-			Fset:      u.Fset,
-			Files:     u.Files,
-			Pkg:       u.Pkg,
-			TypesInfo: u.Info,
+			Fset:      fset,
+			Files:     pkg.Files,
+			Pkg:       pkg.Types,
+			TypesInfo: pkg.Info,
 			Report: func(d analysis.Diagnostic) {
 				findings = append(findings, Finding{
 					Analyzer: a.Name,
-					Pos:      u.Fset.Position(d.Pos),
+					Pos:      fset.Position(d.Pos),
 					Message:  d.Message,
 				})
 			},
@@ -94,19 +76,21 @@ func RunOpts(u Unit, analyzers []*analysis.Analyzer, knownNames []string, opts O
 		ran[a.Name] = true
 	}
 
-	directives := allow.Collect(u.Fset, u.Files)
+	// No analyzer reports in a test file, so a directive there that
+	// names an analyzer that ran is always stale.
+	directives := allow.Collect(fset, slices.Concat(pkg.Files, pkg.TestFiles))
 	for _, d := range directives {
 		switch {
 		case d.Name == "":
 			findings = append(findings, Finding{
 				Analyzer: allow.CheckerName,
-				Pos:      u.Fset.Position(d.Pos),
+				Pos:      fset.Position(d.Pos),
 				Message:  fmt.Sprintf("//%s directive names no analyzer; write //%s <analyzer> <reason>", allow.Prefix, allow.Prefix),
 			})
 		case !known[d.Name]:
 			findings = append(findings, Finding{
 				Analyzer: allow.CheckerName,
-				Pos:      u.Fset.Position(d.Pos),
+				Pos:      fset.Position(d.Pos),
 				Message:  fmt.Sprintf("//%s directive names unknown analyzer %q (known: %v)", allow.Prefix, d.Name, knownNames),
 			})
 		}
@@ -140,24 +124,22 @@ func RunOpts(u Unit, analyzers []*analysis.Analyzer, knownNames []string, opts O
 		}
 		findings = append(findings, Finding{
 			Analyzer: allow.CheckerName,
-			Pos:      u.Fset.Position(d.Pos),
+			Pos:      fset.Position(d.Pos),
 			Message: fmt.Sprintf("stale //%s %s directive: it suppresses no diagnostic on line %d; delete it",
 				allow.Prefix, d.Name, d.Target),
 		})
 	}
 
-	sort.Slice(findings, func(i, j int) bool {
-		a, b := findings[i], findings[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
-		}
-		return a.Analyzer < b.Analyzer
-	})
+	slices.SortStableFunc(findings, Compare)
 	return findings, nil
+}
+
+// Compare orders findings by file, line, column and analyzer.
+func Compare(a, b Finding) int {
+	return cmp.Or(
+		strings.Compare(a.Pos.Filename, b.Pos.Filename),
+		cmp.Compare(a.Pos.Line, b.Pos.Line),
+		cmp.Compare(a.Pos.Column, b.Pos.Column),
+		strings.Compare(a.Analyzer, b.Analyzer),
+	)
 }

@@ -1,254 +1,73 @@
 // Package facts is the cross-package fact store behind the analysis
 // framework's ExportObjectFact/ImportObjectFact API. Facts computed
-// while analyzing one package (say, internal/sim) are serialized into
-// the package's vetx file under the go vet unitchecker protocol — or
-// kept in memory across a standalone sweep — and imported when a
-// dependent package (internal/system) is analyzed.
-//
-// The serialized form is deterministic by construction: a fixed header
-// line, then one JSON record per fact sorted by (analyzer, object key,
-// fact type). Encoding the same facts twice — or re-encoding facts that
-// round-tripped through a decode — is byte-identical, which the
-// toolchain's build caching and the fact round-trip tests rely on.
+// while analyzing one package (say, internal/sim) stay in memory and are
+// imported when a dependent package (internal/system) is analyzed later
+// in the same sweep. One sweep loads every package through one
+// load.Loader, so a dependent package sees the very types.Object its
+// dependency exported a fact about, and the store keys facts by it.
 package facts
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
-	"fmt"
 	"go/types"
 	"reflect"
-	"sort"
-	"strings"
 
 	"coolpim/internal/analyzers/analysis"
 )
 
-// Header is the first line of every fact file this package writes.
-const Header = "coolpim-vet facts v1"
-
-// Store holds facts keyed by (package, analyzer, object). It is not
+// Store holds facts keyed by (analyzer, object, fact type). It is not
 // safe for concurrent use.
 type Store struct {
-	// factTypes maps (analyzer, fact type name) to the concrete struct
-	// type, for decoding.
-	factTypes map[typeKey]reflect.Type
-	// data maps normalized package path -> record key -> fact value.
-	data map[string]map[recKey]analysis.Fact
+	data map[key]analysis.Fact
 }
 
-type typeKey struct {
+type key struct {
 	analyzer string
-	typeName string
+	obj      *types.Func
+	typ      reflect.Type
 }
 
-type recKey struct {
-	analyzer string
-	object   string
-	typeName string
+// NewStore returns an empty store.
+func NewStore() *Store {
+	return &Store{data: make(map[key]analysis.Fact)}
 }
 
-// NewStore returns a store that can decode the fact types declared by
-// the given analyzers (via Analyzer.FactTypes).
-func NewStore(analyzers []*analysis.Analyzer) *Store {
-	s := &Store{
-		factTypes: make(map[typeKey]reflect.Type),
-		data:      make(map[string]map[recKey]analysis.Fact),
-	}
-	for _, a := range analyzers {
-		for _, ft := range a.FactTypes {
-			t := reflect.TypeOf(ft)
-			if t == nil || t.Kind() != reflect.Pointer {
-				panic(fmt.Sprintf("facts: analyzer %s declares non-pointer fact type %T", a.Name, ft))
-			}
-			s.factTypes[typeKey{a.Name, t.Elem().Name()}] = t.Elem()
-		}
-	}
-	return s
-}
-
-// ObjectKey returns the stable cross-package key for a package-level
-// function or method, or ok=false for objects facts cannot attach to
-// (locals, fields, non-functions). The key never embeds the package
-// path — facts are stored per package.
-func ObjectKey(obj types.Object) (string, bool) {
+// keyFor returns the key of a fact about obj, or ok=false for objects
+// facts cannot attach to (anything but a function or method) and for
+// non-pointer facts. Generic instantiations share their origin's facts.
+func keyFor(analyzer string, obj types.Object, fact analysis.Fact) (key, bool) {
 	fn, ok := obj.(*types.Func)
-	if !ok {
-		return "", false
+	t := reflect.TypeOf(fact)
+	if !ok || t == nil || t.Kind() != reflect.Pointer {
+		return key{}, false
 	}
-	if orig := fn.Origin(); orig != nil {
-		fn = orig // generic instantiations share the origin's facts
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return "", false
-	}
-	recv := sig.Recv()
-	if recv == nil {
-		// Only package-scope functions qualify (closures have no object,
-		// but guard against oddities).
-		if fn.Pkg() == nil || fn.Parent() != fn.Pkg().Scope() {
-			return "", false
-		}
-		return "func " + fn.Name(), true
-	}
-	ptr := false
-	t := recv.Type()
-	if p, isPtr := t.(*types.Pointer); isPtr {
-		ptr = true
-		t = p.Elem()
-	}
-	named := analysis.Named(t)
-	if named == nil {
-		return "", false // methods on unnamed types (shouldn't occur)
-	}
-	if ptr {
-		return fmt.Sprintf("method (*%s) %s", named.Obj().Name(), fn.Name()), true
-	}
-	return fmt.Sprintf("method (%s) %s", named.Obj().Name(), fn.Name()), true
-}
-
-// normPkg strips the " [pkg.test]" suffix the go command appends to
-// test-variant import paths, so facts computed for a package and read
-// back while vetting its test variant agree on the key.
-func normPkg(path string) string {
-	if i := strings.IndexByte(path, ' '); i >= 0 {
-		return path[:i]
-	}
-	return path
+	return key{analyzer, fn.Origin(), t}, true
 }
 
 // Export records a fact about obj under the analyzer's name,
 // overwriting any previous fact of the same type for the object.
 func (s *Store) Export(analyzer string, obj types.Object, fact analysis.Fact) {
-	key, ok := ObjectKey(obj)
-	if !ok || obj.Pkg() == nil {
+	k, ok := keyFor(analyzer, obj, fact)
+	if !ok {
 		return
-	}
-	t := reflect.TypeOf(fact)
-	if t == nil || t.Kind() != reflect.Pointer {
-		return
-	}
-	pkg := normPkg(obj.Pkg().Path())
-	m := s.data[pkg]
-	if m == nil {
-		m = make(map[recKey]analysis.Fact)
-		s.data[pkg] = m
 	}
 	// Store a copy so later mutation of the analyzer's value cannot
-	// change what gets serialized.
-	cp := reflect.New(t.Elem())
+	// change what dependents import.
+	cp := reflect.New(k.typ.Elem())
 	cp.Elem().Set(reflect.ValueOf(fact).Elem())
-	m[recKey{analyzer, key, t.Elem().Name()}] = cp.Interface().(analysis.Fact)
+	s.data[k] = cp.Interface().(analysis.Fact)
 }
 
 // Import copies the stored fact for obj (if any) into fact and reports
 // whether one existed. fact's dynamic type selects which fact is read.
 func (s *Store) Import(analyzer string, obj types.Object, fact analysis.Fact) bool {
-	key, ok := ObjectKey(obj)
-	if !ok || obj.Pkg() == nil {
-		return false
-	}
-	t := reflect.TypeOf(fact)
-	if t == nil || t.Kind() != reflect.Pointer {
-		return false
-	}
-	m := s.data[normPkg(obj.Pkg().Path())]
-	if m == nil {
-		return false
-	}
-	stored, ok := m[recKey{analyzer, key, t.Elem().Name()}]
+	k, ok := keyFor(analyzer, obj, fact)
 	if !ok {
 		return false
 	}
-	sv := reflect.ValueOf(stored)
-	if sv.Type() != t {
+	stored, ok := s.data[k]
+	if !ok {
 		return false
 	}
-	reflect.ValueOf(fact).Elem().Set(sv.Elem())
+	reflect.ValueOf(fact).Elem().Set(reflect.ValueOf(stored).Elem())
 	return true
-}
-
-// record is the serialized form of one fact.
-type record struct {
-	Analyzer string          `json:"analyzer"`
-	Object   string          `json:"object"`
-	Type     string          `json:"type"`
-	Fact     json.RawMessage `json:"fact"`
-}
-
-// EncodePackage serializes the facts recorded for pkgPath. The output
-// is deterministic: same facts, same bytes.
-func (s *Store) EncodePackage(pkgPath string) ([]byte, error) {
-	m := s.data[normPkg(pkgPath)]
-	keys := make([]recKey, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.analyzer != b.analyzer {
-			return a.analyzer < b.analyzer
-		}
-		if a.object != b.object {
-			return a.object < b.object
-		}
-		return a.typeName < b.typeName
-	})
-	var buf bytes.Buffer
-	buf.WriteString(Header)
-	buf.WriteByte('\n')
-	for _, k := range keys {
-		payload, err := json.Marshal(m[k])
-		if err != nil {
-			return nil, fmt.Errorf("facts: encoding %s %s: %w", k.analyzer, k.object, err)
-		}
-		line, err := json.Marshal(record{Analyzer: k.analyzer, Object: k.object, Type: k.typeName, Fact: payload})
-		if err != nil {
-			return nil, err
-		}
-		buf.Write(line)
-		buf.WriteByte('\n')
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodePackage merges the serialized facts into the store under
-// pkgPath. Content without the fact header — including the pre-fact
-// placeholder vetx files and the empty files written for out-of-scope
-// packages — is ignored without error, as are records whose fact type
-// no registered analyzer declares (an older tool's facts).
-func (s *Store) DecodePackage(pkgPath string, data []byte) error {
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	if !sc.Scan() || sc.Text() != Header {
-		return nil
-	}
-	pkg := normPkg(pkgPath)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var rec record
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			return fmt.Errorf("facts: %s: %w", pkg, err)
-		}
-		ft, ok := s.factTypes[typeKey{rec.Analyzer, rec.Type}]
-		if !ok {
-			continue
-		}
-		v := reflect.New(ft)
-		if err := json.Unmarshal(rec.Fact, v.Interface()); err != nil {
-			return fmt.Errorf("facts: %s: decoding %s fact for %q: %w", pkg, rec.Analyzer, rec.Object, err)
-		}
-		m := s.data[pkg]
-		if m == nil {
-			m = make(map[recKey]analysis.Fact)
-			s.data[pkg] = m
-		}
-		m[recKey{rec.Analyzer, rec.Object, rec.Type}] = v.Interface().(analysis.Fact)
-	}
-	return sc.Err()
 }

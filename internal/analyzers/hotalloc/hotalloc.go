@@ -65,8 +65,8 @@ var Analyzer = &analysis.Analyzer{
 // Fact records whether calling a function can allocate. It is exported
 // for every package-level function and method of an analyzed package.
 type Fact struct {
-	Allocates bool   `json:"allocates"`
-	Reason    string `json:"reason,omitempty"`
+	Allocates bool
+	Reason    string
 }
 
 // AFact marks Fact as an analysis fact.

@@ -1,7 +1,6 @@
 package hotalloc_test
 
 import (
-	"bytes"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -40,8 +39,7 @@ func TestOutOfScope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings, err := driver.Run(driver.Unit{Fset: loader.Fset, Files: p.Files, Pkg: p.Types, Info: p.Info},
-		suite(), analyzers.Names())
+	findings, err := driver.Run(loader.Fset, p, suite(), analyzers.Names(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,8 +74,7 @@ func runPkg(t *testing.T, loader *load.Loader, importPath string, store *facts.S
 	if err != nil {
 		t.Fatalf("load %s: %v", importPath, err)
 	}
-	findings, err := driver.RunOpts(driver.Unit{Fset: loader.Fset, Files: p.Files, Pkg: p.Types, Info: p.Info},
-		suite(), analyzers.Names(), driver.Options{Facts: store})
+	findings, err := driver.Run(loader.Fset, p, suite(), analyzers.Names(), store)
 	if err != nil {
 		t.Fatalf("driver %s: %v", importPath, err)
 	}
@@ -87,10 +84,10 @@ func runPkg(t *testing.T, loader *load.Loader, importPath string, store *facts.S
 // TestFactPropagation analyzes hotbase then hotdep through a shared fact
 // store: the dependent package's hot function sees hotbase.Alloc's dirty
 // fact (one diagnostic) and hotbase.Clean / (*Gauge).Add's clean facts
-// (no diagnostics). The encoded fact file round-trips byte-identically.
+// (no diagnostics).
 func TestFactPropagation(t *testing.T) {
 	loader := newDepLoader(t)
-	store := facts.NewStore(suite())
+	store := facts.NewStore()
 
 	if findings := runPkg(t, loader, "coolpim/internal/hotbase", store); len(findings) != 0 {
 		t.Errorf("hotbase (no roots) produced findings: %v", findings)
@@ -104,44 +101,6 @@ func TestFactPropagation(t *testing.T) {
 		!strings.Contains(msg, "make allocates at hotbase.go:") {
 		t.Errorf("Alloc diagnostic = %q, want dirty-fact message carrying the root cause", msg)
 	}
-
-	// Serialization: deterministic content, byte-identical round trip.
-	enc1, err := store.EncodePackage("coolpim/internal/hotbase")
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSuffix(string(enc1), "\n"), "\n")
-	if lines[0] != facts.Header {
-		t.Errorf("fact file header = %q, want %q", lines[0], facts.Header)
-	}
-	wantSubstr := []string{
-		`"object":"func Alloc"`,
-		`"object":"func Clean"`,
-		`"object":"method (*Gauge) Add"`,
-		`"allocates":true`,
-	}
-	for _, sub := range wantSubstr {
-		if !strings.Contains(string(enc1), sub) {
-			t.Errorf("fact file missing %s:\n%s", sub, enc1)
-		}
-	}
-	// Records sort by object key: Alloc < Clean < method.
-	if !(strings.Index(string(enc1), "func Alloc") < strings.Index(string(enc1), "func Clean") &&
-		strings.Index(string(enc1), "func Clean") < strings.Index(string(enc1), "method (*Gauge) Add")) {
-		t.Errorf("fact records not in sorted object order:\n%s", enc1)
-	}
-
-	store2 := facts.NewStore(suite())
-	if err := store2.DecodePackage("coolpim/internal/hotbase", enc1); err != nil {
-		t.Fatal(err)
-	}
-	enc2, err := store2.EncodePackage("coolpim/internal/hotbase")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(enc1, enc2) {
-		t.Errorf("fact file round trip not byte-identical:\n--- first\n%s--- second\n%s", enc1, enc2)
-	}
 }
 
 // TestMissingFactDiagnosed: without hotbase's facts in the store, every
@@ -149,7 +108,7 @@ func TestFactPropagation(t *testing.T) {
 // unvetted dependency cannot silently pass.
 func TestMissingFactDiagnosed(t *testing.T) {
 	loader := newDepLoader(t)
-	findings := runPkg(t, loader, "coolpim/internal/hotdep", facts.NewStore(suite()))
+	findings := runPkg(t, loader, "coolpim/internal/hotdep", facts.NewStore())
 	if len(findings) != 3 {
 		t.Fatalf("hotdep without base facts: findings = %v, want 3 missing-fact diagnostics", findings)
 	}
@@ -157,21 +116,5 @@ func TestMissingFactDiagnosed(t *testing.T) {
 		if !strings.Contains(f.Message, "has no hotalloc fact") {
 			t.Errorf("finding %q, want missing-fact message", f.Message)
 		}
-	}
-}
-
-// TestLegacyVetxIgnored: decoding a pre-fact placeholder vetx file is a
-// silent no-op, and re-encoding still yields just the header.
-func TestLegacyVetxIgnored(t *testing.T) {
-	store := facts.NewStore(suite())
-	if err := store.DecodePackage("coolpim/internal/sim", []byte("coolpim-vet: no facts\n")); err != nil {
-		t.Fatal(err)
-	}
-	enc, err := store.EncodePackage("coolpim/internal/sim")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(enc) != facts.Header+"\n" {
-		t.Errorf("empty package encoding = %q, want header only", enc)
 	}
 }

@@ -2,10 +2,9 @@
 // analyzer testdata packages) from source, using only the standard
 // library. Module-internal imports resolve against the repository tree;
 // standard-library imports resolve through go/importer's source
-// importer, which type-checks from $GOROOT/src. This keeps the analyzer
-// test harness and coolpim-vet's standalone mode free of external
-// dependencies; under `go vet -vettool` the toolchain supplies export
-// data instead and this package is not involved.
+// importer, which type-checks from $GOROOT/src. This keeps coolpim-vet,
+// the analyzer test harness and the test-only API guard free of
+// external dependencies.
 package load
 
 import (
@@ -18,7 +17,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strings"
 )
 
@@ -26,8 +24,11 @@ import (
 type Package struct {
 	Path  string
 	Files []*ast.File
-	Types *types.Package
-	Info  *types.Info
+	// TestFiles are the directory's _test.go files, parsed for their
+	// comments (the //coolpim:allow directives) and never type-checked.
+	TestFiles []*ast.File
+	Types     *types.Package
+	Info      *types.Info
 }
 
 // Loader loads packages by import path with shared caches. It is not
@@ -41,9 +42,6 @@ type Loader struct {
 	std     types.Importer
 	pkgs    map[string]*Package
 	loading map[string]bool
-	// IncludeTests controls whether _test.go files of the package itself
-	// are parsed (external _test packages are never loaded).
-	IncludeTests bool
 }
 
 var moduleLine = regexp.MustCompile(`(?m)^module\s+(\S+)`)
@@ -126,12 +124,12 @@ func (l *Loader) Load(importPath string) (*Package, error) {
 	l.loading[importPath] = true
 	defer delete(l.loading, importPath)
 
-	files, err := l.parseDir(dir)
+	files, testFiles, err := l.parseDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("load: no buildable Go files in %s", dir)
+	if len(files)+len(testFiles) == 0 {
+		return nil, fmt.Errorf("load: no Go files in %s", dir)
 	}
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
@@ -145,56 +143,34 @@ func (l *Loader) Load(importPath string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("load: typecheck %s: %w", importPath, err)
 	}
-	p := &Package{Path: importPath, Files: files, Types: tpkg, Info: info}
+	p := &Package{Path: importPath, Files: files, TestFiles: testFiles, Types: tpkg, Info: info}
 	l.pkgs[importPath] = p
 	return p, nil
 }
 
-// parseDir parses the non-test (plus, if IncludeTests, in-package test)
-// files of dir in sorted filename order.
-func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
+// parseDir parses the Go files of dir in filename order, splitting
+// the non-test files from the _test.go files.
+func (l *Loader) parseDir(dir string) (files, testFiles []*ast.File, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var names []string
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") {
 			continue
 		}
-		if strings.HasSuffix(name, "_test.go") && !l.IncludeTests {
-			continue
-		}
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var parsed []*ast.File
-	var fileNames []string
-	for _, name := range names {
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		parsed = append(parsed, f)
-		fileNames = append(fileNames, name)
-	}
-	// Keep only the dominant package: the one named by the non-test
-	// files. External _test packages in the same directory are skipped.
-	pkgName := ""
-	for i, f := range parsed {
-		if !strings.HasSuffix(fileNames[i], "_test.go") {
-			pkgName = f.Name.Name
-			break
-		}
-	}
-	var files []*ast.File
-	for _, f := range parsed {
-		if pkgName == "" || f.Name.Name == pkgName {
+		if strings.HasSuffix(name, "_test.go") {
+			testFiles = append(testFiles, f)
+		} else {
 			files = append(files, f)
 		}
 	}
-	return files, nil
+	return files, testFiles, nil
 }
 
 // loaderImporter adapts Loader to types.Importer, routing module and

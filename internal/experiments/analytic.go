@@ -42,10 +42,10 @@ type Table1Row struct {
 // Table1 returns the FLIT accounting of Table I.
 func Table1() []Table1Row {
 	return []Table1Row{
-		{"64-byte READ", flit.RequestFlits(flit.CmdRead64, false), flit.ResponseFlits(flit.CmdRead64, false)},
-		{"64-byte WRITE", flit.RequestFlits(flit.CmdWrite64, false), flit.ResponseFlits(flit.CmdWrite64, false)},
-		{"PIM inst. without return", flit.RequestFlits(flit.CmdPIMSignedAdd, false), flit.ResponseFlits(flit.CmdPIMSignedAdd, false)},
-		{"PIM inst. with return", flit.RequestFlits(flit.CmdPIMSignedAdd, true), flit.ResponseFlits(flit.CmdPIMSignedAdd, true)},
+		{"64-byte READ", flit.RequestFlits(flit.CmdRead64), flit.ResponseFlits(flit.CmdRead64, false)},
+		{"64-byte WRITE", flit.RequestFlits(flit.CmdWrite64), flit.ResponseFlits(flit.CmdWrite64, false)},
+		{"PIM inst. without return", flit.RequestFlits(flit.CmdPIMSignedAdd), flit.ResponseFlits(flit.CmdPIMSignedAdd, false)},
+		{"PIM inst. with return", flit.RequestFlits(flit.CmdPIMSignedAdd), flit.ResponseFlits(flit.CmdPIMSignedAdd, true)},
 	}
 }
 

@@ -15,9 +15,6 @@ const (
 	FlitBits = 128
 	// FlitBytes is the size of one flow unit in bytes.
 	FlitBytes = FlitBits / 8
-	// DataBlockBytes is the payload size of a regular read/write
-	// transaction the paper accounts for (64-byte blocks).
-	DataBlockBytes = 64
 )
 
 // Command identifies the transaction a request packet carries.
@@ -73,12 +70,6 @@ func (c Command) String() string {
 // IsPIM reports whether the command is an in-memory (PIM) atomic.
 func (c Command) IsPIM() bool {
 	return c >= CmdPIMSignedAdd && c <= CmdPIMCASLess
-}
-
-// Valid reports whether the command is a defined transaction.
-func (c Command) Valid() bool {
-	_, ok := commandNames[c]
-	return ok && c != CmdInvalid
 }
 
 // PIMClass is the paper's Table III taxonomy of PIM instructions.
@@ -152,9 +143,8 @@ func (c Command) CUDAAtomic() string {
 }
 
 // RequestFlits returns the number of FLITs the request packet of a
-// transaction occupies on the link (Table I). withReturn selects the
-// PIM-with-return variant; it is ignored for regular transactions.
-func RequestFlits(c Command, withReturn bool) int {
+// transaction occupies on the link (Table I).
+func RequestFlits(c Command) int {
 	switch {
 	case c == CmdRead64:
 		return 1 // header+tail only
@@ -183,27 +173,13 @@ func ResponseFlits(c Command, withReturn bool) int {
 	panic(fmt.Sprintf("flit: ResponseFlits(%v)", c))
 }
 
-// TotalFlits returns request+response FLITs for a transaction.
-func TotalFlits(c Command, withReturn bool) int {
-	return RequestFlits(c, withReturn) + ResponseFlits(c, withReturn)
-}
-
 // ErrStat is the 7-bit error status field in a response packet tail
 // (ERRSTAT[6:0]).
 type ErrStat uint8
 
-// Error status values used by the model.
-const (
-	ErrNone ErrStat = 0x00
-	// ErrThermalWarning is raised when the cube exceeds its warning
-	// temperature; the HMC 2.0 spec encodes it as 0x01.
-	ErrThermalWarning ErrStat = 0x01
-)
-
-const errStatMask = 0x7F
-
-// Valid reports whether the value fits in the 7-bit field.
-func (e ErrStat) Valid() bool { return uint8(e) <= errStatMask }
+// ErrThermalWarning is raised when the cube exceeds its warning
+// temperature; the HMC 2.0 spec encodes it as 0x01.
+const ErrThermalWarning ErrStat = 0x01
 
 // Request is a transaction request packet as seen by the link layer.
 type Request struct {
@@ -216,10 +192,7 @@ type Request struct {
 }
 
 // Flits returns the link occupancy of the request packet.
-func (r *Request) Flits() int { return RequestFlits(r.Cmd, r.WithReturn) }
-
-// Bytes returns the wire size of the request packet.
-func (r *Request) Bytes() int { return r.Flits() * FlitBytes }
+func (r *Request) Flits() int { return RequestFlits(r.Cmd) }
 
 // Response is a transaction response packet.
 type Response struct {
@@ -234,9 +207,6 @@ type Response struct {
 // Flits returns the link occupancy of the response packet.
 func (r *Response) Flits() int { return ResponseFlits(r.Cmd, r.WithReturn) }
 
-// Bytes returns the wire size of the response packet.
-func (r *Response) Bytes() int { return r.Flits() * FlitBytes }
-
 // ThermalWarning reports whether the response carries the thermal
 // warning error status.
 func (r *Response) ThermalWarning() bool { return r.ErrStat == ErrThermalWarning }
@@ -250,17 +220,4 @@ func PIMCommands() []Command {
 		CmdPIMAnd, CmdPIMOr, CmdPIMXor,
 		CmdPIMCASEqual, CmdPIMCASGreater, CmdPIMCASLess,
 	}
-}
-
-// BandwidthSaving returns the fraction of link traffic saved by
-// executing an atomic as a PIM instruction instead of the host-side
-// read+write pair it replaces. The paper's "up to 50%" figure is the
-// no-return case: (6+6-3)/12... strictly, READ(6)+WRITE(6)=12 FLITs vs
-// PIM no-return 3 FLITs -> saving 9/12 = 75% for the atomic itself; the
-// paper's 50% figure refers to replacing a single READ or WRITE
-// round-trip (6 FLITs) with a PIM op (3 FLITs).
-func BandwidthSaving(withReturn bool) float64 {
-	hostFlits := TotalFlits(CmdRead64, false) // one 64B round trip: 6 FLITs
-	pim := TotalFlits(CmdPIMSignedAdd, withReturn)
-	return 1 - float64(pim)/float64(hostFlits)
 }

@@ -20,23 +20,3 @@ func (lc *LinkCounters) AddPacket(n int) {
 	lc.Flits += uint64(n)
 	lc.Bytes += uint64(n) * FlitBytes
 }
-
-// AddRequest records a request packet of the given command (Table I
-// request occupancy).
-func (lc *LinkCounters) AddRequest(c Command, withReturn bool) {
-	lc.AddPacket(RequestFlits(c, withReturn))
-}
-
-// AddResponse records a response packet of the given command (Table I
-// response occupancy).
-func (lc *LinkCounters) AddResponse(c Command, withReturn bool) {
-	lc.AddPacket(ResponseFlits(c, withReturn))
-}
-
-// Add accumulates another counter set (used when aggregating per-link
-// tallies into per-cube or network totals).
-func (lc *LinkCounters) Add(o LinkCounters) {
-	lc.Packets += o.Packets
-	lc.Flits += o.Flits
-	lc.Bytes += o.Bytes
-}

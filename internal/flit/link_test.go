@@ -4,11 +4,11 @@ import "testing"
 
 func TestLinkCountersTableI(t *testing.T) {
 	var lc LinkCounters
-	lc.AddRequest(CmdRead64, false)  // 1 FLIT
-	lc.AddResponse(CmdRead64, false) // 5 FLITs
-	lc.AddRequest(CmdWrite64, false) // 5 FLITs
-	lc.AddRequest(CmdPIMSignedAdd, true)
-	lc.AddResponse(CmdPIMSignedAdd, true) // 2 + 2 FLITs
+	lc.AddPacket(RequestFlits(CmdRead64))         // 1 FLIT
+	lc.AddPacket(ResponseFlits(CmdRead64, false)) // 5 FLITs
+	lc.AddPacket(RequestFlits(CmdWrite64))        // 5 FLITs
+	lc.AddPacket(RequestFlits(CmdPIMSignedAdd))
+	lc.AddPacket(ResponseFlits(CmdPIMSignedAdd, true)) // 2 + 2 FLITs
 
 	if lc.Packets != 5 {
 		t.Fatalf("Packets = %d, want 5", lc.Packets)
@@ -19,12 +19,5 @@ func TestLinkCountersTableI(t *testing.T) {
 	}
 	if lc.Bytes != wantFlits*FlitBytes {
 		t.Fatalf("Bytes = %d, want %d", lc.Bytes, wantFlits*FlitBytes)
-	}
-
-	var total LinkCounters
-	total.Add(lc)
-	total.Add(lc)
-	if total.Flits != 2*lc.Flits || total.Packets != 2*lc.Packets || total.Bytes != 2*lc.Bytes {
-		t.Fatalf("Add aggregate mismatch: %+v vs 2x %+v", total, lc)
 	}
 }

@@ -56,9 +56,9 @@ type Config struct {
 	// MaxQueue bounds queued campaigns across all tenants; an arrival
 	// past the limit is rejected with 429 + Retry-After.
 	MaxQueue int
-	// RunFn overrides campaign execution (tests); nil runs real
+	// runFn overrides campaign execution (tests); nil runs real
 	// simulations via experiments.RunMatrixOpts.
-	RunFn RunFunc
+	runFn RunFunc
 }
 
 // Server is the HTTP simulation service. Construct with New, mount
@@ -95,7 +95,7 @@ func New(cfg Config) (*Server, error) {
 		ledger: l,
 		adm:    newAdmission(cfg.MaxInflight, cfg.MaxQueue),
 		runs:   newRegistry(),
-		runFn:  cfg.RunFn,
+		runFn:  cfg.runFn,
 	}
 	if s.runFn == nil {
 		s.runFn = s.runCampaign

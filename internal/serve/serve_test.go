@@ -135,7 +135,7 @@ func TestConcurrentIdenticalSubmitsShareOneExecution(t *testing.T) {
 	release := make(chan struct{})
 	_, ts := newTestServer(t, Config{
 		MaxInflight: 4,
-		RunFn: func(ctx context.Context, spec experiments.CampaignSpec, progress func(string, bool, string)) ([]byte, error) {
+		runFn: func(ctx context.Context, spec experiments.CampaignSpec, progress func(string, bool, string)) ([]byte, error) {
 			wl := spec.Workloads[0]
 			mu.Lock()
 			runs[wl]++
@@ -195,7 +195,7 @@ func TestInvalidSubmissionsRejected(t *testing.T) {
 	}
 	var runs atomic.Int64
 	_, ts := newTestServer(t, Config{
-		RunFn: func(ctx context.Context, spec experiments.CampaignSpec, progress func(string, bool, string)) ([]byte, error) {
+		runFn: func(ctx context.Context, spec experiments.CampaignSpec, progress func(string, bool, string)) ([]byte, error) {
 			runs.Add(1)
 			return []byte(`{}`), nil
 		},
@@ -236,7 +236,7 @@ func TestOverloadReturns429WithRetryAfter(t *testing.T) {
 	s, ts := newTestServer(t, Config{
 		MaxInflight: 1,
 		MaxQueue:    0,
-		RunFn: func(ctx context.Context, spec experiments.CampaignSpec, progress func(string, bool, string)) ([]byte, error) {
+		runFn: func(ctx context.Context, spec experiments.CampaignSpec, progress func(string, bool, string)) ([]byte, error) {
 			close(started)
 			<-release
 			return []byte(`{"stub":true}`), nil
@@ -298,7 +298,7 @@ func TestFailedCampaignIsRetriable(t *testing.T) {
 	ledger := filepath.Join(t.TempDir(), "ledger.jsonl")
 	s, ts := newTestServer(t, Config{
 		LedgerPath: ledger,
-		RunFn: func(ctx context.Context, spec experiments.CampaignSpec, progress func(string, bool, string)) ([]byte, error) {
+		runFn: func(ctx context.Context, spec experiments.CampaignSpec, progress func(string, bool, string)) ([]byte, error) {
 			if calls.Add(1) == 1 {
 				return nil, fmt.Errorf("solver diverged")
 			}
@@ -330,7 +330,7 @@ func TestFailedCampaignIsRetriable(t *testing.T) {
 func TestWatchStreamsProgressEvents(t *testing.T) {
 	release := make(chan struct{})
 	_, ts := newTestServer(t, Config{
-		RunFn: func(ctx context.Context, spec experiments.CampaignSpec, progress func(string, bool, string)) ([]byte, error) {
+		runFn: func(ctx context.Context, spec experiments.CampaignSpec, progress func(string, bool, string)) ([]byte, error) {
 			progress("dc/baseline", false, "")
 			progress("dc/coolpim-hw", true, "")
 			<-release
@@ -396,7 +396,7 @@ func TestStatusFallsBackToCacheAcrossRestart(t *testing.T) {
 	stub := func(ctx context.Context, spec experiments.CampaignSpec, progress func(string, bool, string)) ([]byte, error) {
 		return []byte(`{"stub":true}`), nil
 	}
-	s1, ts1 := newTestServer(t, Config{LedgerPath: ledger, RunFn: stub})
+	s1, ts1 := newTestServer(t, Config{LedgerPath: ledger, runFn: stub})
 	resp, _ := post(t, ts1.URL+"/v1/runs", testSpec, nil)
 	runID := resp.Header.Get("X-Run-Id")
 	if runID == "" {
@@ -405,7 +405,7 @@ func TestStatusFallsBackToCacheAcrossRestart(t *testing.T) {
 	ts1.Close()
 	s1.Close()
 
-	_, ts2 := newTestServer(t, Config{LedgerPath: ledger, RunFn: stub})
+	_, ts2 := newTestServer(t, Config{LedgerPath: ledger, runFn: stub})
 	if code, doc := getStatus(t, ts2.URL, runID); code != http.StatusOK || doc.State != StateDone || string(doc.Result) != `{"stub":true}` {
 		t.Fatalf("restart status: %d %+v", code, doc)
 	}
@@ -517,7 +517,7 @@ func TestStaleCampaignRecordIsNotAHit(t *testing.T) {
 	var s *Server
 	slots := -1
 	s, ts := newTestServer(t, Config{LedgerPath: ledger,
-		RunFn: func(ctx context.Context, spec experiments.CampaignSpec, progress func(string, bool, string)) ([]byte, error) {
+		runFn: func(ctx context.Context, spec experiments.CampaignSpec, progress func(string, bool, string)) ([]byte, error) {
 			s.adm.mu.Lock()
 			slots = s.adm.inflight
 			s.adm.mu.Unlock()
@@ -540,7 +540,7 @@ func TestStaleCampaignRecordIsNotAHit(t *testing.T) {
 // with values consistent with the traffic just generated.
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{
-		RunFn: func(ctx context.Context, spec experiments.CampaignSpec, progress func(string, bool, string)) ([]byte, error) {
+		runFn: func(ctx context.Context, spec experiments.CampaignSpec, progress func(string, bool, string)) ([]byte, error) {
 			return []byte(`{"stub":true}`), nil
 		},
 	})
