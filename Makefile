@@ -53,8 +53,9 @@ bench:
 
 # The performance trajectory: bench-json regenerates the committed
 # BENCH_<n>.json snapshots (event-engine ns/op + allocs/op, cube
-# read/PIM throughput, cache lookup and fill, the two profile graphs'
-# RMAT generation, one full-system run's wall time). Each benchmark
+# read/PIM throughput, the GPU's warp issue path per warp op, cache
+# lookup and fill, the two profile graphs' RMAT generation, one
+# full-system run's wall time). Each benchmark
 # runs BENCH_COUNT times; benchjson folds the runs into a median with
 # its min-max spread, and compares the new snapshot against the
 # previous one, flagging every delta outside the observed spread. That
@@ -66,7 +67,7 @@ bench:
 BENCH_NEXT := $(shell n=$$(ls BENCH_[0-9]*.json 2>/dev/null | wc -l); echo $$((n+1)))
 BENCH_PREV := BENCH_$(shell echo $$(($(BENCH_NEXT)-1))).json
 BENCH_COUNT := 5
-BENCH_SUBSTRATE := ^(BenchmarkEventEngine|BenchmarkEventQueueMix|BenchmarkCubeReadThroughput|BenchmarkCubePIMThroughput)$$
+BENCH_SUBSTRATE := ^(BenchmarkEventEngine|BenchmarkEventQueueMix|BenchmarkCubeReadThroughput|BenchmarkCubePIMThroughput|BenchmarkWarpIssue)$$
 BENCH_CACHE := ^(BenchmarkCacheAccess|BenchmarkCacheFill)$$
 BENCH_THERMAL := ^(BenchmarkThermalStep|BenchmarkSolveSteady|BenchmarkStepFast)$$
 BENCH_COUPLER := ^BenchmarkApplyPowerTick(Adaptive)?$$

@@ -47,7 +47,6 @@ var testOnlyAPI = []string{
 	"internal/sim.Engine.After",
 	"internal/sim.Engine.Every",
 	"internal/sim.Engine.Run",
-	"internal/simt.Ctx.Load1",
 	"internal/simt.Ctx.TotalThreads",
 	"internal/simt.FirstN",
 	"internal/simt.Mask.Clear",

@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"coolpim/internal/cache"
@@ -19,12 +20,14 @@ import (
 	"coolpim/internal/dram"
 	"coolpim/internal/experiments"
 	"coolpim/internal/flit"
+	"coolpim/internal/gpu"
 	"coolpim/internal/graph"
 	"coolpim/internal/hmc"
 	"coolpim/internal/kernels"
 	"coolpim/internal/mem"
 	"coolpim/internal/power"
 	"coolpim/internal/sim"
+	"coolpim/internal/simt"
 	"coolpim/internal/system"
 	"coolpim/internal/thermal"
 	"coolpim/internal/units"
@@ -370,6 +373,76 @@ func BenchmarkCubePIMThroughput(b *testing.B) {
 	eng.Run()
 }
 
+// BenchmarkWarpIssue measures the GPU's warp issue path: one gpu.GPU on
+// a real cube (naive offloading) runs 64 warps of one of two kernels, and
+// the benchmark reports the host time and the allocations per simulated
+// warp op. Each warp works on its own two cache lines, so after the
+// first misses the memory ops hit in the caches and the cost left is
+// issuing them. "posted" issues mostly ops whose results the kernel never
+// reads: each step is four rounds of a store, a no-return atomic and a
+// compute, then one blocking load. "blocking" issues mostly ops that
+// suspend the warp: each step waits for the previous step's async load,
+// starts its own, then issues a load and a returning atomic. The kernels
+// run about b.N warp ops in all, so ns/op also approximates the time per
+// warp op.
+func BenchmarkWarpIssue(b *testing.B) {
+	const warps = 64
+	for _, k := range []struct {
+		name    string
+		perStep int // warp ops per step
+		kernel  func(c *simt.Ctx, steps int, data mem.Buffer, idx, one *[simt.WarpSize]uint32)
+	}{
+		{"posted", 13, func(c *simt.Ctx, steps int, data mem.Buffer, idx, one *[simt.WarpSize]uint32) {
+			for i := 0; i < steps; i++ {
+				for j := 0; j < 4; j++ {
+					c.Store(simt.FullMask, data, idx, one)
+					c.Atomic(mem.AtomicAdd, simt.FullMask, data, idx, one, nil, false)
+					c.Compute(2)
+				}
+				c.Load(simt.FullMask, data, idx)
+			}
+		}},
+		{"blocking", 4, func(c *simt.Ctx, steps int, data mem.Buffer, idx, one *[simt.WarpSize]uint32) {
+			for i := 0; i < steps; i++ {
+				if i > 0 {
+					c.Wait()
+				}
+				c.LoadAsync(simt.FullMask, data, idx)
+				c.Load(simt.FullMask, data, idx)
+				c.Atomic(mem.AtomicAdd, simt.FullMask, data, idx, one, nil, true)
+			}
+			c.Wait()
+		}},
+	} {
+		b.Run(k.name, func(b *testing.B) {
+			eng := sim.New()
+			space := mem.NewSpace(1 << 16)
+			cube := hmc.New(eng, space, hmc.DefaultConfig())
+			g := gpu.New(eng, space, cube, core.NewNaiveOffloading(), gpu.DefaultConfig())
+			data := space.Alloc("data", warps*simt.WarpSize, false)
+			steps := max(1, b.N/(warps*k.perStep))
+			kernel := func(c *simt.Ctx) {
+				var idx, one [simt.WarpSize]uint32
+				for l := range idx {
+					idx[l] = uint32(c.GlobalWarp*simt.WarpSize + l)
+					one[l] = 1
+				}
+				k.kernel(c, steps, data, &idx, &one)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			g.RunKernel(&gpu.Launch{Kernel: kernel, Blocks: warps * simt.WarpSize / 128, BlockDim: 128})
+			eng.Run()
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			ops := float64(g.Stats().WarpOps)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/ops, "ns/warp-op")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/ops, "allocs/warp-op")
+		})
+	}
+}
+
 // BenchmarkThermalStep measures one paper-profile thermal tick (10 µs of
 // simulated time ≈ 12 Euler substeps over the 289-node HMC 2.0 network)
 // on a warm model — the stencil kernel's closed-loop hot path.
@@ -428,7 +501,7 @@ func BenchmarkDRAMBankSchedule(b *testing.B) {
 	tm := dram.DefaultTiming()
 	now := units.Time(0)
 	for i := 0; i < b.N; i++ {
-		_, free := bank.Schedule(now, dram.AccessKind(i%3), tm)
+		_, free := bank.Schedule(now, dram.AccessKind(i%3), &tm)
 		now = free
 	}
 }

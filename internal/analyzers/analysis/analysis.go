@@ -11,7 +11,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // Analyzer describes one static check of the suite.
@@ -40,6 +39,9 @@ type Fact interface {
 
 // Pass carries one package's worth of parsed and type-checked input to
 // an Analyzer's Run function, plus the Report sink for diagnostics.
+// Files holds the package's non-test files only: the suite's invariants
+// guard simulation code, and tests are free to read wall clocks, spawn
+// helpers and compare floats.
 type Pass struct {
 	Analyzer  *Analyzer
 	Fset      *token.FileSet
@@ -83,35 +85,6 @@ type Diagnostic struct {
 // Reportf reports a formatted diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
-}
-
-// PkgPath returns the package's import path with the test-variant
-// suffix (`pkg [pkg.test]`) that the go vet driver appends stripped, so
-// scope checks behave identically for a package and its test recompile.
-func (p *Pass) PkgPath() string {
-	path := p.Pkg.Path()
-	if i := strings.IndexByte(path, ' '); i >= 0 {
-		path = path[:i]
-	}
-	return path
-}
-
-// InTestFile reports whether pos lies in a _test.go file. The suite's
-// invariants guard simulation code; tests are free to read wall clocks,
-// spawn helpers and compare floats.
-func (p *Pass) InTestFile(pos token.Pos) bool {
-	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
-}
-
-// NonTestFiles returns the pass's files excluding _test.go files.
-func (p *Pass) NonTestFiles() []*ast.File {
-	var out []*ast.File
-	for _, f := range p.Files {
-		if !p.InTestFile(f.Pos()) {
-			out = append(out, f)
-		}
-	}
-	return out
 }
 
 // WalkStack traverses every node of f in source order, calling fn with

@@ -40,10 +40,10 @@ var engineSchedulers = map[string]bool{
 }
 
 func run(pass *analysis.Pass) error {
-	if !strings.HasPrefix(pass.PkgPath(), scopeAll) {
+	if !strings.HasPrefix(pass.Pkg.Path(), scopeAll) {
 		return nil
 	}
-	for _, f := range pass.NonTestFiles() {
+	for _, f := range pass.Files {
 		checkFile(pass, f)
 	}
 	return nil
@@ -72,7 +72,7 @@ func checkWallClock(pass *analysis.Pass, call *ast.CallExpr, stack []ast.Node) {
 	if !analysis.IsPkgFunc(pass.TypesInfo, call, "time", "Now", "Since") {
 		return
 	}
-	if pass.PkgPath() == simPkg && enclosingFuncName(stack) == "step" {
+	if pass.Pkg.Path() == simPkg && enclosingFuncName(stack) == "step" {
 		return // baked-in exception: Observer profiling in Engine.step
 	}
 	fn := analysis.CalleeFunc(pass.TypesInfo, call)

@@ -37,10 +37,10 @@ var schedulers = map[string]bool{
 }
 
 func run(pass *analysis.Pass) error {
-	if !strings.HasPrefix(pass.PkgPath(), "coolpim") {
+	if !strings.HasPrefix(pass.Pkg.Path(), "coolpim") {
 		return nil
 	}
-	for _, f := range pass.NonTestFiles() {
+	for _, f := range pass.Files {
 		analysis.WalkStack(f, func(n ast.Node, stack []ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {

@@ -124,10 +124,10 @@ type checker struct {
 }
 
 func run(pass *analysis.Pass) error {
-	if !strings.HasPrefix(pass.PkgPath(), scope) {
+	if !strings.HasPrefix(pass.Pkg.Path(), scope) {
 		return nil
 	}
-	files := pass.NonTestFiles()
+	files := pass.Files
 	c := &checker{
 		pass:  pass,
 		graph: callgraph.Build(files, pass.TypesInfo),

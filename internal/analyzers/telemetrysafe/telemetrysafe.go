@@ -46,12 +46,12 @@ var instruments = map[string]bool{
 }
 
 func run(pass *analysis.Pass) error {
-	path := pass.PkgPath()
+	path := pass.Pkg.Path()
 	if !strings.HasPrefix(path, "coolpim") {
 		return nil
 	}
 	inTelemetry := path == telemetryPkg
-	for _, f := range pass.NonTestFiles() {
+	for _, f := range pass.Files {
 		analysis.WalkStack(f, func(n ast.Node, stack []ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncDecl:

@@ -47,11 +47,11 @@ func unitTypeName(t types.Type) string {
 }
 
 func run(pass *analysis.Pass) error {
-	path := pass.PkgPath()
+	path := pass.Pkg.Path()
 	if path == unitsPkg || !strings.HasPrefix(path, "coolpim") {
 		return nil
 	}
-	for _, f := range pass.NonTestFiles() {
+	for _, f := range pass.Files {
 		// Table-literal files transcribe the paper's parameter tables
 		// (Table II pJ/bit figures, Table IV derating phases); demanding
 		// a unit constructor on every cell would bury the data.

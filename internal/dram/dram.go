@@ -213,8 +213,9 @@ func (b *Bank) Stats() Stats { return b.stats }
 // the bank can accept the next access. PIM accesses model the HMC 2.0
 // atomic read-modify-write: the bank is locked for the entire
 // read + functional-unit + write-back sequence, so no other request to
-// the bank can be serviced meanwhile.
-func (b *Bank) Schedule(now units.Time, k AccessKind, t Timing) (dataAt, freeAt units.Time) {
+// the bank can be serviced meanwhile. t is a pointer because the cube
+// books one access per request and a Timing is 80 bytes.
+func (b *Bank) Schedule(now units.Time, k AccessKind, t *Timing) (dataAt, freeAt units.Time) {
 	start := max(now, b.freeAt)
 	var active units.Time // activate-to-data/completion portion
 	var tail units.Time   // post-data occupancy before precharge

@@ -81,7 +81,7 @@ func TestTimingScaleFromPhase(t *testing.T) {
 func TestBankReadTiming(t *testing.T) {
 	var b Bank
 	tm := DefaultTiming()
-	dataAt, freeAt := b.Schedule(0, ReadAccess, tm)
+	dataAt, freeAt := b.Schedule(0, ReadAccess, &tm)
 	wantData := tm.TRCD + tm.TCL + tm.TBurst64
 	if dataAt != wantData {
 		t.Errorf("read dataAt = %v, want %v", dataAt, wantData)
@@ -99,8 +99,8 @@ func TestBankPIMAtomicity(t *testing.T) {
 	// precharge).
 	var b Bank
 	tm := DefaultTiming()
-	_, pimFree := b.Schedule(0, PIMAccess, tm)
-	dataAt, _ := b.Schedule(0, ReadAccess, tm)
+	_, pimFree := b.Schedule(0, PIMAccess, &tm)
+	dataAt, _ := b.Schedule(0, ReadAccess, &tm)
 	if dataAt < pimFree {
 		t.Errorf("read data at %v arrived before PIM released bank at %v", dataAt, pimFree)
 	}
@@ -115,7 +115,7 @@ func TestBankRespectsTRAS(t *testing.T) {
 	tm := DefaultTiming()
 	tm.TRAS = units.FromNanoseconds(100)
 	var b Bank
-	_, freeAt := b.Schedule(0, ReadAccess, tm)
+	_, freeAt := b.Schedule(0, ReadAccess, &tm)
 	want := tm.TRAS + tm.TRP
 	if freeAt != want {
 		t.Errorf("freeAt = %v, want %v (tRAS bound)", freeAt, want)
@@ -125,8 +125,8 @@ func TestBankRespectsTRAS(t *testing.T) {
 func TestBankQueueing(t *testing.T) {
 	var b Bank
 	tm := DefaultTiming()
-	_, free1 := b.Schedule(0, ReadAccess, tm)
-	data2, _ := b.Schedule(0, ReadAccess, tm) // arrives while busy
+	_, free1 := b.Schedule(0, ReadAccess, &tm)
+	data2, _ := b.Schedule(0, ReadAccess, &tm) // arrives while busy
 	if data2 != free1+tm.TRCD+tm.TCL+tm.TBurst64 {
 		t.Errorf("queued read dataAt = %v, want start at %v", data2, free1)
 	}
@@ -135,9 +135,9 @@ func TestBankQueueing(t *testing.T) {
 func TestBankIdleGap(t *testing.T) {
 	var b Bank
 	tm := DefaultTiming()
-	b.Schedule(0, ReadAccess, tm)
+	b.Schedule(0, ReadAccess, &tm)
 	late := units.FromNanoseconds(1000)
-	dataAt, _ := b.Schedule(late, ReadAccess, tm)
+	dataAt, _ := b.Schedule(late, ReadAccess, &tm)
 	if dataAt != late+tm.TRCD+tm.TCL+tm.TBurst64 {
 		t.Errorf("idle-gap read dataAt = %v", dataAt)
 	}
@@ -146,9 +146,9 @@ func TestBankIdleGap(t *testing.T) {
 func TestWriteRecovery(t *testing.T) {
 	var b Bank
 	tm := DefaultTiming()
-	_, wFree := b.Schedule(0, WriteAccess, tm)
+	_, wFree := b.Schedule(0, WriteAccess, &tm)
 	var b2 Bank
-	_, rFree := b2.Schedule(0, ReadAccess, tm)
+	_, rFree := b2.Schedule(0, ReadAccess, &tm)
 	if wFree <= rFree {
 		t.Errorf("write occupancy %v not longer than read %v (tWR missing?)", wFree, rFree)
 	}
@@ -165,7 +165,7 @@ func TestRefresh(t *testing.T) {
 		t.Errorf("refresh count = %d", b.Stats().Refreshes)
 	}
 	// Refresh while busy waits for the bank.
-	dataAt, _ := b.Schedule(0, ReadAccess, tm)
+	dataAt, _ := b.Schedule(0, ReadAccess, &tm)
 	_ = dataAt
 	f2 := b.Refresh(0, tm)
 	if f2 < freeAt {
@@ -195,7 +195,7 @@ func TestBankMonotonicProperty(t *testing.T) {
 		for i := 0; i < int(n%64)+1; i++ {
 			now += units.Time(rng.Int63n(int64(50 * units.Nanosecond)))
 			kind := AccessKind(rng.Intn(3))
-			dataAt, freeAt := b.Schedule(now, kind, tm)
+			dataAt, freeAt := b.Schedule(now, kind, &tm)
 			if freeAt < prevFree || dataAt <= now || dataAt > freeAt {
 				return false
 			}
@@ -215,8 +215,8 @@ func TestDeratedBankIsSlower(t *testing.T) {
 	hot := tm.Scale(PhaseExtended.TimingScale())
 	for _, k := range []AccessKind{ReadAccess, WriteAccess, PIMAccess} {
 		var cool, heated Bank
-		_, fc := cool.Schedule(0, k, tm)
-		_, fh := heated.Schedule(0, k, hot)
+		_, fc := cool.Schedule(0, k, &tm)
+		_, fh := heated.Schedule(0, k, &hot)
 		if fh <= fc {
 			t.Errorf("%v: derated occupancy %v not longer than nominal %v", k, fh, fc)
 		}
@@ -226,7 +226,7 @@ func TestDeratedBankIsSlower(t *testing.T) {
 func TestStatsBusyTime(t *testing.T) {
 	var b Bank
 	tm := DefaultTiming()
-	_, free := b.Schedule(0, ReadAccess, tm)
+	_, free := b.Schedule(0, ReadAccess, &tm)
 	if b.Stats().BusyTime != free {
 		t.Errorf("busy time = %v, want %v", b.Stats().BusyTime, free)
 	}

@@ -153,7 +153,7 @@ func RequestFlits(c Command) int {
 	case c.IsPIM():
 		return 2 // header+tail + 16B immediate
 	}
-	panic(fmt.Sprintf("flit: RequestFlits(%v)", c))
+	panic(flitsError{c, false})
 }
 
 // ResponseFlits returns the number of FLITs the response packet of a
@@ -170,7 +170,24 @@ func ResponseFlits(c Command, withReturn bool) int {
 		}
 		return 1
 	}
-	panic(fmt.Sprintf("flit: ResponseFlits(%v)", c))
+	panic(flitsError{c, true})
+}
+
+// flitsError is the panic value of RequestFlits and ResponseFlits: a
+// command with no packet format. It formats its message only when
+// printed; a fmt.Sprintf in either function would push it past the
+// inliner's budget, and both run on every cube request (DESIGN.md §8b).
+type flitsError struct {
+	c        Command
+	response bool // raised by ResponseFlits, else by RequestFlits
+}
+
+func (e flitsError) Error() string {
+	fn := "RequestFlits"
+	if e.response {
+		fn = "ResponseFlits"
+	}
+	return fmt.Sprintf("flit: %s(%v)", fn, e.c)
 }
 
 // ErrStat is the 7-bit error status field in a response packet tail

@@ -1,6 +1,9 @@
 package flit
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // totalFlits returns request+response FLITs for a transaction.
 func totalFlits(c Command, withReturn bool) int {
@@ -155,13 +158,29 @@ func TestFlitCountsPositive(t *testing.T) {
 	}
 }
 
+// TestRequestFlitsPanicsOnInvalid checks that both FLIT-count helpers
+// reject a command without a packet format, and that the typed panic
+// value prints the message the formatted string it replaced did.
 func TestRequestFlitsPanicsOnInvalid(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("RequestFlits(CmdInvalid) did not panic")
-		}
-	}()
-	RequestFlits(CmdInvalid)
+	for _, tc := range []struct {
+		fn   func()
+		want string
+	}{
+		{func() { RequestFlits(CmdInvalid) }, "flit: RequestFlits(INVALID)"},
+		{func() { ResponseFlits(Command(99), true) }, "flit: ResponseFlits(Command(99))"},
+	} {
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Errorf("%s: no panic", tc.want)
+				} else if got := fmt.Sprint(r); got != tc.want {
+					t.Errorf("panicked with %q, want %q", got, tc.want)
+				}
+			}()
+			tc.fn()
+		}()
+	}
 }
 
 func TestStringNames(t *testing.T) {

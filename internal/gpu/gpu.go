@@ -7,10 +7,10 @@
 // PIM-region handling.
 //
 // Execution is event-driven at warp-operation granularity: warps are
-// coroutines that suspend on memory operations and resume when the
-// timing model completes them, so per-warp behaviour is in-order while
-// the SM hides latency across warps — the first-order performance model
-// of a throughput GPU.
+// coroutines whose ops the timing model executes one at a time, in
+// order, resuming a warp when the op whose result it reads completes,
+// so per-warp behaviour is in-order while the SM hides latency across
+// warps — the first-order performance model of a throughput GPU.
 package gpu
 
 import (
@@ -81,13 +81,17 @@ func (c Config) CycleTime() units.Time {
 
 // Stats aggregates GPU-side activity of one or more kernel launches.
 type Stats struct {
-	WarpOps       uint64
-	DivergentOps  uint64 // warp ops issued with a partial mask
-	ComputeOps    uint64
-	LoadOps       uint64
-	StoreOps      uint64
-	AtomicOps     uint64 // warp-level atomic ops
-	PIMLaneOps    uint64 // lane atomics offloaded as PIM packets
+	WarpOps      uint64
+	DivergentOps uint64 // warp ops issued with a partial mask
+	ComputeOps   uint64
+	LoadOps      uint64
+	StoreOps     uint64
+	AtomicOps    uint64 // warp-level atomic ops
+	// PIMLaneOps counts the lane atomics offloaded to the cube. It is
+	// not a packet count: no-return lanes that hit one address combine
+	// into one packet within a warp (aggregatePIM), so lanes ≥ packets,
+	// equal when no warp combines lanes.
+	PIMLaneOps    uint64
 	HostLaneOps   uint64 // lane atomics executed as host atomics
 	PIMBlocks     uint64
 	NonPIMBlocks  uint64

@@ -98,13 +98,13 @@ func TestLoadsGoThroughCachesAndMemory(t *testing.T) {
 		if c.WarpInBlock != 0 {
 			return
 		}
-		var addr [simt.WarpSize]uint64
+		var idx [simt.WarpSize]uint32
 		for l := 0; l < simt.WarpSize; l++ {
-			addr[l] = buf.Addr(l * 16) // one distinct line per lane
+			idx[l] = uint32(l * 16) // one distinct line per lane
 		}
-		got = c.Load(simt.FullMask, addr)
+		got = c.Load(simt.FullMask, buf, &idx)
 		// Second load of the same lines: L1 hits.
-		got = c.Load(simt.FullMask, addr)
+		got = c.Load(simt.FullMask, buf, &idx)
 	}, 1))
 	for l := 0; l < simt.WarpSize; l++ {
 		if got[l] != uint32(l*16) {
@@ -128,11 +128,8 @@ func TestCoalescingMergesSameLine(t *testing.T) {
 		if c.BlockID != 0 || c.WarpInBlock != 0 {
 			return
 		}
-		var addr [simt.WarpSize]uint64
-		for l := 0; l < simt.WarpSize; l++ {
-			addr[l] = buf.Addr(l) // 32 consecutive words = 2 lines
-		}
-		c.Load(simt.FullMask, addr)
+		idx := consecutive(0) // 32 consecutive words = 2 lines
+		c.Load(simt.FullMask, buf, &idx)
 	}, 1))
 	if s := r.gpu.Stats(); s.LoadLines != 2 {
 		t.Errorf("coalesced lines = %d, want 2", s.LoadLines)
@@ -146,13 +143,8 @@ func TestStoresAreWriteBack(t *testing.T) {
 		if c.BlockID != 0 || c.WarpInBlock != 0 {
 			return
 		}
-		var addr [simt.WarpSize]uint64
-		var val [simt.WarpSize]uint32
-		for l := 0; l < simt.WarpSize; l++ {
-			addr[l] = buf.Addr(l)
-			val[l] = uint32(l + 1)
-		}
-		c.Store(simt.FullMask, addr, val)
+		idx, val := consecutive(0), consecutive(1)
+		c.Store(simt.FullMask, buf, &idx, &val)
 	}, 1))
 	if got := r.space.Load32(buf.Addr(5)); got != 6 {
 		t.Errorf("stored value = %d", got)
@@ -167,11 +159,12 @@ func TestStoresAreWriteBack(t *testing.T) {
 // atomicKernel issues one atomicAdd per lane into the target buffer.
 func atomicKernel(buf mem.Buffer, needReturn bool) simt.KernelFunc {
 	return func(c *simt.Ctx) {
-		var addr [simt.WarpSize]uint64
+		var idx [simt.WarpSize]uint32
 		for l := 0; l < simt.WarpSize; l++ {
-			addr[l] = buf.Addr((c.ThreadID(l)) % buf.Words)
+			idx[l] = uint32(c.ThreadID(l) % buf.Words)
 		}
-		c.Atomic(mem.AtomicAdd, simt.FullMask, addr, splatOnes(), [simt.WarpSize]uint32{}, needReturn)
+		ones := splatOnes()
+		c.Atomic(mem.AtomicAdd, simt.FullMask, buf, &idx, &ones, nil, needReturn)
 	}
 }
 
@@ -179,6 +172,15 @@ func splatOnes() [simt.WarpSize]uint32 {
 	var v [simt.WarpSize]uint32
 	for i := range v {
 		v[i] = 1
+	}
+	return v
+}
+
+// consecutive returns the per-lane values base, base+1, ..., base+31.
+func consecutive(base uint32) [simt.WarpSize]uint32 {
+	var v [simt.WarpSize]uint32
+	for l := range v {
+		v[l] = base + uint32(l)
 	}
 	return v
 }
@@ -242,11 +244,9 @@ func TestPIMAggregationSameAddress(t *testing.T) {
 		if c.BlockID != 0 || c.WarpInBlock != 0 {
 			return
 		}
-		var addr [simt.WarpSize]uint64
-		for l := 0; l < simt.WarpSize; l++ {
-			addr[l] = buf.Addr(0)
-		}
-		c.Atomic(mem.AtomicAdd, simt.FullMask, addr, splatOnes(), [simt.WarpSize]uint32{}, false)
+		var idx [simt.WarpSize]uint32 // every lane names word 0
+		ones := splatOnes()
+		c.Atomic(mem.AtomicAdd, simt.FullMask, buf, &idx, &ones, nil, false)
 	}, 1))
 	if c := r.cube.Counters(); c.PIMOps != 1 {
 		t.Errorf("cube PIM ops = %d, want 1 (aggregated)", c.PIMOps)
@@ -264,11 +264,9 @@ func TestPIMWithReturnNotAggregated(t *testing.T) {
 		if c.BlockID != 0 || c.WarpInBlock != 0 {
 			return
 		}
-		var addr [simt.WarpSize]uint64
-		for l := 0; l < simt.WarpSize; l++ {
-			addr[l] = buf.Addr(0)
-		}
-		olds, _ = c.Atomic(mem.AtomicAdd, simt.FullMask, addr, splatOnes(), [simt.WarpSize]uint32{}, true)
+		var idx [simt.WarpSize]uint32 // every lane names word 0
+		ones := splatOnes()
+		olds, _ = c.Atomic(mem.AtomicAdd, simt.FullMask, buf, &idx, &ones, nil, true)
 	}, 1))
 	if c := r.cube.Counters(); c.PIMOps != 32 {
 		t.Errorf("cube PIM ops = %d, want 32 (per-lane, with return)", c.PIMOps)
@@ -291,11 +289,9 @@ func TestAtomicSubEncodesAsAdd(t *testing.T) {
 		if c.BlockID != 0 || c.WarpInBlock != 0 {
 			return
 		}
-		var addr [simt.WarpSize]uint64
-		addr[0] = buf.Addr(0)
-		var val [simt.WarpSize]uint32
+		var idx, val [simt.WarpSize]uint32
 		val[0] = 7
-		c.Atomic(mem.AtomicSub, simt.LaneMask(0), addr, val, [simt.WarpSize]uint32{}, false)
+		c.Atomic(mem.AtomicSub, simt.LaneMask(0), buf, &idx, &val, nil, false)
 	}, 1))
 	if got := r.space.Load32(buf.Addr(0)); got != 93 {
 		t.Errorf("after sub: %d, want 93", got)
@@ -379,20 +375,22 @@ func TestAsyncLoadOverlap(t *testing.T) {
 			if c.BlockID != 0 || c.WarpInBlock != 0 {
 				return
 			}
-			mk := func(i int) [simt.WarpSize]uint64 {
-				var a [simt.WarpSize]uint64
+			mk := func(i int) [simt.WarpSize]uint32 {
+				var a [simt.WarpSize]uint32
 				for l := 0; l < simt.WarpSize; l++ {
-					a[l] = buf.Addr((i*32 + l) * 16 % buf.Words)
+					a[l] = uint32((i*32 + l) * 16 % buf.Words)
 				}
 				return a
 			}
 			const iters = 50
 			if async {
-				c.LoadAsync(simt.FullMask, mk(0))
+				idx := mk(0)
+				c.LoadAsync(simt.FullMask, buf, &idx)
 				for i := 0; i < iters; i++ {
 					if i+1 < iters {
 						vals := c.Wait()
-						c.LoadAsync(simt.FullMask, mk(i+1))
+						idx = mk(i + 1)
+						c.LoadAsync(simt.FullMask, buf, &idx)
 						_ = vals
 						c.Compute(20)
 					} else {
@@ -402,7 +400,8 @@ func TestAsyncLoadOverlap(t *testing.T) {
 				}
 			} else {
 				for i := 0; i < iters; i++ {
-					c.Load(simt.FullMask, mk(i))
+					idx := mk(i)
+					c.Load(simt.FullMask, buf, &idx)
 					c.Compute(20)
 				}
 			}
@@ -422,13 +421,10 @@ func TestDivergenceAccounting(t *testing.T) {
 		if c.BlockID != 0 || c.WarpInBlock != 0 {
 			return
 		}
-		var addr [simt.WarpSize]uint64
-		for l := 0; l < simt.WarpSize; l++ {
-			addr[l] = buf.Addr(l)
-		}
-		c.Load(simt.FullMask, addr)     // convergent
-		c.Load(simt.FirstN(5), addr)    // divergent
-		c.Load(simt.LaneMask(31), addr) // divergent
+		idx := consecutive(0)
+		c.Load(simt.FullMask, buf, &idx)     // convergent
+		c.Load(simt.FirstN(5), buf, &idx)    // divergent
+		c.Load(simt.LaneMask(31), buf, &idx) // divergent
 	}, 1))
 	s := r.gpu.Stats()
 	if s.DivergentOps != 2 {
@@ -530,12 +526,9 @@ func TestPIMRegionBypassesL1(t *testing.T) {
 		if c.BlockID != 0 || c.WarpInBlock != 0 {
 			return
 		}
-		var addr [simt.WarpSize]uint64
-		for l := 0; l < simt.WarpSize; l++ {
-			addr[l] = buf.Addr(l)
-		}
-		c.Load(simt.FullMask, addr)
-		c.Load(simt.FullMask, addr) // would be an L1 hit if cached there
+		idx := consecutive(0)
+		c.Load(simt.FullMask, buf, &idx)
+		c.Load(simt.FullMask, buf, &idx) // would be an L1 hit if cached there
 	}, 1))
 	if s := r.gpu.Stats(); s.UncachedLines != 4 {
 		t.Errorf("volatile-path lines = %d, want 4 (2 per load, no L1)", s.UncachedLines)
@@ -559,11 +552,10 @@ func TestPIMNoReturnCASCarriesCompare(t *testing.T) {
 		if c.BlockID != 0 || c.WarpInBlock != 0 {
 			return
 		}
-		var addr [simt.WarpSize]uint64
-		var val, cmp [simt.WarpSize]uint32
-		addr[0], val[0], cmp[0] = buf.Addr(0), 3, inf
-		addr[1], val[1], cmp[1] = buf.Addr(1), 3, inf
-		c.Atomic(mem.AtomicCAS, simt.FirstN(2), addr, val, cmp, false)
+		var idx, val, cmp [simt.WarpSize]uint32
+		idx[0], val[0], cmp[0] = 0, 3, inf
+		idx[1], val[1], cmp[1] = 1, 3, inf
+		c.Atomic(mem.AtomicCAS, simt.FirstN(2), buf, &idx, &val, &cmp, false)
 	}, 1))
 	if got := r.space.Load32(buf.Addr(0)); got != 3 {
 		t.Errorf("CAS(inf->3) left %d, want 3", got)
@@ -580,17 +572,18 @@ func TestPIMNoReturnCASCarriesCompare(t *testing.T) {
 // one warp that repeats its op over a buffer eight times the L2, so
 // every line misses; a round advances the engine by a fixed window.
 func TestMissPathZeroAllocs(t *testing.T) {
-	load := func(c *simt.Ctx, addr [simt.WarpSize]uint64) { c.Load(simt.FullMask, addr) }
-	atomic := func(needReturn bool) func(*simt.Ctx, [simt.WarpSize]uint64) {
-		return func(c *simt.Ctx, addr [simt.WarpSize]uint64) {
-			c.Atomic(mem.AtomicAdd, simt.FullMask, addr, splatOnes(), [simt.WarpSize]uint32{}, needReturn)
+	load := func(c *simt.Ctx, buf mem.Buffer, idx *[simt.WarpSize]uint32) { c.Load(simt.FullMask, buf, idx) }
+	atomic := func(needReturn bool) func(*simt.Ctx, mem.Buffer, *[simt.WarpSize]uint32) {
+		return func(c *simt.Ctx, buf mem.Buffer, idx *[simt.WarpSize]uint32) {
+			ones := splatOnes()
+			c.Atomic(mem.AtomicAdd, simt.FullMask, buf, idx, &ones, nil, needReturn)
 		}
 	}
 	for _, tc := range []struct {
 		name   string
 		policy core.Policy
 		pim    bool // buffer in the offloading (uncacheable) region
-		op     func(*simt.Ctx, [simt.WarpSize]uint64)
+		op     func(*simt.Ctx, mem.Buffer, *[simt.WarpSize]uint32)
 		check  func(Stats) uint64 // the traffic the case must issue
 	}{
 		{"cacheable load miss", core.NewNonOffloading(), false, load,
@@ -616,12 +609,12 @@ func TestMissPathZeroAllocs(t *testing.T) {
 
 			stop, done := false, false
 			kernel := func(c *simt.Ctx) {
-				var addr [simt.WarpSize]uint64
+				var idx [simt.WarpSize]uint32
 				for i := 0; !stop; i++ {
-					for l := range addr {
-						addr[l] = buf.Addr((i*simt.WarpSize + l) * 16 % buf.Words) // one line per lane
+					for l := range idx {
+						idx[l] = uint32((i*simt.WarpSize + l) * 16 % buf.Words) // one line per lane
 					}
-					tc.op(c, addr)
+					tc.op(c, buf, &idx)
 				}
 			}
 			g.RunKernel(&Launch{Kernel: kernel, Blocks: 1, BlockDim: simt.WarpSize,

@@ -408,7 +408,7 @@ func (c *Cube) serve(now, arrive units.Time, vid, lid, respFlits int, req *flit.
 	if free := bank.FreeAt(); free > ctrlDone {
 		c.counters.BankQueueSum += free - ctrlDone
 	}
-	dataAt, _ := bank.Schedule(ctrlDone, kind, c.timing)
+	dataAt, _ := bank.Schedule(ctrlDone, kind, &c.timing)
 
 	// The TSV bus and the response link are arbitrated when the data is
 	// actually ready (reqState.dataReady) — booking them here would

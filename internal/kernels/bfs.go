@@ -56,7 +56,7 @@ func (w *BFS) topoThreadKernel(useCAS bool) simt.KernelFunc {
 		if !mask.Any() {
 			return
 		}
-		lv := c.Load(mask, gather(level, mask, &v))
+		lv := c.Load(mask, level, &v)
 		var onLevel simt.Mask
 		for l := 0; l < simt.WarpSize; l++ {
 			if mask.Lane(l) && lv[l] == cur {
@@ -66,19 +66,21 @@ func (w *BFS) topoThreadKernel(useCAS bool) simt.KernelFunc {
 		if !onLevel.Any() {
 			return
 		}
-		start, end := d.loadRange(c, onLevel, v)
+		start, end := d.loadRange(c, onLevel, &v)
 		// Relaxations are fire-and-forget PIM/posted atomics: the
 		// topological sweep does not need the old value — termination is
 		// detected by the next round's scan finding no vertex on the new
 		// level, so the warp only reports that this level was non-empty.
-		d.edgeLoopThreadCentric(c, onLevel, start, end, func(active simt.Mask, _, dst [simt.WarpSize]uint32) {
-			addrs := gather(level, active, &dst)
+		nextLevel, unvisited := splat(cur+1), splat(graph.Infinity)
+		var e edgeLoop
+		e.threadCentric(c, d, onLevel, &start, &end)
+		for e.next() {
 			if useCAS {
-				c.Atomic(mem.AtomicCAS, active, addrs, splat(cur+1), splat(graph.Infinity), false)
+				c.Atomic(mem.AtomicCAS, e.active, level, &e.dst, &nextLevel, &unvisited, false)
 			} else {
-				c.Atomic(mem.AtomicMin, active, addrs, splat(cur+1), [simt.WarpSize]uint32{}, false)
+				c.Atomic(mem.AtomicMin, e.active, level, &e.dst, &nextLevel, nil, false)
 			}
-		})
+		}
 		raiseChanged(c, changed)
 	}
 }
@@ -93,6 +95,8 @@ func (w *BFS) topoWarpKernel() simt.KernelFunc {
 	return func(c *simt.Ctx) {
 		stride := c.GridDim * c.BlockDim / simt.WarpSize * simt.WarpSize
 		sawOnLevel := false
+		nextLevel := splat(cur + 1)
+		var e edgeLoop
 		for base := c.GlobalWarp * simt.WarpSize; base < numV; base += stride {
 			chunk, lv := scanChunk(c, level, base, numV)
 			var onLevel simt.Mask
@@ -106,16 +110,16 @@ func (w *BFS) topoWarpKernel() simt.KernelFunc {
 			if !onLevel.Any() {
 				continue
 			}
-			start, end := d.loadRange(c, onLevel, vid)
+			start, end := d.loadRange(c, onLevel, &vid)
 			sawOnLevel = true
 			for l := 0; l < simt.WarpSize; l++ {
 				if !onLevel.Lane(l) {
 					continue
 				}
-				d.edgeLoopWarpCentric(c, start[l], end[l], func(active simt.Mask, _, dst [simt.WarpSize]uint32) {
-					c.Atomic(mem.AtomicMin, active, gather(level, active, &dst),
-						splat(cur+1), [simt.WarpSize]uint32{}, false)
-				})
+				e.warpCentric(c, d, start[l], end[l])
+				for e.next() {
+					c.Atomic(mem.AtomicMin, e.active, level, &e.dst, &nextLevel, nil, false)
+				}
 			}
 		}
 		if sawOnLevel {
@@ -133,20 +137,22 @@ func (w *BFS) dataWarpKernel() simt.KernelFunc {
 	cur := w.round
 	return func(c *simt.Ctx) {
 		stride := c.GridDim * c.BlockDim / simt.WarpSize * simt.WarpSize
+		nextLevel := splat(cur + 1)
+		var e edgeLoop
 		for base := c.GlobalWarp * simt.WarpSize; base < count; base += stride {
 			chunk, vids := scanChunk(c, curFront, base, count)
-			start, end := d.loadRange(c, chunk, vids)
+			start, end := d.loadRange(c, chunk, &vids)
 			for l := 0; l < simt.WarpSize; l++ {
 				if !chunk.Lane(l) {
 					continue
 				}
-				d.edgeLoopWarpCentric(c, start[l], end[l], func(active simt.Mask, _, dst [simt.WarpSize]uint32) {
-					_, ok := c.Atomic(mem.AtomicMin, active, gather(level, active, &dst),
-						splat(cur+1), [simt.WarpSize]uint32{}, true)
-					if push := succeeded(active, ok); push.Any() {
-						next.push(c, push, dst)
+				e.warpCentric(c, d, start[l], end[l])
+				for e.next() {
+					_, ok := c.Atomic(mem.AtomicMin, e.active, level, &e.dst, &nextLevel, nil, true)
+					if push := succeeded(e.active, &ok); push.Any() {
+						next.push(c, push, &e.dst)
 					}
-				})
+				}
 			}
 		}
 	}

@@ -72,18 +72,21 @@ func (w *DC) kernel() simt.KernelFunc {
 		if !mask.Any() {
 			return
 		}
-		start, end := d.loadRange(c, mask, v)
+		start, end := d.loadRange(c, mask, &v)
 		// Credit each vertex its out-degree with one atomic.
 		var deg [simt.WarpSize]uint32
 		for l := 0; l < simt.WarpSize; l++ {
 			deg[l] = end[l] - start[l]
 		}
 		c.Compute(2)
-		c.Atomic(mem.AtomicAdd, mask, gather(dc, mask, &v), deg, [simt.WarpSize]uint32{}, false)
+		c.Atomic(mem.AtomicAdd, mask, dc, &v, &deg, nil, false)
 		// Stream the edge lists, crediting destinations.
-		d.edgeLoopThreadCentric(c, mask, start, end, func(active simt.Mask, _, dst [simt.WarpSize]uint32) {
-			c.Atomic(mem.AtomicAdd, active, gather(dc, active, &dst), splat(1), [simt.WarpSize]uint32{}, false)
-		})
+		one := splat(1)
+		var e edgeLoop
+		e.threadCentric(c, d, mask, &start, &end)
+		for e.next() {
+			c.Atomic(mem.AtomicAdd, e.active, dc, &e.dst, &one, nil, false)
+		}
 	}
 }
 

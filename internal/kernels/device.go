@@ -61,18 +61,6 @@ func SpaceFor(g *graph.Graph) *mem.Space {
 	return mem.NewSpace(words)
 }
 
-// gather fills a lane-address vector addr[lane] = buf.Addr(idx[lane])
-// for active lanes.
-func gather(buf mem.Buffer, mask simt.Mask, idx *[simt.WarpSize]uint32) [simt.WarpSize]uint64 {
-	var addr [simt.WarpSize]uint64
-	for l := 0; l < simt.WarpSize; l++ {
-		if mask.Lane(l) {
-			addr[l] = buf.Addr(int(idx[l]))
-		}
-	}
-	return addr
-}
-
 // splat fills a value vector with v on all lanes.
 func splat(v uint32) [simt.WarpSize]uint32 {
 	var out [simt.WarpSize]uint32
@@ -97,13 +85,13 @@ func laneVertices(c *simt.Ctx, numV int) (mask simt.Mask, v [simt.WarpSize]uint3
 
 // loadRange loads offsets[v] and offsets[v+1] for the active lanes,
 // returning per-lane [start, end) edge ranges.
-func (d *Device) loadRange(c *simt.Ctx, mask simt.Mask, v [simt.WarpSize]uint32) (start, end [simt.WarpSize]uint32) {
-	var vNext [simt.WarpSize]uint32
-	for l := 0; l < simt.WarpSize; l++ {
-		vNext[l] = v[l] + 1
+func (d *Device) loadRange(c *simt.Ctx, mask simt.Mask, v *[simt.WarpSize]uint32) (start, end [simt.WarpSize]uint32) {
+	vNext := *v
+	for l := range vNext {
+		vNext[l]++
 	}
-	start = c.Load(mask, gather(d.Offsets, mask, &v))
-	end = c.Load(mask, gather(d.Offsets, mask, &vNext))
+	start = c.Load(mask, d.Offsets, v)
+	end = c.Load(mask, d.Offsets, &vNext)
 	return start, end
 }
 
@@ -117,77 +105,80 @@ func activeLanes(mask simt.Mask, idx, end *[simt.WarpSize]uint32) simt.Mask {
 	return active
 }
 
-// edgeLoopThreadCentric walks each active lane's edge range in lockstep,
-// calling body once per edge batch with the shrinking active mask, the
-// per-lane edge indices and the loaded destination vertices. This is the
-// canonical thread-centric pattern: lanes with short edge lists go idle
-// while long ones continue — the divergence the paper's Eq. 1 accounts
-// for. The destination loads are software-pipelined: the next batch is
-// fetched asynchronously while the current one is processed, as any
-// tuned GPU kernel would.
-func (d *Device) edgeLoopThreadCentric(c *simt.Ctx, mask simt.Mask, start, end [simt.WarpSize]uint32,
-	body func(active simt.Mask, edgeIdx, dst [simt.WarpSize]uint32)) {
-	idx := start
-	active := activeLanes(mask, &idx, &end)
-	if !active.Any() {
-		return
-	}
-	c.LoadAsync(active, gather(d.Edges, active, &idx))
-	for {
-		nextIdx := idx
-		for l := 0; l < simt.WarpSize; l++ {
-			if active.Lane(l) {
-				nextIdx[l]++
-			}
-		}
-		nextActive := activeLanes(mask, &nextIdx, &end)
-		dst := c.Wait()
-		if nextActive.Any() {
-			c.LoadAsync(nextActive, gather(d.Edges, nextActive, &nextIdx))
-		}
-		body(active, idx, dst)
-		if !nextActive.Any() {
-			return
-		}
-		idx, active = nextIdx, nextActive
+// edgeLoop walks edge ranges in warp-wide batches. The destination loads
+// are software-pipelined: the next batch is fetched asynchronously while
+// the current one is processed, as any tuned GPU kernel does. Start one
+// with threadCentric or warpCentric; each call of next that reports true
+// leaves a batch in active, idx and dst, whose work the kernel issues
+// before it calls next again.
+//
+// The loop is a cursor on the kernel's stack rather than a function
+// taking a body callback: a func value's pointer arguments escape, so
+// handing it &idx or &dst would move both to the heap on every batch.
+type edgeLoop struct {
+	c       *simt.Ctx
+	edges   mem.Buffer
+	mask    simt.Mask
+	end     [simt.WarpSize]uint32
+	step    uint32 // how far an active lane's edge index moves per batch
+	started bool
+
+	active simt.Mask             // the batch's lanes
+	idx    [simt.WarpSize]uint32 // each active lane's edge index
+	dst    [simt.WarpSize]uint32 // each active lane's destination vertex
+
+	nextActive simt.Mask // the batch whose destinations are in flight
+	nextIdx    [simt.WarpSize]uint32
+}
+
+// threadCentric starts the thread-centric loop: each lane of mask walks
+// its own range [start, end) in lockstep, one edge per batch, so lanes
+// with short edge lists go idle while long ones continue — the
+// divergence the paper's Eq. 1 accounts for.
+func (e *edgeLoop) threadCentric(c *simt.Ctx, d *Device, mask simt.Mask, start, end *[simt.WarpSize]uint32) {
+	e.c, e.edges, e.mask, e.step, e.started = c, d.Edges, mask, 1, false
+	e.idx, e.end = *start, *end
+}
+
+// warpCentric starts the warp-centric loop over one vertex's edge range
+// [start, end): all lanes take stride-32 batches, the pattern with
+// minimal divergence.
+func (e *edgeLoop) warpCentric(c *simt.Ctx, d *Device, start, end uint32) {
+	e.c, e.edges, e.mask, e.step, e.started = c, d.Edges, simt.FullMask, simt.WarpSize, false
+	for l := 0; l < simt.WarpSize; l++ {
+		e.idx[l] = start + uint32(l)
+		e.end[l] = end
 	}
 }
 
-// edgeLoopWarpCentric walks one vertex's edge range with all lanes in
-// stride-32 batches (the warp-centric pattern: minimal divergence),
-// software-pipelining the destination loads across batches.
-func (d *Device) edgeLoopWarpCentric(c *simt.Ctx, start, end uint32,
-	body func(active simt.Mask, edgeIdx, dst [simt.WarpSize]uint32)) {
-	if start >= end {
-		return
-	}
-	batch := func(base uint32) (simt.Mask, [simt.WarpSize]uint32) {
-		var active simt.Mask
-		var idx [simt.WarpSize]uint32
-		for l := 0; l < simt.WarpSize; l++ {
-			if e := base + uint32(l); e < end {
-				active = active.Set(l)
-				idx[l] = e
-			}
+// next waits for the next batch's destinations, starts fetching the
+// batch after it, and reports whether there was a batch.
+func (e *edgeLoop) next() bool {
+	if !e.started {
+		e.started = true
+		e.active = activeLanes(e.mask, &e.idx, &e.end)
+		if !e.active.Any() {
+			return false
 		}
-		return active, idx
-	}
-	active, idx := batch(start)
-	c.LoadAsync(active, gather(d.Edges, active, &idx))
-	for base := start; base < end; base += simt.WarpSize {
-		nextBase := base + simt.WarpSize
-		var nextActive simt.Mask
-		var nextIdx [simt.WarpSize]uint32
-		if nextBase < end {
-			nextActive, nextIdx = batch(nextBase)
+		e.c.LoadAsync(e.active, e.edges, &e.idx)
+	} else {
+		if !e.nextActive.Any() {
+			return false
 		}
-		dst := c.Wait()
-		if nextActive.Any() {
-			c.LoadAsync(nextActive, gather(d.Edges, nextActive, &nextIdx))
-		}
-		body(active, idx, dst)
-		active, idx = nextActive, nextIdx
+		e.active, e.idx = e.nextActive, e.nextIdx
 	}
+	e.nextIdx = e.idx
+	for l := 0; l < simt.WarpSize; l++ {
+		if e.active.Lane(l) {
+			e.nextIdx[l] += e.step
+		}
+	}
+	e.nextActive = activeLanes(e.mask, &e.nextIdx, &e.end)
+	e.dst = e.c.Wait()
+	if e.nextActive.Any() {
+		e.c.LoadAsync(e.nextActive, e.edges, &e.nextIdx)
+	}
+	return true
 }
 
 // scanChunk loads a 32-wide contiguous slice of a property array for the
@@ -206,5 +197,5 @@ func scanChunk(c *simt.Ctx, prop mem.Buffer, base, numV int) (simt.Mask, [simt.W
 	if !mask.Any() {
 		return 0, [simt.WarpSize]uint32{}
 	}
-	return mask, c.Load(mask, gather(prop, mask, &vid))
+	return mask, c.Load(mask, prop, &vid)
 }

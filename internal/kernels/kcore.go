@@ -100,7 +100,7 @@ func (w *KCore) kernel() simt.KernelFunc {
 		if !mask.Any() {
 			return
 		}
-		al := c.Load(mask, gather(alive, mask, &v))
+		al := c.Load(mask, alive, &v)
 		var live simt.Mask
 		for l := 0; l < simt.WarpSize; l++ {
 			if mask.Lane(l) && al[l] == 1 {
@@ -110,7 +110,7 @@ func (w *KCore) kernel() simt.KernelFunc {
 		if !live.Any() {
 			return
 		}
-		dg := c.Load(live, gather(deg, live, &v))
+		dg := c.Load(live, deg, &v)
 		var drop simt.Mask
 		for l := 0; l < simt.WarpSize; l++ {
 			if live.Lane(l) && dg[l] < k {
@@ -120,14 +120,16 @@ func (w *KCore) kernel() simt.KernelFunc {
 		if !drop.Any() {
 			return
 		}
-		c.Store(drop, gather(alive, drop, &v), splat(0))
-		start, end := d.loadRange(c, drop, v)
-		d.edgeLoopThreadCentric(c, drop, start, end, func(active simt.Mask, _, dst [simt.WarpSize]uint32) {
-			c.Atomic(mem.AtomicSub, active, gather(deg, active, &dst), splat(1), [simt.WarpSize]uint32{}, false)
-		})
-		var addr [simt.WarpSize]uint64
-		addr[0] = changed.Addr(0)
-		c.Atomic(mem.AtomicOr, simt.LaneMask(0), addr, splat(1), [simt.WarpSize]uint32{}, false)
+		var zero [simt.WarpSize]uint32
+		c.Store(drop, alive, &v, &zero)
+		start, end := d.loadRange(c, drop, &v)
+		one := splat(1)
+		var e edgeLoop
+		e.threadCentric(c, d, drop, &start, &end)
+		for e.next() {
+			c.Atomic(mem.AtomicSub, e.active, deg, &e.dst, &one, nil, false)
+		}
+		raiseChanged(c, changed)
 	}
 }
 

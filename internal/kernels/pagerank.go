@@ -85,8 +85,8 @@ func (w *PageRank) scatterKernel() simt.KernelFunc {
 		if !mask.Any() {
 			return
 		}
-		r := c.Load(mask, gather(rank, mask, &v))
-		start, end := d.loadRange(c, mask, v)
+		r := c.Load(mask, rank, &v)
+		start, end := d.loadRange(c, mask, &v)
 		var hasEdges simt.Mask
 		var share [simt.WarpSize]uint32
 		for l := 0; l < simt.WarpSize; l++ {
@@ -99,9 +99,11 @@ func (w *PageRank) scatterKernel() simt.KernelFunc {
 		if !hasEdges.Any() {
 			return
 		}
-		d.edgeLoopThreadCentric(c, hasEdges, start, end, func(active simt.Mask, _, dst [simt.WarpSize]uint32) {
-			c.Atomic(mem.AtomicFAdd, active, gather(sums, active, &dst), share, [simt.WarpSize]uint32{}, false)
-		})
+		var e edgeLoop
+		e.threadCentric(c, d, hasEdges, &start, &end)
+		for e.next() {
+			c.Atomic(mem.AtomicFAdd, e.active, sums, &e.dst, &share, nil, false)
+		}
 	}
 }
 
@@ -116,14 +118,15 @@ func (w *PageRank) applyKernel() simt.KernelFunc {
 		if !mask.Any() {
 			return
 		}
-		s := c.Load(mask, gather(sums, mask, &v))
+		s := c.Load(mask, sums, &v)
 		var out [simt.WarpSize]uint32
 		for l := 0; l < simt.WarpSize; l++ {
 			out[l] = math.Float32bits(base + float32(Damping)*math.Float32frombits(s[l]))
 		}
 		c.Compute(6)
-		c.Store(mask, gather(rank, mask, &v), out)
-		c.Store(mask, gather(sums, mask, &v), splat(0))
+		c.Store(mask, rank, &v, &out)
+		var zero [simt.WarpSize]uint32
+		c.Store(mask, sums, &v, &zero)
 	}
 }
 

@@ -62,22 +62,23 @@ func (w *SSSP) roundKernel() (simt.KernelFunc, int) {
 func (w *SSSP) relaxWarpEdges(c *simt.Ctx, dv uint32, start, end uint32, next *frontier) bool {
 	d, dist := w.dev, w.values
 	improvedAny := false
-	d.edgeLoopWarpCentric(c, start, end, func(active simt.Mask, idx, dst [simt.WarpSize]uint32) {
-		wt := c.Load(active, gather(d.Weights, active, &idx))
+	var e edgeLoop
+	e.warpCentric(c, d, start, end)
+	for e.next() {
+		wt := c.Load(e.active, d.Weights, &e.idx)
 		var nd [simt.WarpSize]uint32
 		for l := 0; l < simt.WarpSize; l++ {
 			nd[l] = dv + wt[l]
 		}
 		c.Compute(2)
-		_, ok := c.Atomic(mem.AtomicMin, active, gather(dist, active, &dst),
-			nd, [simt.WarpSize]uint32{}, true)
-		if improved := succeeded(active, ok); improved.Any() {
+		_, ok := c.Atomic(mem.AtomicMin, e.active, dist, &e.dst, &nd, nil, true)
+		if improved := succeeded(e.active, &ok); improved.Any() {
 			improvedAny = true
 			if next != nil {
-				next.push(c, improved, dst)
+				next.push(c, improved, &e.dst)
 			}
 		}
-	})
+	}
 	return improvedAny
 }
 
@@ -103,7 +104,7 @@ func (w *SSSP) topoWarpKernel() simt.KernelFunc {
 			if !reached.Any() {
 				continue
 			}
-			start, end := d.loadRange(c, reached, vid)
+			start, end := d.loadRange(c, reached, &vid)
 			for l := 0; l < simt.WarpSize; l++ {
 				if !reached.Lane(l) {
 					continue
@@ -128,8 +129,8 @@ func (w *SSSP) dataWarpKernel() simt.KernelFunc {
 		stride := c.GridDim * c.BlockDim / simt.WarpSize * simt.WarpSize
 		for base := c.GlobalWarp * simt.WarpSize; base < count; base += stride {
 			chunk, vids := scanChunk(c, curFront, base, count)
-			dvs := c.Load(chunk, gather(dist, chunk, &vids))
-			start, end := d.loadRange(c, chunk, vids)
+			dvs := c.Load(chunk, dist, &vids)
+			start, end := d.loadRange(c, chunk, &vids)
 			for l := 0; l < simt.WarpSize; l++ {
 				if !chunk.Lane(l) {
 					continue
@@ -156,23 +157,24 @@ func (w *SSSP) dataThreadKernel(curFront mem.Buffer, count int, next frontier) s
 		if !mask.Any() {
 			return
 		}
-		v := c.Load(mask, gather(curFront, mask, &fi))
-		dv := c.Load(mask, gather(dist, mask, &v))
-		start, end := d.loadRange(c, mask, v)
+		v := c.Load(mask, curFront, &fi)
+		dv := c.Load(mask, dist, &v)
+		start, end := d.loadRange(c, mask, &v)
 		// Extra per-edge bookkeeping compute: GraphBIG's thread-centric
 		// data-driven implementation carries visitation bookkeeping.
-		d.edgeLoopThreadCentric(c, mask, start, end, func(active simt.Mask, idx, dst [simt.WarpSize]uint32) {
-			wt := c.Load(active, gather(d.Weights, active, &idx))
+		var e edgeLoop
+		e.threadCentric(c, d, mask, &start, &end)
+		for e.next() {
+			wt := c.Load(e.active, d.Weights, &e.idx)
 			var nd [simt.WarpSize]uint32
 			for l := 0; l < simt.WarpSize; l++ {
 				nd[l] = dv[l] + wt[l]
 			}
 			c.Compute(12)
-			_, ok := c.Atomic(mem.AtomicMin, active, gather(dist, active, &dst),
-				nd, [simt.WarpSize]uint32{}, true)
-			if push := succeeded(active, ok); push.Any() {
-				next.push(c, push, dst)
+			_, ok := c.Atomic(mem.AtomicMin, e.active, dist, &e.dst, &nd, nil, true)
+			if push := succeeded(e.active, &ok); push.Any() {
+				next.push(c, push, &e.dst)
 			}
-		})
+		}
 	}
 }

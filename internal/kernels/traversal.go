@@ -177,28 +177,26 @@ func (t *traversal) Verify() error { return t.failure }
 // and the frontier the round appends to.
 func (t *traversal) frontiers() (cur mem.Buffer, count int, next frontier) {
 	count = int(t.dev.Space.Load32(t.counts.Addr(t.side)))
-	return t.front[t.side], count, frontier{t.front[1^t.side], t.counts.Addr(1 ^ t.side)}
+	return t.front[t.side], count, frontier{t.front[1^t.side], t.counts, uint32(1 ^ t.side)}
 }
 
 // frontier is the next frontier of a data-driven round.
 type frontier struct {
-	buf       mem.Buffer
-	countAddr uint64 // its entry counter
+	buf      mem.Buffer
+	counts   mem.Buffer // the buffer holding its entry counter
+	countIdx uint32     // the counter's word in counts
 }
 
 // push appends dst[l] for every lane of mask, each at a slot taken with
 // an atomic add on the entry counter.
-func (f frontier) push(c *simt.Ctx, mask simt.Mask, dst [simt.WarpSize]uint32) {
-	var ctr [simt.WarpSize]uint64
-	for l := 0; l < simt.WarpSize; l++ {
-		ctr[l] = f.countAddr
-	}
-	slots, _ := c.Atomic(mem.AtomicAdd, mask, ctr, splat(1), [simt.WarpSize]uint32{}, true)
-	c.Store(mask, gather(f.buf, mask, &slots), dst)
+func (f *frontier) push(c *simt.Ctx, mask simt.Mask, dst *[simt.WarpSize]uint32) {
+	ctr, one := splat(f.countIdx), splat(1)
+	slots, _ := c.Atomic(mem.AtomicAdd, mask, f.counts, &ctr, &one, nil, true)
+	c.Store(mask, f.buf, &slots, dst)
 }
 
 // succeeded returns the lanes of active whose atomic reported success.
-func succeeded(active simt.Mask, ok [simt.WarpSize]bool) simt.Mask {
+func succeeded(active simt.Mask, ok *[simt.WarpSize]bool) simt.Mask {
 	var m simt.Mask
 	for l := 0; l < simt.WarpSize; l++ {
 		if active.Lane(l) && ok[l] {
@@ -210,7 +208,7 @@ func succeeded(active simt.Mask, ok [simt.WarpSize]bool) simt.Mask {
 
 // raiseChanged sets the convergence flag once per warp.
 func raiseChanged(c *simt.Ctx, changed mem.Buffer) {
-	var addr [simt.WarpSize]uint64
-	addr[0] = changed.Addr(0)
-	c.Atomic(mem.AtomicOr, simt.LaneMask(0), addr, splat(1), [simt.WarpSize]uint32{}, false)
+	var word [simt.WarpSize]uint32 // lane 0 names word 0
+	one := splat(1)
+	c.Atomic(mem.AtomicOr, simt.LaneMask(0), changed, &word, &one, nil, false)
 }

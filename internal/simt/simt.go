@@ -2,9 +2,11 @@
 // model runs on: 32-lane activity masks, the warp operation IR that
 // kernels emit (compute, load, store, atomic), and coroutine-backed warp
 // contexts. Kernels are ordinary Go functions written in lockstep
-// warp-level style; each memory operation suspends the warp until the
-// timing model completes it, exactly mirroring an in-order GPU warp that
-// hides latency through multithreading rather than per-warp ILP.
+// warp-level style. A warp suspends on an operation whose result it
+// reads (a load, a wait, a returning atomic) until the timing model
+// completes it, mirroring an in-order GPU warp that hides latency
+// through multithreading rather than per-warp ILP; the operations it
+// only issues run ahead in a small per-warp buffer (see WarpRun).
 package simt
 
 import (
@@ -103,13 +105,17 @@ func (k OpKind) String() string {
 }
 
 // Op is one warp-level operation. The executing timing model fills Out
-// and OutOK before resuming the warp, so kernels observe memory results
-// exactly when the simulated hardware would deliver them.
+// and OutOK before it completes an op whose results the kernel reads,
+// so kernels observe memory results exactly when the simulated hardware
+// would deliver them. Ops live in their warp's buffer (WarpRun): the
+// kernel's Ctx builds each op in place, and an op handed out by Next
+// stays valid until the next call of Next.
 type Op struct {
 	Kind   OpKind
 	Cycles int  // OpCompute: duration in core cycles
 	Mask   Mask // active lanes
 
+	// Addr, Val and Cmp hold meaningful values in the active lanes only.
 	Addr [WarpSize]uint64 // per-lane byte addresses
 	Val  [WarpSize]uint32 // store/atomic operands
 	Cmp  [WarpSize]uint32 // CAS compare operands
@@ -119,12 +125,24 @@ type Op struct {
 	// offload must use the with-return packet format (Table I).
 	NeedReturn bool
 
-	// Results, filled by the executor.
+	// Results, filled by the executor in the active lanes.
 	Out   [WarpSize]uint32
 	OutOK [WarpSize]bool
 }
 
+// setAddr sets the address of every active lane: lane l names word
+// idx[l] of buf.
+func (op *Op) setAddr(buf mem.Buffer, idx *[WarpSize]uint32) {
+	for l := 0; l < WarpSize; l++ {
+		if op.Mask.Lane(l) {
+			op.Addr[l] = buf.Addr(int(idx[l]))
+		}
+	}
+}
+
 // Ctx is the per-warp execution context handed to kernel functions.
+// Its memory operations name each lane's word as a buffer plus a
+// per-lane word index; only the active lanes' indices are read.
 type Ctx struct {
 	// Identity of this warp within the launch.
 	BlockID     int // CUDA block index
@@ -133,8 +151,7 @@ type Ctx struct {
 	BlockDim    int // threads per block
 	GridDim     int // blocks in grid
 
-	yield func(*Op) bool
-	op    Op
+	run *WarpRun
 
 	asyncLive bool
 	asyncMask Mask
@@ -148,8 +165,27 @@ func (c *Ctx) ThreadID(lane int) int {
 // TotalThreads returns the number of threads in the launch.
 func (c *Ctx) TotalThreads() int { return c.GridDim * c.BlockDim }
 
-func (c *Ctx) emit() {
-	if !c.yield(&c.op) {
+// slot claims the warp's next free op slot for an op of kind over mask.
+func (c *Ctx) slot(kind OpKind, mask Mask) *Op {
+	r := c.run
+	op := &r.ops[r.n]
+	r.n++
+	op.Kind, op.Mask = kind, mask
+	return op
+}
+
+// post lets the warp run on past an op whose results it does not read,
+// unless that op filled the buffer.
+func (c *Ctx) post() {
+	if c.run.n == opSlots {
+		c.suspend()
+	}
+}
+
+// suspend parks the warp until Next has handed out every buffered op
+// and the executor has completed the last of them.
+func (c *Ctx) suspend() {
+	if !c.run.yield(struct{}{}) {
 		// The runner was stopped; unwind the kernel goroutine.
 		panic(stopped{})
 	}
@@ -162,27 +198,31 @@ func (c *Ctx) Compute(n int) {
 	if n <= 0 {
 		return
 	}
-	c.op = Op{Kind: OpCompute, Cycles: n, Mask: FullMask}
-	c.emit()
+	op := c.slot(OpCompute, FullMask)
+	op.Cycles = n
+	c.post()
 }
 
-// Load issues per-lane 32-bit loads for the active lanes and returns the
-// loaded values (indexed by lane; inactive lanes are zero).
-func (c *Ctx) Load(mask Mask, addr [WarpSize]uint64) [WarpSize]uint32 {
+// Load issues per-lane 32-bit loads of buf[idx[l]] for the active lanes
+// and returns the loaded values (indexed by lane; inactive lanes are
+// zero).
+func (c *Ctx) Load(mask Mask, buf mem.Buffer, idx *[WarpSize]uint32) [WarpSize]uint32 {
 	if !mask.Any() {
 		return [WarpSize]uint32{}
 	}
-	c.op = Op{Kind: OpLoad, Mask: mask, Addr: addr}
-	c.emit()
-	return c.op.Out
+	op := c.slot(OpLoad, mask)
+	op.setAddr(buf, idx)
+	op.Out = [WarpSize]uint32{}
+	c.suspend()
+	return op.Out
 }
 
-// LoadAsync issues per-lane loads without blocking the warp — the
-// software-pipelining idiom of optimized GPU kernels, where the next
-// iteration's data is fetched while the current one is processed. At
-// most one async load may be outstanding; its values are claimed with
-// Wait. Issuing a second LoadAsync before Wait panics.
-func (c *Ctx) LoadAsync(mask Mask, addr [WarpSize]uint64) {
+// LoadAsync issues per-lane loads of buf[idx[l]] without blocking the
+// warp — the software-pipelining idiom of optimized GPU kernels, where
+// the next iteration's data is fetched while the current one is
+// processed. At most one async load may be outstanding; its values are
+// claimed with Wait. Issuing a second LoadAsync before Wait panics.
+func (c *Ctx) LoadAsync(mask Mask, buf mem.Buffer, idx *[WarpSize]uint32) {
 	if c.asyncLive {
 		panic("simt: LoadAsync with an async load already outstanding")
 	}
@@ -192,8 +232,9 @@ func (c *Ctx) LoadAsync(mask Mask, addr [WarpSize]uint64) {
 	}
 	c.asyncLive = true
 	c.asyncMask = mask
-	c.op = Op{Kind: OpLoadAsync, Mask: mask, Addr: addr}
-	c.emit()
+	op := c.slot(OpLoadAsync, mask)
+	op.setAddr(buf, idx)
+	c.post()
 }
 
 // Wait blocks until the outstanding async load completes and returns its
@@ -207,58 +248,95 @@ func (c *Ctx) Wait() [WarpSize]uint32 {
 		panic("simt: Wait without outstanding LoadAsync")
 	}
 	c.asyncLive = false
-	c.op = Op{Kind: OpWait, Mask: c.asyncMask}
-	c.emit()
-	return c.op.Out
+	op := c.slot(OpWait, c.asyncMask)
+	op.Out = [WarpSize]uint32{}
+	c.suspend()
+	return op.Out
 }
 
-// Load1 loads a single word on lane 0. Convenient for warp-centric
-// kernels reading shared scalars.
-func (c *Ctx) Load1(addr uint64) uint32 {
-	var a [WarpSize]uint64
-	a[0] = addr
-	return c.Load(LaneMask(0), a)[0]
-}
-
-// Store issues per-lane 32-bit stores for the active lanes.
-func (c *Ctx) Store(mask Mask, addr [WarpSize]uint64, val [WarpSize]uint32) {
+// Store issues per-lane 32-bit stores of val[l] to buf[idx[l]] for the
+// active lanes.
+func (c *Ctx) Store(mask Mask, buf mem.Buffer, idx, val *[WarpSize]uint32) {
 	if !mask.Any() {
 		return
 	}
-	c.op = Op{Kind: OpStore, Mask: mask, Addr: addr, Val: val}
-	c.emit()
+	op := c.slot(OpStore, mask)
+	op.setAddr(buf, idx)
+	op.Val = *val
+	c.post()
 }
 
-// Atomic issues per-lane read-modify-write operations. If needReturn is
-// true the old values (and success flags) are returned; otherwise the
-// results are unspecified and the op can offload as a no-return PIM
+// Atomic issues per-lane read-modify-write operations on buf[idx[l]]
+// with operand val[l] and, for CAS, compare value cmp[l] (a nil cmp
+// compares against zero). If needReturn is true the warp suspends until
+// the old values and success flags return; otherwise the results are
+// zero, the warp runs on, and the op can offload as a no-return PIM
 // packet.
-func (c *Ctx) Atomic(op mem.AtomicOp, mask Mask, addr [WarpSize]uint64, val, cmp [WarpSize]uint32, needReturn bool) ([WarpSize]uint32, [WarpSize]bool) {
+func (c *Ctx) Atomic(aop mem.AtomicOp, mask Mask, buf mem.Buffer, idx, val, cmp *[WarpSize]uint32, needReturn bool) (old [WarpSize]uint32, ok [WarpSize]bool) {
 	if !mask.Any() {
-		return [WarpSize]uint32{}, [WarpSize]bool{}
+		return old, ok
 	}
-	c.op = Op{Kind: OpAtomic, Mask: mask, Addr: addr, Val: val, Cmp: cmp, Atomic: op, NeedReturn: needReturn}
-	c.emit()
-	return c.op.Out, c.op.OutOK
+	op := c.slot(OpAtomic, mask)
+	op.Atomic, op.NeedReturn = aop, needReturn
+	op.setAddr(buf, idx)
+	op.Val = *val
+	if cmp != nil {
+		op.Cmp = *cmp
+	} else {
+		op.Cmp = [WarpSize]uint32{}
+	}
+	if !needReturn {
+		c.post()
+		return old, ok
+	}
+	op.Out, op.OutOK = [WarpSize]uint32{}, [WarpSize]bool{}
+	c.suspend()
+	return op.Out, op.OutOK
 }
 
 // KernelFunc is a warp-level kernel body: the code all warps of a launch
-// execute.
+// execute. A kernel reads memory only through the ops it issues (Load,
+// Wait and returning Atomics), never directly; that is what lets its warp
+// run ahead of the executor.
 type KernelFunc func(*Ctx)
 
+// opSlots is the size of a warp's op buffer: how many ops whose results
+// the kernel does not read it issues before it suspends. A third slot
+// halves the resumes of some workloads but measured no end-to-end gain
+// (DESIGN.md §6).
+const opSlots = 2
+
 // WarpRun is a suspended warp: a pull-style coroutine producing Ops.
+//
+// The warp runs ahead over the ops whose results its kernel never reads
+// (Compute, Store, LoadAsync and no-return Atomics): they go into a
+// fixed buffer of opSlots ops, and the coroutine suspends only on a
+// Load, a Wait, a returning Atomic or a full buffer. Next hands the
+// buffered ops out one at a time, in issue order, before it resumes the
+// coroutine, and drains them after the kernel returns, so an executor
+// sees exactly the op sequence, one op per Next, that a warp suspending
+// on every op would produce. Because a kernel reads memory only through
+// the ops it issues, running its Go code earlier changes no result: the
+// op it blocks on executes after every op buffered before it.
 type WarpRun struct {
-	ctx  *Ctx
-	next func() (*Op, bool)
-	stop func()
-	done bool
+	ctx Ctx
+	ops [opSlots]Op
+	n   int // ops the kernel has buffered since it was last resumed
+	out int // ops Next has handed out of those
+
+	yield    func(struct{}) bool
+	next     func() (struct{}, bool)
+	stop     func()
+	returned bool // the kernel function has returned
+	done     bool // Next has reported the end, or Stop ran
 }
 
 // StartWarp begins executing kernel f for the warp identified by ctx.
 // The returned WarpRun yields the warp's operations one at a time.
 func StartWarp(f KernelFunc, ctx Ctx) *WarpRun {
-	r := &WarpRun{ctx: &ctx}
-	seq := func(yield func(*Op) bool) {
+	r := &WarpRun{ctx: ctx}
+	r.ctx.run = r
+	seq := func(yield func(struct{}) bool) {
 		defer func() {
 			// A Stop() during execution unwinds with the sentinel;
 			// anything else propagates.
@@ -268,36 +346,48 @@ func StartWarp(f KernelFunc, ctx Ctx) *WarpRun {
 				}
 			}
 		}()
-		r.ctx.yield = yield
-		f(r.ctx)
+		r.yield = yield
+		f(&r.ctx)
 	}
-	r.next, r.stop = iter.Pull(iter.Seq[*Op](seq))
+	r.next, r.stop = iter.Pull(iter.Seq[struct{}](seq))
 	return r
 }
 
-// Next resumes the warp until it emits its next operation. It returns
-// nil, false when the kernel function has returned. The caller must fill
-// op.Out/op.OutOK (for loads and returning atomics) before calling Next
-// again.
+// Next returns the warp's next operation: a buffered one if any is left,
+// else whatever the kernel issues when resumed. It returns nil, false
+// once the kernel function has returned and its buffered ops are all
+// handed out. The caller must fill op.Out/op.OutOK (for loads and
+// returning atomics) before calling Next again.
 func (w *WarpRun) Next() (*Op, bool) {
-	if w.done {
-		return nil, false
+	if w.out == w.n {
+		if w.returned || w.done {
+			w.done = true
+			return nil, false
+		}
+		w.out, w.n = 0, 0
+		if _, ok := w.next(); !ok {
+			w.returned = true
+		}
+		if w.n == 0 {
+			w.done = true
+			return nil, false
+		}
 	}
-	op, ok := w.next()
-	if !ok {
-		w.done = true
-		return nil, false
-	}
+	op := &w.ops[w.out]
+	w.out++
 	return op, true
 }
 
-// Done reports whether the warp has finished.
+// Done reports whether the warp has finished: Next has reported the end,
+// or the warp was stopped.
 func (w *WarpRun) Done() bool { return w.done }
 
-// Stop abandons the warp, releasing its coroutine.
+// Stop abandons the warp, dropping its buffered ops and releasing its
+// coroutine.
 func (w *WarpRun) Stop() {
 	if !w.done {
 		w.done = true
+		w.out, w.n = 0, 0
 		w.stop()
 	}
 }

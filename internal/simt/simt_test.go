@@ -129,6 +129,15 @@ func drain(t *testing.T, f KernelFunc, space *mem.Space) []Op {
 	return trace
 }
 
+// lanes returns the per-lane word indices base, base+1, ..., base+31.
+func lanes(base uint32) [WarpSize]uint32 {
+	var idx [WarpSize]uint32
+	for l := range idx {
+		idx[l] = base + uint32(l)
+	}
+	return idx
+}
+
 func TestKernelOpSequence(t *testing.T) {
 	s := mem.NewSpace(1024)
 	buf := s.Alloc("b", 64, false)
@@ -138,18 +147,15 @@ func TestKernelOpSequence(t *testing.T) {
 	var observed [WarpSize]uint32
 	kernel := func(c *Ctx) {
 		c.Compute(4)
-		var addr [WarpSize]uint64
-		for l := 0; l < WarpSize; l++ {
-			addr[l] = buf.Addr(l)
-		}
-		vals := c.Load(FullMask, addr)
+		idx := lanes(0)
+		vals := c.Load(FullMask, buf, &idx)
 		observed = vals
 		var out [WarpSize]uint32
 		for l := 0; l < WarpSize; l++ {
 			out[l] = vals[l] + 1
-			addr[l] = buf.Addr(32 + l)
 		}
-		c.Store(FullMask, addr, out)
+		idx = lanes(32)
+		c.Store(FullMask, buf, &idx, &out)
 	}
 	trace := drain(t, kernel, s)
 	if len(trace) != 3 {
@@ -160,6 +166,10 @@ func TestKernelOpSequence(t *testing.T) {
 	}
 	if trace[1].Kind != OpLoad || trace[2].Kind != OpStore {
 		t.Errorf("ops = %v, %v", trace[1].Kind, trace[2].Kind)
+	}
+	if trace[1].Addr[5] != buf.Addr(5) || trace[2].Addr[5] != buf.Addr(37) {
+		t.Errorf("lane 5 addresses = %#x, %#x, want %#x, %#x",
+			trace[1].Addr[5], trace[2].Addr[5], buf.Addr(5), buf.Addr(37))
 	}
 	if observed[7] != 70 {
 		t.Errorf("lane 7 loaded %d, want 70", observed[7])
@@ -173,13 +183,11 @@ func TestAtomicThroughKernel(t *testing.T) {
 	s := mem.NewSpace(1024)
 	buf := s.Alloc("ctr", 8, true)
 	kernel := func(c *Ctx) {
-		var addr [WarpSize]uint64
-		var val [WarpSize]uint32
+		var idx, val [WarpSize]uint32 // all lanes hit one counter
 		for l := 0; l < WarpSize; l++ {
-			addr[l] = buf.Addr(0) // all lanes hit one counter
 			val[l] = 1
 		}
-		old, _ := c.Atomic(mem.AtomicAdd, FullMask, addr, val, [WarpSize]uint32{}, true)
+		old, _ := c.Atomic(mem.AtomicAdd, FullMask, buf, &idx, &val, nil, true)
 		_ = old
 	}
 	trace := drain(t, kernel, s)
@@ -192,10 +200,13 @@ func TestAtomicThroughKernel(t *testing.T) {
 }
 
 func TestEmptyMaskOpsSkipped(t *testing.T) {
+	s := mem.NewSpace(1024)
+	buf := s.Alloc("b", 8, false)
 	kernel := func(c *Ctx) {
-		c.Load(0, [WarpSize]uint64{})
-		c.Store(0, [WarpSize]uint64{}, [WarpSize]uint32{})
-		c.Atomic(mem.AtomicAdd, 0, [WarpSize]uint64{}, [WarpSize]uint32{}, [WarpSize]uint32{}, false)
+		var idx, val [WarpSize]uint32
+		c.Load(0, buf, &idx)
+		c.Store(0, buf, &idx, &val)
+		c.Atomic(mem.AtomicAdd, 0, buf, &idx, &val, nil, false)
 		c.Compute(0)
 		c.Compute(-1)
 	}
@@ -205,26 +216,16 @@ func TestEmptyMaskOpsSkipped(t *testing.T) {
 	}
 }
 
-func TestLoad1(t *testing.T) {
-	s := mem.NewSpace(1024)
-	b := s.Alloc("s", 4, false)
-	s.Store32(b.Addr(2), 99)
-	var got uint32
-	kernel := func(c *Ctx) { got = c.Load1(b.Addr(2)) }
-	trace := drain(t, kernel, s)
-	if got != 99 {
-		t.Errorf("Load1 = %d", got)
-	}
-	if trace[0].Mask.Count() != 1 {
-		t.Errorf("Load1 mask = %v", trace[0].Mask)
-	}
-}
-
+// TestWarpRunStop: a stopped warp never runs on. The kernel's Load
+// blocks, so the warp is parked before it and cannot reach the mark.
 func TestWarpRunStop(t *testing.T) {
+	s := mem.NewSpace(1024)
+	buf := s.Alloc("b", 8, false)
 	reached := false
 	kernel := func(c *Ctx) {
+		var idx [WarpSize]uint32
 		c.Compute(1)
-		c.Compute(1)
+		c.Load(LaneMask(0), buf, &idx)
 		reached = true // must not run after Stop
 	}
 	w := StartWarp(kernel, Ctx{})
@@ -258,6 +259,132 @@ func TestWarpRunCompletion(t *testing.T) {
 	}
 }
 
+// TestRunAheadSuspendsOnlyOnReads pins the run-ahead rule: the warp runs
+// on past Compute, LoadAsync and no-return Atomics, and suspends on Load,
+// Wait and returning Atomics. progress records how far the kernel got,
+// so after each Next it shows where the warp is parked.
+func TestRunAheadSuspendsOnlyOnReads(t *testing.T) {
+	s := mem.NewSpace(1024)
+	buf := s.Alloc("b", 8, false)
+	progress := 0
+	kernel := func(c *Ctx) {
+		var idx, val [WarpSize]uint32
+		c.Compute(1)
+		progress = 1
+		c.Load(FullMask, buf, &idx)
+		progress = 2
+		c.LoadAsync(FullMask, buf, &idx)
+		progress = 3
+		c.Wait()
+		progress = 4
+		c.Atomic(mem.AtomicAdd, FullMask, buf, &idx, &val, nil, false)
+		progress = 5
+		c.Atomic(mem.AtomicAdd, FullMask, buf, &idx, &val, nil, true)
+		progress = 6
+	}
+	w := StartWarp(kernel, Ctx{})
+	for i, want := range []struct {
+		kind     OpKind
+		progress int // how far the kernel ran before this op was handed out
+	}{
+		{OpCompute, 1}, {OpLoad, 1},
+		{OpLoadAsync, 3}, {OpWait, 3},
+		{OpAtomic, 5}, {OpAtomic, 5},
+	} {
+		op, ok := w.Next()
+		if !ok {
+			t.Fatalf("op %d missing", i)
+		}
+		if op.Kind != want.kind || progress != want.progress {
+			t.Errorf("op %d: %v with the kernel at %d, want %v at %d", i, op.Kind, progress, want.kind, want.progress)
+		}
+	}
+	if _, ok := w.Next(); ok || progress != 6 {
+		t.Errorf("end: op handed out or kernel at %d, want the end at 6", progress)
+	}
+}
+
+// TestRunAheadFullBufferSuspends: a kernel that never reads a result
+// still suspends every opSlots ops, so a warp's run-ahead is bounded.
+func TestRunAheadFullBufferSuspends(t *testing.T) {
+	issued := 0
+	kernel := func(c *Ctx) {
+		for i := 1; i <= 3*opSlots; i++ {
+			c.Compute(i)
+			issued = i
+		}
+	}
+	w := StartWarp(kernel, Ctx{})
+	for k := 1; k <= 3*opSlots; k++ {
+		op, ok := w.Next()
+		if !ok {
+			t.Fatalf("op %d missing", k)
+		}
+		if op.Cycles != k {
+			t.Errorf("op %d has %d cycles: out of issue order", k, op.Cycles)
+		}
+		// The op that fills the buffer suspends the warp before it
+		// records its issue.
+		if want := ((k-1)/opSlots+1)*opSlots - 1; issued != want {
+			t.Errorf("after op %d the kernel issued %d, want %d", k, issued, want)
+		}
+	}
+	if _, ok := w.Next(); ok {
+		t.Error("op after the last")
+	}
+}
+
+// TestRunAheadReturnDrains: ops buffered when the kernel returns are
+// still handed out, in order, and Done turns true only once Next has
+// reported the end — the functional harness in internal/kernels polls
+// Done between Nexts and counts a warp finished on Next's end alone.
+func TestRunAheadReturnDrains(t *testing.T) {
+	returned := false
+	kernel := func(c *Ctx) {
+		for i := 1; i < opSlots; i++ {
+			c.Compute(i)
+		}
+		returned = true
+	}
+	w := StartWarp(kernel, Ctx{})
+	for k := 1; k < opSlots; k++ {
+		op, ok := w.Next()
+		if !ok || op.Cycles != k {
+			t.Fatalf("op %d = %+v, %v; want Compute(%d)", k, op, ok, k)
+		}
+		if !returned {
+			t.Errorf("op %d: the kernel has not run ahead to its return", k)
+		}
+		if w.Done() {
+			t.Errorf("Done before Next reported the end (op %d)", k)
+		}
+	}
+	if _, ok := w.Next(); ok {
+		t.Error("op after the buffered ones")
+	}
+	if !w.Done() {
+		t.Error("Done() false after Next reported the end")
+	}
+}
+
+// TestRunAheadStopDropsBuffered: Stop discards ops the kernel buffered
+// but Next has not handed out.
+func TestRunAheadStopDropsBuffered(t *testing.T) {
+	kernel := func(c *Ctx) {
+		for i := 1; i <= opSlots; i++ {
+			c.Compute(i)
+		}
+	}
+	w := StartWarp(kernel, Ctx{})
+	if op, ok := w.Next(); !ok || op.Cycles != 1 {
+		t.Fatalf("first op = %+v, %v", op, ok)
+	}
+	w.Stop()
+	if op, ok := w.Next(); ok {
+		t.Errorf("Next after Stop handed out the buffered %+v", *op)
+	}
+}
+
 func TestKernelPanicsPropagate(t *testing.T) {
 	w := StartWarp(func(c *Ctx) { panic("kernel bug") }, Ctx{})
 	defer func() {
@@ -269,7 +396,7 @@ func TestKernelPanicsPropagate(t *testing.T) {
 }
 
 func TestManyWarpsIndependent(t *testing.T) {
-	// 100 warps each increment their own slot; interleaved pulls.
+	// 100 warps each write their own slot; interleaved pulls.
 	s := mem.NewSpace(1 << 14)
 	buf := s.Alloc("slots", 100, false)
 	var runs []*WarpRun
@@ -277,11 +404,9 @@ func TestManyWarpsIndependent(t *testing.T) {
 		i := i
 		runs = append(runs, StartWarp(func(c *Ctx) {
 			c.Compute(1)
-			var addr [WarpSize]uint64
-			addr[0] = buf.Addr(i)
-			var val [WarpSize]uint32
-			val[0] = uint32(i + 1)
-			c.Store(LaneMask(0), addr, val)
+			var idx, val [WarpSize]uint32
+			idx[0], val[0] = uint32(i), uint32(i+1)
+			c.Store(LaneMask(0), buf, &idx, &val)
 		}, Ctx{GlobalWarp: i}))
 	}
 	live := len(runs)
@@ -293,8 +418,6 @@ func TestManyWarpsIndependent(t *testing.T) {
 			}
 			if op.Kind == OpStore {
 				s.Store32(op.Addr[0], op.Val[0])
-			}
-			if w.Done() {
 			}
 		}
 		live = 0
@@ -319,11 +442,8 @@ func TestLoadAsyncWait(t *testing.T) {
 	}
 	var got [WarpSize]uint32
 	kernel := func(c *Ctx) {
-		var addr [WarpSize]uint64
-		for l := 0; l < WarpSize; l++ {
-			addr[l] = buf.Addr(l)
-		}
-		c.LoadAsync(FullMask, addr)
+		idx := lanes(0)
+		c.LoadAsync(FullMask, buf, &idx)
 		c.Compute(5) // overlapped work
 		got = c.Wait()
 	}
@@ -352,9 +472,12 @@ func TestLoadAsyncWait(t *testing.T) {
 }
 
 func TestLoadAsyncEmptyMask(t *testing.T) {
+	s := mem.NewSpace(1024)
+	buf := s.Alloc("b", 8, false)
 	ran := false
 	kernel := func(c *Ctx) {
-		c.LoadAsync(0, [WarpSize]uint64{})
+		var idx [WarpSize]uint32
+		c.LoadAsync(0, buf, &idx)
 		v := c.Wait() // must not suspend, returns zeros
 		if v[0] != 0 {
 			t.Error("empty async wait returned data")
@@ -373,10 +496,12 @@ func TestLoadAsyncEmptyMask(t *testing.T) {
 }
 
 func TestDoubleLoadAsyncPanics(t *testing.T) {
+	s := mem.NewSpace(1024)
+	buf := s.Alloc("b", 8, false)
 	kernel := func(c *Ctx) {
-		var addr [WarpSize]uint64
-		c.LoadAsync(LaneMask(0), addr)
-		c.LoadAsync(LaneMask(0), addr) // second outstanding: panic
+		var idx [WarpSize]uint32
+		c.LoadAsync(LaneMask(0), buf, &idx)
+		c.LoadAsync(LaneMask(0), buf, &idx) // second outstanding: panic
 	}
 	w := StartWarp(kernel, Ctx{})
 	defer func() {
@@ -392,9 +517,11 @@ func TestDoubleLoadAsyncPanics(t *testing.T) {
 }
 
 func TestWaitWithoutAsyncPanics(t *testing.T) {
+	s := mem.NewSpace(1024)
+	buf := s.Alloc("b", 8, false)
 	kernel := func(c *Ctx) {
-		var addr [WarpSize]uint64
-		c.LoadAsync(LaneMask(0), addr)
+		var idx [WarpSize]uint32
+		c.LoadAsync(LaneMask(0), buf, &idx)
 		c.Wait()
 		c.Wait() // nothing outstanding and last mask nonzero: panic
 	}
