@@ -1,20 +1,23 @@
 // Package load parses and type-checks packages of this module (and
 // analyzer testdata packages) from source, using only the standard
 // library. Module-internal imports resolve against the repository tree;
-// standard-library imports resolve through go/importer's source
-// importer, which type-checks from $GOROOT/src. This keeps coolpim-vet,
-// the analyzer test harness and the test-only API guard free of
-// external dependencies.
+// standard-library imports resolve through go/importer's gc importer,
+// which reads the compiler's export data that `go list -export` names
+// from the build cache. This keeps coolpim-vet, the analyzer test
+// harness and the test-only API guard free of external dependencies.
 package load
 
 import (
+	"bytes"
 	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -74,12 +77,13 @@ func NewLoader(dir string) (*Loader, error) {
 		return nil, fmt.Errorf("load: no module line in %s/go.mod", root)
 	}
 	fset := token.NewFileSet()
+	exports := &stdExports{dir: root}
 	l := &Loader{
 		Fset:    fset,
 		modRoot: root,
 		modPath: string(m[1]),
 		overlay: make(map[string]string),
-		std:     importer.ForCompiler(fset, "source", nil),
+		std:     importer.ForCompiler(fset, "gc", exports.lookup),
 		pkgs:    make(map[string]*Package),
 		loading: make(map[string]bool),
 	}
@@ -174,8 +178,8 @@ func (l *Loader) parseDir(dir string) (files, testFiles []*ast.File, err error) 
 }
 
 // loaderImporter adapts Loader to types.Importer, routing module and
-// overlay paths to source loading and everything else to the standard
-// library's source importer.
+// overlay paths to source loading and everything else to the gc
+// importer.
 type loaderImporter Loader
 
 func (li *loaderImporter) Import(path string) (*types.Package, error) {
@@ -188,4 +192,67 @@ func (li *loaderImporter) Import(path string) (*types.Package, error) {
 		return p.Types, nil
 	}
 	return l.std.Import(path)
+}
+
+// stdExports finds the export data of standard-library packages for the
+// gc importer. Type-checking the standard library from $GOROOT/src cost
+// about 4 s of every load of the module. On first use it asks `go list`
+// once for the standard packages the module's packages import, directly
+// or not, and once for their export data files, which the build cache
+// already holds after a build or `go vet` of the module. An import
+// outside that set, such as an analyzer fixture's, costs one more
+// `go list`.
+type stdExports struct {
+	dir   string            // module root, where go list runs
+	files map[string]string // import path -> export data file
+}
+
+func (s *stdExports) lookup(path string) (io.ReadCloser, error) {
+	if s.files == nil {
+		s.files = make(map[string]string)
+		std, err := goList(s.dir, "-e", "-deps", "-f", "{{if .Standard}}{{.ImportPath}}{{end}}", "./...")
+		if err != nil {
+			return nil, err
+		}
+		if err := s.list(std...); err != nil {
+			return nil, err
+		}
+	}
+	if _, ok := s.files[path]; !ok {
+		if err := s.list("-deps", path); err != nil {
+			return nil, err
+		}
+	}
+	f, ok := s.files[path]
+	if !ok {
+		return nil, fmt.Errorf("load: no export data for %q", path)
+	}
+	return os.Open(f)
+}
+
+// list records the export data files of the packages that args name.
+func (s *stdExports) list(args ...string) error {
+	lines, err := goList(s.dir, append([]string{"-export", "-f", "{{.ImportPath}}\t{{.Export}}"}, args...)...)
+	if err != nil {
+		return err
+	}
+	for _, line := range lines {
+		if path, file, ok := strings.Cut(line, "\t"); ok && file != "" {
+			s.files[path] = file
+		}
+	}
+	return nil
+}
+
+// goList runs `go list` in dir and returns its non-empty output lines.
+func goList(dir string, args ...string) ([]string, error) {
+	cmd := exec.Command("go", append([]string{"list"}, args...)...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("load: go list %s: %v\n%s", strings.Join(args, " "), err, stderr.Bytes())
+	}
+	return strings.FieldsFunc(string(out), func(r rune) bool { return r == '\n' }), nil
 }

@@ -35,6 +35,49 @@ func mustCell(t *testing.T, p Profile, wl string, pol core.PolicyKind) *system.R
 	return res
 }
 
+// checkCubeAccounting asserts the cube's accounting identities on a
+// run's result: internal/system's golden test holds the same check and
+// explains each identity and the in-flight exception for shut-down
+// multi-cube runs.
+func checkCubeAccounting(t *testing.T, what string, res *system.Result) {
+	t.Helper()
+	h := res.HMC
+	if want := 64*(h.Reads+h.Writes) + 16*h.PIMOps; res.ExtDataBytes != want || h.ExtDataBytes != want {
+		t.Errorf("%s: ExtDataBytes %d (cube counters %d), want 64·(%d+%d) + 16·%d = %d",
+			what, res.ExtDataBytes, h.ExtDataBytes, h.Reads, h.Writes, h.PIMOps, want)
+	}
+	if res.ReqFlits != h.ReqFlits || res.RespFlits != h.RespFlits {
+		t.Errorf("%s: FLITs %d/%d, cube counters %d/%d", what, res.ReqFlits, res.RespFlits, h.ReqFlits, h.RespFlits)
+	}
+	inFlight := res.Shutdown && len(res.PerCube) > 0
+	if want := h.Reads + 5*h.Writes + 2*h.PIMOps; res.ReqFlits != want && !(inFlight && res.ReqFlits > want) {
+		t.Errorf("%s: ReqFlits %d, want %d + 5·%d + 2·%d = %d",
+			what, res.ReqFlits, h.Reads, h.Writes, h.PIMOps, want)
+	}
+	lo, hi := 5*h.Reads+h.Writes+h.PIMOps, 5*h.Reads+h.Writes+2*h.PIMOps
+	if res.RespFlits < lo || res.RespFlits > hi && !inFlight {
+		t.Errorf("%s: RespFlits %d, want within [%d, %d]", what, res.RespFlits, lo, hi)
+	}
+	if res.PIMOps != h.PIMOps {
+		t.Errorf("%s: PIMOps %d, cube counters %d", what, res.PIMOps, h.PIMOps)
+	}
+	if len(res.PerCube) == 0 {
+		return
+	}
+	var sum [8]uint64
+	for _, c := range res.PerCube {
+		for i, v := range [...]uint64{c.PIMOps, c.ExtDataBytes, c.HMC.Reads, c.HMC.Writes,
+			c.HMC.PIMOps, c.HMC.ExtDataBytes, c.HMC.ReqFlits, c.HMC.RespFlits} {
+			sum[i] += v
+		}
+	}
+	if want := [...]uint64{res.PIMOps, res.ExtDataBytes, h.Reads, h.Writes,
+		h.PIMOps, h.ExtDataBytes, res.ReqFlits, res.RespFlits}; sum != want {
+		t.Errorf("%s: per-cube sums %v, run totals %v (PIMOps, ExtDataBytes, cube Reads, Writes, PIMOps, ExtDataBytes, ReqFlits, RespFlits)",
+			what, sum, want)
+	}
+}
+
 // sameBytes fails unless two results render identically in %+v and
 // in the JSON the resume ledger stores.
 func sameBytes(t *testing.T, what string, got, want *system.Result) {
@@ -102,13 +145,16 @@ func TestDeriveInertMatchesSimulation(t *testing.T) {
 					t.Run(wl, func(t *testing.T) {
 						t.Parallel()
 						naive := mustCell(t, tc.p, wl, core.NaiveOffloading)
+						checkCubeAccounting(t, wl+"/naive", naive)
 						for _, kind := range derivedKinds {
 							got, ok := deriveCell(newSized, tc.p, wl, kind, naive)
 							if !ok {
 								continue
 							}
 							derived[i]++
-							sameBytes(t, wl+"/"+kind.String(), got, mustCell(t, tc.p, wl, kind))
+							sim := mustCell(t, tc.p, wl, kind)
+							checkCubeAccounting(t, wl+"/"+kind.String(), sim)
+							sameBytes(t, wl+"/"+kind.String(), got, sim)
 						}
 					})
 				}

@@ -205,6 +205,7 @@ func runGolden(t *testing.T, c goldenCase) map[string]string {
 	if err != nil {
 		t.Fatalf("%s: %v", c.name, err)
 	}
+	checkCubeAccounting(t, c.name, res)
 	out := map[string]string{"verify": fmt.Sprint(res.VerifyErr)}
 	cp := *res
 	cp.VerifyErr = nil
@@ -244,6 +245,57 @@ func runGolden(t *testing.T, c goldenCase) map[string]string {
 		}
 	}
 	return out
+}
+
+// checkCubeAccounting asserts the cube's accounting identities on a
+// run's result. Fig. 11's numerator is 64 B per read or write plus 16 B
+// per PIM operand exchange. Request FLITs are Table I's 1 per read, 5
+// per write and 2 per PIM op; response FLITs are 5 per read and 1 per
+// write, plus 1 or 2 per PIM op (without or with return). A multi-cube
+// run's totals are the sums over its cubes.
+//
+// A request's FLITs are counted when it enters its source cube's host
+// link, and the request when its home cube serves it. In a multi-cube
+// run, a shutdown ends the run with requests still on the inter-cube
+// links (96 request FLITs in mc/tel-shutdown2): there the FLIT counts
+// are bounded from below only.
+func checkCubeAccounting(t *testing.T, what string, res *Result) {
+	t.Helper()
+	h := res.HMC
+	if want := 64*(h.Reads+h.Writes) + 16*h.PIMOps; res.ExtDataBytes != want || h.ExtDataBytes != want {
+		t.Errorf("%s: ExtDataBytes %d (cube counters %d), want 64·(%d+%d) + 16·%d = %d",
+			what, res.ExtDataBytes, h.ExtDataBytes, h.Reads, h.Writes, h.PIMOps, want)
+	}
+	if res.ReqFlits != h.ReqFlits || res.RespFlits != h.RespFlits {
+		t.Errorf("%s: FLITs %d/%d, cube counters %d/%d", what, res.ReqFlits, res.RespFlits, h.ReqFlits, h.RespFlits)
+	}
+	inFlight := res.Shutdown && len(res.PerCube) > 0
+	if want := h.Reads + 5*h.Writes + 2*h.PIMOps; res.ReqFlits != want && !(inFlight && res.ReqFlits > want) {
+		t.Errorf("%s: ReqFlits %d, want %d + 5·%d + 2·%d = %d",
+			what, res.ReqFlits, h.Reads, h.Writes, h.PIMOps, want)
+	}
+	lo, hi := 5*h.Reads+h.Writes+h.PIMOps, 5*h.Reads+h.Writes+2*h.PIMOps
+	if res.RespFlits < lo || res.RespFlits > hi && !inFlight {
+		t.Errorf("%s: RespFlits %d, want within [%d, %d]", what, res.RespFlits, lo, hi)
+	}
+	if res.PIMOps != h.PIMOps {
+		t.Errorf("%s: PIMOps %d, cube counters %d", what, res.PIMOps, h.PIMOps)
+	}
+	if len(res.PerCube) == 0 {
+		return
+	}
+	var sum [8]uint64
+	for _, c := range res.PerCube {
+		for i, v := range [...]uint64{c.PIMOps, c.ExtDataBytes, c.HMC.Reads, c.HMC.Writes,
+			c.HMC.PIMOps, c.HMC.ExtDataBytes, c.HMC.ReqFlits, c.HMC.RespFlits} {
+			sum[i] += v
+		}
+	}
+	if want := [...]uint64{res.PIMOps, res.ExtDataBytes, h.Reads, h.Writes,
+		h.PIMOps, h.ExtDataBytes, res.ReqFlits, res.RespFlits}; sum != want {
+		t.Errorf("%s: per-cube sums %v, run totals %v (PIMOps, ExtDataBytes, cube Reads, Writes, PIMOps, ExtDataBytes, ReqFlits, RespFlits)",
+			what, sum, want)
+	}
 }
 
 // TestGoldenOutputs pins every output of a fixed set of runs, single-
